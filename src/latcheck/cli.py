@@ -479,6 +479,9 @@ def main(argv=None) -> int:
     except (SearchBudgetExceeded, SizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except RecursionError as exc:
+        print(f"error: input too deep to process ({exc})", file=sys.stderr)
+        return EXIT_BUDGET
     except LatcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -6,11 +6,22 @@ subdirectly irreducible members of the pentagon's variety are exactly the
 two-element chain and the pentagon itself, so a finite lattice belongs to the
 variety iff every factor by a meet-irreducible congruence is trivial, the
 two-element chain, or the pentagon.
+
+Nothing here builds Con L to find those factors.  The join-irreducible
+congruences of a finite lattice are exactly con(j_*, j) for the
+join-irreducible elements j with lower cover j_* (Freese, Jezek and Nation,
+*Free Lattices*, Ch. II), so J(Con L) costs one principal congruence per
+join-irreducible element.  Con L is distributive, so each psi in J(Con L)
+pairs with one meet-irreducible congruence, the join of every phi in
+J(Con L) not above psi, and L is subdirectly irreducible iff J(Con L) has a
+single minimal element (the monolith).  ``all_congruences`` still returns the
+whole of Con L for API callers, as the join-closure of J(Con L).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
 
 from . import catalog
 from .core import FiniteLattice, canonical_form, induced, iter_bits
@@ -59,19 +70,6 @@ class Congruence:
                     return False
             else:
                 seen[mine] = theirs
-        return True
-
-    def is_compatible(self, L: FiniteLattice) -> bool:
-        n = L.n
-        for a in range(n):
-            for b in range(a + 1, n):
-                if not self.same(a, b):
-                    continue
-                for c in range(n):
-                    if not self.same(L.join[a][c], L.join[b][c]):
-                        return False
-                    if not self.same(L.meet[a][c], L.meet[b][c]):
-                        return False
         return True
 
 
@@ -153,27 +151,32 @@ def join_congruences(c1: Congruence, c2: Congruence) -> Congruence:
     return _canonical_blocks(uf.find, n)
 
 
-def all_congruences(L: FiniteLattice, cap=CONGRUENCE_CAP) -> list:
-    """The full congruence lattice: identity plus the join-closure of all
-    principal congruences."""
+def _join_irreducible_congruences(L: FiniteLattice, cap) -> list:
+    """J(Con L): the distinct con(j_*, j) over the join-irreducible j."""
     if L.n > cap:
         raise SizeLimit(L.n, cap, "congruence computation")
+    return list(dict.fromkeys(principal_congruence(L, L.lower_covers(j)[0], j)
+                              for j in range(L.n) if len(L.lower_covers(j)) == 1))
+
+
+def _congruence_order(c: Congruence):
+    return (c.n - c.block_count, c.block_index)
+
+
+def all_congruences(L: FiniteLattice, cap=CONGRUENCE_CAP) -> list:
+    """The full congruence lattice: identity plus the join-closure of the
+    join-irreducible congruences."""
+    gens = _join_irreducible_congruences(L, cap)
     found = {identity_congruence(L.n)}
-    frontier = []
-    for a in range(L.n):
-        for b in range(a + 1, L.n):
-            c = principal_congruence(L, a, b)
-            if c not in found:
-                found.add(c)
-                frontier.append(c)
+    frontier = list(found)
     while frontier:
         c = frontier.pop()
-        for d in list(found):
-            j = join_congruences(c, d)
+        for g in gens:
+            j = join_congruences(c, g)
             if j not in found:
                 found.add(j)
                 frontier.append(j)
-    return sorted(found, key=lambda c: (c.n - c.block_count, c.block_index))
+    return sorted(found, key=_congruence_order)
 
 
 def quotient(L: FiniteLattice, c: Congruence) -> FiniteLattice:
@@ -201,30 +204,22 @@ def quotient(L: FiniteLattice, c: Congruence) -> FiniteLattice:
 
 
 def is_subdirectly_irreducible(L: FiniteLattice, cap=CONGRUENCE_CAP) -> bool:
-    """True iff the congruence lattice has a unique atom (monolith)."""
-    if L.n == 1:
-        return False
-    cons = all_congruences(L, cap)
-    nontrivial = [c for c in cons if not c.is_identity()]
-    atoms = [
-        c for c in nontrivial
-        if not any(d is not c and d.refines(c) and not d.is_identity() for d in nontrivial)
-    ]
+    """True iff the congruence lattice has a unique atom (monolith): the
+    atoms of Con L are the minimal join-irreducible congruences."""
+    gens = _join_irreducible_congruences(L, cap)
+    atoms = [c for c in gens if not any(d != c and d.refines(c) for d in gens)]
     return len(atoms) == 1
 
 
 def meet_irreducible_congruences(L: FiniteLattice, cap=CONGRUENCE_CAP) -> list:
-    """Congruences with exactly one upper cover in the congruence lattice."""
-    cons = all_congruences(L, cap)
-    out = []
-    for c in cons:
-        if c.is_all():
-            continue
-        above = [d for d in cons if d != c and c.refines(d)]
-        covers = [d for d in above if not any(e != d and e.refines(d) for e in above)]
-        if len(covers) == 1:
-            out.append(c)
-    return out
+    """Congruences with exactly one upper cover in the congruence lattice:
+    for each join-irreducible psi, the join of the join-irreducibles not
+    above psi."""
+    gens = _join_irreducible_congruences(L, cap)
+    bottom = identity_congruence(L.n)
+    kappa = {reduce(join_congruences, [phi for phi in gens if not psi.refines(phi)], bottom)
+             for psi in gens}
+    return sorted(kappa, key=_congruence_order)
 
 
 def si_factors(L: FiniteLattice, cap=CONGRUENCE_CAP) -> list:
@@ -249,14 +244,18 @@ class VarietyDecision:
         return self.member
 
 
+@cache
+def _si_forms() -> frozenset:
+    """Canonical forms of the subdirectly irreducible members of the
+    pentagon's variety, plus the trivial lattice."""
+    return frozenset(canonical_form(L) for L in
+                     (catalog.chain(1), catalog.chain(2), catalog.get("N5")))
+
+
 def in_n5_variety(L: FiniteLattice, cap=CONGRUENCE_CAP) -> VarietyDecision:
     """Exact membership in the variety generated by the pentagon, with the
     subdirectly irreducible factor list as certificate."""
-    allowed = {
-        canonical_form(catalog.chain(1)),
-        canonical_form(catalog.chain(2)),
-        canonical_form(catalog.get("N5")),
-    }
+    allowed = _si_forms()
     factors = tuple(si_factors(L, cap))
     for q in factors:
         if canonical_form(q) not in allowed:

@@ -3,7 +3,11 @@
 Everything here is deliberately naive: permutation search for isomorphism,
 exhaustive relation matrices and labelled growth for enumeration, Bell-scan
 partition filters for congruences and Dec.  None of it shares code paths
-with the algorithms under test beyond the meet/join tables themselves.
+with the algorithms under test beyond the meet/join tables themselves, except
+the congruence-lattice referee: it closes every principal congruence under
+joins with the library's ``principal_congruence`` and ``join_congruences``
+(both checked against the Bell scan) and reads meet-irreducibility and the
+monolith off the whole of Con L by cover scans.
 """
 
 from __future__ import annotations
@@ -194,6 +198,46 @@ def compatible_partitions(L: FiniteLattice):
         if ok:
             out.append(frozenset(frozenset(b) for b in part))
     return out
+
+
+def congruence_closure_oracle(L: FiniteLattice):
+    """Con L as the identity plus the join-closure of every principal
+    congruence, sorted smallest first as ``all_congruences`` sorts it."""
+    from latcheck.variety import identity_congruence, join_congruences, principal_congruence
+
+    found = {identity_congruence(L.n)}
+    frontier = []
+    for a in range(L.n):
+        for b in range(a + 1, L.n):
+            c = principal_congruence(L, a, b)
+            if c not in found:
+                found.add(c)
+                frontier.append(c)
+    while frontier:
+        c = frontier.pop()
+        for d in list(found):
+            j = join_congruences(c, d)
+            if j not in found:
+                found.add(j)
+                frontier.append(j)
+    return sorted(found, key=lambda c: (c.n - c.block_count, c.block_index))
+
+
+def _upper_covers_in(cons, c):
+    above = [d for d in cons if d != c and c.refines(d)]
+    return [d for d in above if not any(e != d and e.refines(d) for e in above)]
+
+
+def meet_irreducible_congruences_oracle(L: FiniteLattice):
+    """Congruences with exactly one upper cover, by scanning all of Con L."""
+    cons = congruence_closure_oracle(L)
+    return [c for c in cons if not c.is_all() and len(_upper_covers_in(cons, c)) == 1]
+
+
+def is_subdirectly_irreducible_oracle(L: FiniteLattice) -> bool:
+    """A unique atom in Con L, by scanning all of Con L."""
+    cons = congruence_closure_oracle(L)
+    return len(_upper_covers_in(cons, cons[0])) == 1
 
 
 def _subset_is_sublattice(L, s):

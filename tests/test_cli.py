@@ -13,10 +13,15 @@ from latcheck.core import are_isomorphic, build_lattice
 from latcheck.errors import ParseError
 
 
+# the child interpreter finds latcheck where this one did, installed or not
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
 def run_cli(args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "latcheck.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     return proc
 
@@ -114,6 +119,22 @@ def test_variety_command(tmp_path):
     doc = json.loads(run_cli(["variety", path]).stdout)
     assert doc["results"]["member"] is False
     assert "offending_factor_labels" in doc["results"]["certificate"]
+
+
+def test_variety_size_cap_exits_budget(tmp_path):
+    path = tmp_path / "chain17.json"
+    cli.write_lattice_file(str(path), cli.diagram_of(catalog.chain(17), name="chain(17)"))
+    proc = run_cli(["variety", str(path)])
+    assert proc.returncode == cli.EXIT_BUDGET
+    assert proc.stderr.startswith("error: ")
+
+
+def test_deep_term_exits_budget_without_traceback():
+    term = "(" * 600 + "x" + ")" * 600
+    proc = run_cli(["freelat", "canon", term])
+    assert proc.returncode == cli.EXIT_BUDGET
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_find_forbidden_exit_codes(tmp_path):

@@ -18,7 +18,15 @@ from latcheck.variety import (
     si_factors,
 )
 
-from oracles import compatible_partitions
+from oracles import (
+    compatible_partitions,
+    congruence_closure_oracle,
+    is_subdirectly_irreducible_oracle,
+    meet_irreducible_congruences_oracle,
+)
+
+REFEREE_CATALOG = ([f"L{i}" for i in range(1, 16)] + ["M3", "N5", "B3", "stacked_n5"]
+                   + [f"grid(2,{k})" for k in range(1, 9)])
 
 
 def test_principal_identity():
@@ -151,8 +159,25 @@ def test_membership_product_multiplicative():
 
 
 def test_size_cap():
-    with pytest.raises(SizeLimit):
-        all_congruences(catalog.chain(17))
+    for entry in (all_congruences, is_subdirectly_irreducible,
+                  meet_irreducible_congruences, in_n5_variety):
+        with pytest.raises(SizeLimit):
+            entry(catalog.chain(17))
+
+
+@pytest.mark.parametrize("source", [*range(1, 9), "catalog"])
+def test_join_irreducible_route_matches_closure_referee(source):
+    """Con L, its meet-irreducibles and the SI test, each read off J(Con L),
+    against the join-closure of every principal congruence and cover scans
+    over all of it."""
+    if source == "catalog":
+        lattices = [catalog.get(name) for name in REFEREE_CATALOG]
+    else:
+        lattices = all_lattices(source)
+    for L in lattices:
+        assert all_congruences(L) == congruence_closure_oracle(L)
+        assert set(meet_irreducible_congruences(L)) == set(meet_irreducible_congruences_oracle(L))
+        assert is_subdirectly_irreducible(L) == is_subdirectly_irreducible_oracle(L)
 
 
 def test_meet_irreducible_have_unique_cover():
