@@ -391,8 +391,6 @@ def _add_common(parser, suppress=False):
     parser.add_argument("--timing", action="store_true",
                         default=d if suppress else False,
                         help="include wall time in reports (breaks byte-identity)")
-    parser.add_argument("--seed", type=int, default=d,
-                        help="seed for randomized sampling where used")
     parser.add_argument("--budget", type=int, default=d,
                         help="search node budget (default from LATCHECK_BUDGET)")
 

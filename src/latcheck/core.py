@@ -32,6 +32,32 @@ def iter_bits(mask):
         mask ^= low
 
 
+class _UnionFind:
+    """Disjoint sets on 0..n-1 with path halving; a union keeps the smaller
+    root, so every root is the least member of its set."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        if ry < rx:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        return True
+
+
 @dataclass(frozen=True)
 class CoverDiagram:
     """Hasse-diagram input data: ``covers`` holds pairs ``(a, b)`` meaning
@@ -115,9 +141,12 @@ class FiniteLattice:
     def _extreme(commons, bound):
         # the glb (resp. lub) is the unique c among the common bounds with
         # every common bound below (resp. above) it
-        for c in iter_bits(commons):
+        m = commons
+        while m:
+            c = (m & -m).bit_length() - 1
             if commons & ~bound[c] == 0:
                 return c
+            m &= m - 1
         return None
 
     # -- basic queries -------------------------------------------------

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import laws
-from .core import FiniteLattice, canonical_form, induced, is_convex_set, is_sublattice_set, iter_bits
+from .core import (FiniteLattice, _UnionFind, canonical_form, induced, is_convex_set,
+                   is_sublattice_set, iter_bits)
 from .errors import NotAPartition, NotDistributive, SizeLimit
 
 DEC_CAP = 16
@@ -160,23 +161,30 @@ def _pair_ok_masks(L, m1, m2):
     return _pair_ok(L, list(iter_bits(m1)), list(iter_bits(m2)))
 
 
-def dec(L: FiniteLattice, cap=DEC_CAP):
-    """Exact minimum cardinality of a distributive partition, with one
-    minimizing witness (the first found in the deterministic search order)."""
+def _minimum_partitions(L, cap, keep_ties):
+    """Branch and bound over partitions into convex distributive blocks, each
+    grown from the lowest unassigned element.  Returns the minimum block
+    count and the partitions kept: without ties the search prunes on strict
+    improvement and keeps the first minimum partition; with ties it keeps
+    every partition of the best count so far, clearing the list whenever a
+    smaller count appears."""
     if L.n > cap:
         raise SizeLimit(L.n, cap, "dec computation")
-    best_count = L.n + 1
-    best_blocks = None
+    best = L.n + 1
+    found = []
     full = L.full_mask
+    # one more block must beat the best count, or with ties at least match it
+    margin = 0 if keep_ties else 1
 
     def rec(assigned, blocks):
-        nonlocal best_count, best_blocks
+        nonlocal best
         if assigned == full:
-            if len(blocks) < best_count:
-                best_count = len(blocks)
-                best_blocks = list(blocks)
+            if len(blocks) < best:
+                best = len(blocks)
+                found.clear()
+            found.append(list(blocks))
             return
-        if len(blocks) + 1 >= best_count:
+        if len(blocks) + 1 + margin > best:
             return
         e = ((~assigned) & full & -((~assigned) & full)).bit_length() - 1
         for cand in _candidate_blocks(L, e, full & ~assigned):
@@ -186,35 +194,23 @@ def dec(L: FiniteLattice, cap=DEC_CAP):
                 blocks.pop()
 
     rec(0, [])
-    witness = DistributivePartition.from_blocks(
-        [frozenset(iter_bits(m)) for m in best_blocks]
-    )
-    return best_count, witness
+    return best, [
+        DistributivePartition.from_blocks([frozenset(iter_bits(m)) for m in masks])
+        for masks in found
+    ]
+
+
+def dec(L: FiniteLattice, cap=DEC_CAP):
+    """Exact minimum cardinality of a distributive partition, with one
+    minimizing witness (the first found in the deterministic search order)."""
+    best, (witness,) = _minimum_partitions(L, cap, keep_ties=False)
+    return best, witness
 
 
 def minimum_distributive_partitions(L: FiniteLattice, cap=DEC_CAP):
     """All minimum-cardinality distributive partitions, in lexicographic
     block-encoding order."""
-    k, _ = dec(L, cap)
-    full = L.full_mask
-    found = []
-
-    def rec(assigned, blocks):
-        if assigned == full:
-            found.append(DistributivePartition.from_blocks(
-                [frozenset(iter_bits(m)) for m in blocks]
-            ))
-            return
-        if len(blocks) >= k:
-            return
-        e = ((~assigned) & full & -((~assigned) & full)).bit_length() - 1
-        for cand in _candidate_blocks(L, e, full & ~assigned):
-            if all(_pair_ok_masks(L, cand, b) for b in blocks):
-                blocks.append(cand)
-                rec(assigned | cand, blocks)
-                blocks.pop()
-
-    rec(0, [])
+    _, found = _minimum_partitions(L, cap, keep_ties=True)
     found.sort(key=lambda p: p.encoding())
     return found
 
@@ -258,23 +254,14 @@ def gj_classify(D: FiniteLattice):
         raise NotDistributive("gj_classify expects a distributive lattice")
     n = D.n
     # components of the incomparability graph must be linearly ordered
-    comp_id = list(range(n))
-
-    def find(x):
-        while comp_id[x] != x:
-            comp_id[x] = comp_id[comp_id[x]]
-            x = comp_id[x]
-        return x
-
+    uf = _UnionFind(n)
     for a in range(n):
         for b in range(a + 1, n):
             if D.incomparable(a, b):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    comp_id[max(ra, rb)] = min(ra, rb)
+                uf.union(a, b)
     groups = {}
     for e in range(n):
-        groups.setdefault(find(e), []).append(e)
+        groups.setdefault(uf.find(e), []).append(e)
     comps = list(groups.values())
     for i, c1 in enumerate(comps):
         for c2 in comps[i + 1:]:

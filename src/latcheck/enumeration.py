@@ -22,18 +22,6 @@ ENUM_CAP = 9
 _CACHE = {}
 
 
-def _unique_max(commons, down):
-    best = None
-    m = commons
-    while m:
-        c = (m & -m).bit_length() - 1
-        if commons & ~down[c] == 0:
-            best = c
-            break
-        m &= m - 1
-    return best is not None
-
-
 def _generate(n):
     labels = tuple(f"e{i}" for i in range(n))
     if n == 1:
@@ -70,7 +58,7 @@ def _generate(n):
             for a in range(i):
                 if (D >> a) & 1:
                     continue
-                if not _unique_max(down[a] & D, down):
+                if FiniteLattice._extreme(down[a] & D, down) is None:
                     ok = False
                     break
             if not ok:

@@ -55,35 +55,22 @@ def whitman(L: FiniteLattice) -> Check:
     return Check(True)
 
 
+def _sd_check(n, op, co) -> Check:
+    """a op c = a op b implies a op (b co c) = a op b; the join law takes
+    (join, meet) and the meet law (meet, join)."""
+    for a in range(n):
+        for b in range(n):
+            d = op[a][b]
+            for c in range(n):
+                if op[a][c] == d and op[a][co[b][c]] != d:
+                    return Check(False, (a, b, c))
+    return Check(True)
+
+
 def semidistributive(L: FiniteLattice) -> tuple[Check, Check]:
     """The join and meet semidistributive laws, each with the first violating
     triple (a, b, c) on failure."""
-    n, meet, join = L.n, L.meet, L.join
-    sd_join = Check(True)
-    for a in range(n):
-        for b in range(n):
-            d = join[a][b]
-            for c in range(n):
-                if join[a][c] == d and join[a][meet[b][c]] != d:
-                    sd_join = Check(False, (a, b, c))
-                    break
-            if not sd_join:
-                break
-        if not sd_join:
-            break
-    sd_meet = Check(True)
-    for a in range(n):
-        for b in range(n):
-            d = meet[a][b]
-            for c in range(n):
-                if meet[a][c] == d and meet[a][join[b][c]] != d:
-                    sd_meet = Check(False, (a, b, c))
-                    break
-            if not sd_meet:
-                break
-        if not sd_meet:
-            break
-    return sd_join, sd_meet
+    return _sd_check(L.n, L.join, L.meet), _sd_check(L.n, L.meet, L.join)
 
 
 def distributive(L: FiniteLattice) -> Check:

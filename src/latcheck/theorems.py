@@ -89,24 +89,33 @@ def profile_membership(prof):
     return gate
 
 
-def _finish(report, t0):
-    report.vacuous = (not report.skipped) and report.hypothesis_instances == 0
-    report.elapsed = time.perf_counter() - t0
-    return report
-
-
-def _gate(report, L, t0, needs, membership):
-    """Apply the named lattice-level hypotheses; fills in a skip reason and
-    returns True when the check must be skipped."""
+def _gate(report, L, needs, membership):
+    """Apply the named lattice-level hypotheses ("whitman", "no_dr", and
+    "member" for the membership gate, the exact variety test by default);
+    fills in a skip reason and returns True when the check must be
+    skipped."""
     if "whitman" in needs and not laws.whitman(L):
         report.skipped, report.skip_reason = True, "fails Whitman's condition"
     elif "no_dr" in needs and laws.doubly_reducible_elements(L):
         report.skipped, report.skip_reason = True, "has doubly reducible elements"
-    elif membership is not None:
-        ok, reason = membership(L)
+    elif "member" in needs:
+        ok, reason = (membership or variety_membership)(L)
         if not ok:
             report.skipped, report.skip_reason = True, reason
     return report.skipped
+
+
+def _check(theorem_id, L, name, needs, membership, scan) -> TheoremReport:
+    """The skeleton shared by every check: gate on the hypotheses in
+    ``needs``, let ``scan`` fill the report unless the gate skips, and flag
+    a run with no hypothesis instance as vacuous."""
+    t0 = time.perf_counter()
+    rep = TheoremReport(theorem_id, _name_of(L, name))
+    if not _gate(rep, L, needs, membership):
+        scan(rep)
+    rep.vacuous = (not rep.skipped) and rep.hypothesis_instances == 0
+    rep.elapsed = time.perf_counter() - t0
+    return rep
 
 
 def _labels(L, elems):
@@ -118,11 +127,8 @@ def _labels(L, elems):
 
 def lemma_l15_check(L: FiniteLattice, name=None, budget=None, membership=None) -> TheoremReport:
     """Every six-tuple satisfying the two-interleaved-chains hypotheses forces
-    a sublattice isomorphic to L15."""
-    t0 = time.perf_counter()
-    rep = TheoremReport("l15_lemma", _name_of(L, name))
-    if _gate(rep, L, t0, ("no_dr",), None):
-        return _finish(rep, t0)
+    a sublattice isomorphic to L15.  Only the no-doubly-reducible hypothesis
+    is gated; ``membership`` is accepted for a uniform signature and ignored."""
     n = L.n
     l15_present = None  # computed lazily, once
 
@@ -132,33 +138,35 @@ def lemma_l15_check(L: FiniteLattice, name=None, budget=None, membership=None) -
             l15_present = embed.find_embedding(catalog.get("L15"), L, budget) is not None
         return l15_present
 
-    for a2 in range(n):
-        for b2 in range(n):
-            if not L.incomparable(a2, b2):
-                continue
-            top, bot = L.join[a2][b2], L.meet[a2][b2]
-            a3s = [x for x in range(n) if L.lt(a2, x) and L.incomparable(x, b2)]
-            b3s = [y for y in range(n) if L.lt(b2, y) and L.incomparable(y, a2)]
-            a1s = [x for x in range(n) if L.lt(x, a2) and L.incomparable(x, b2)]
-            b1s = [y for y in range(n) if L.lt(y, b2) and L.incomparable(y, a2)]
-            for a3 in a3s:
-                for b3 in b3s:
-                    if L.join[a3][b3] != top:
-                        continue
-                    for a1 in a1s:
-                        if not L.lt(a1, b3):
+    def scan(rep):
+        for a2 in range(n):
+            for b2 in range(n):
+                if not L.incomparable(a2, b2):
+                    continue
+                top, bot = L.join[a2][b2], L.meet[a2][b2]
+                a3s = [x for x in range(n) if L.lt(a2, x) and L.incomparable(x, b2)]
+                b3s = [y for y in range(n) if L.lt(b2, y) and L.incomparable(y, a2)]
+                a1s = [x for x in range(n) if L.lt(x, a2) and L.incomparable(x, b2)]
+                b1s = [y for y in range(n) if L.lt(y, b2) and L.incomparable(y, a2)]
+                for a3 in a3s:
+                    for b3 in b3s:
+                        if L.join[a3][b3] != top:
                             continue
-                        for b1 in b1s:
-                            if not L.lt(b1, a3):
+                        for a1 in a1s:
+                            if not L.lt(a1, b3):
                                 continue
-                            if L.meet[a1][b1] != bot:
-                                continue
-                            rep.hypothesis_instances += 1
-                            if not conclusion_holds():
-                                rep.conclusion_violations.append(
-                                    _labels(L, (a1, a2, a3, b1, b2, b3))
-                                )
-    return _finish(rep, t0)
+                            for b1 in b1s:
+                                if not L.lt(b1, a3):
+                                    continue
+                                if L.meet[a1][b1] != bot:
+                                    continue
+                                rep.hypothesis_instances += 1
+                                if not conclusion_holds():
+                                    rep.conclusion_violations.append(
+                                        _labels(L, (a1, a2, a3, b1, b2, b3))
+                                    )
+
+    return _check("l15_lemma", L, name, ("no_dr",), membership, scan)
 
 
 _L15_CLAUSES = (
@@ -223,67 +231,36 @@ def _constant_meet_antichains(L, size, table):
 
 
 def cube_theorem_check(L: FiniteLattice, name=None, budget=None, membership=None,
-                       theorem_id="cube") -> TheoremReport:
+                       theorem_id="cube", forms=("meet", "join"),
+                       sizes=(3, 4)) -> TheoremReport:
     """Antichains with a constant pairwise meet have at most three elements,
-    of which at most two fail to cover the meet; dually for joins."""
-    t0 = time.perf_counter()
-    rep = TheoremReport(theorem_id, _name_of(L, name))
-    if membership is None:
-        membership = variety_membership
-    if _gate(rep, L, t0, ("whitman",), membership):
-        return _finish(rep, t0)
-    for form, table, covers in (
-        ("meet", L.meet, lambda d, a: L.covers(d, a)),
-        ("join", L.join, lambda d, a: L.covers(a, d)),
-    ):
-        for size in (3, 4):
-            for Y, d in _constant_meet_antichains(L, size, table):
-                rep.hypothesis_instances += 1
-                if size == 4:
-                    rep.conclusion_violations.append(
-                        (f"{form} form: antichain of size 4", _labels(L, Y), L.labels[d])
-                    )
-                    continue
-                missing = [a for a in Y if not covers(d, a)]
-                if len(missing) > 2:
-                    rep.conclusion_violations.append(
-                        (f"{form} form: no element adjacent to the bound",
-                         _labels(L, Y), L.labels[d])
-                    )
-    return _finish(rep, t0)
+    of which at most two fail to cover the meet; dually for joins.  With
+    ``forms=("join",)`` (resp. ``("meet",)``) and ``sizes=(3,)`` this is the
+    single-sided cover property kept by the last two corollary profiles."""
+    sides = {
+        "meet": (L.meet, lambda d, a: L.covers(d, a)),
+        "join": (L.join, lambda d, a: L.covers(a, d)),
+    }
 
+    def scan(rep):
+        for form in forms:
+            table, covers = sides[form]
+            for size in sizes:
+                for Y, d in _constant_meet_antichains(L, size, table):
+                    rep.hypothesis_instances += 1
+                    if size == 4:
+                        rep.conclusion_violations.append(
+                            (f"{form} form: antichain of size 4", _labels(L, Y), L.labels[d])
+                        )
+                        continue
+                    missing = [a for a in Y if not covers(d, a)]
+                    if len(missing) > 2:
+                        rep.conclusion_violations.append(
+                            (f"{form} form: no element adjacent to the bound",
+                             _labels(L, Y), L.labels[d])
+                        )
 
-def _one_sided_cover_check(L, name, membership, form, theorem_id) -> TheoremReport:
-    """The single-sided cover property kept by the last two corollary
-    profiles: in a 3-antichain with constant pairwise joins (resp. meets), at
-    most two elements are not covered by (resp. do not cover) the bound."""
-    t0 = time.perf_counter()
-    rep = TheoremReport(theorem_id, _name_of(L, name))
-    if membership is None:
-        membership = variety_membership
-    if _gate(rep, L, t0, ("whitman",), membership):
-        return _finish(rep, t0)
-    table = L.join if form == "join" else L.meet
-    for Y, d in _constant_meet_antichains(L, 3, table):
-        rep.hypothesis_instances += 1
-        if form == "join":
-            missing = [a for a in Y if not L.covers(a, d)]
-        else:
-            missing = [a for a in Y if not L.covers(d, a)]
-        if len(missing) > 2:
-            rep.conclusion_violations.append(
-                (f"{form} form: no element adjacent to the bound",
-                 _labels(L, Y), L.labels[d])
-            )
-    return _finish(rep, t0)
-
-
-def cube_join_cover_check(L, name=None, budget=None, membership=None):
-    return _one_sided_cover_check(L, name, membership, "join", "cube_join_cover")
-
-
-def cube_meet_cover_check(L, name=None, budget=None, membership=None):
-    return _one_sided_cover_check(L, name, membership, "meet", "cube_meet_cover")
+    return _check(theorem_id, L, name, ("whitman", "member"), membership, scan)
 
 
 def boolean_cube_witness(L: FiniteLattice, triple, d, membership=None) -> EmbeddingWitness:
@@ -348,56 +325,50 @@ def dec_bound_check(L: FiniteLattice, name=None, budget=None, membership=None) -
     """For every sublattice K and element a incomparable to all of K, Dec(K)
     is at most the number of join values times the number of meet values of a
     against K."""
-    t0 = time.perf_counter()
-    rep = TheoremReport("dec_bound", _name_of(L, name))
-    if membership is None:
-        membership = variety_membership
-    if _gate(rep, L, t0, ("whitman",), membership):
-        return _finish(rep, t0)
-    for mask, elems in _all_sublattice_masks(L):
-        loose = [a for a in range(L.n)
-                 if not (mask >> a) & 1 and all(L.incomparable(a, b) for b in elems)]
-        if not loose:
-            continue
-        dec_k = dec(induced(L, elems))[0]
-        for a in loose:
-            rep.hypothesis_instances += 1
-            joins = {L.join[a][b] for b in elems}
-            meets = {L.meet[a][b] for b in elems}
-            if dec_k > len(joins) * len(meets):
-                rep.conclusion_violations.append(
-                    (L.labels[a], _labels(L, elems), dec_k, len(joins) * len(meets))
-                )
-    return _finish(rep, t0)
+
+    def scan(rep):
+        for mask, elems in _all_sublattice_masks(L):
+            loose = [a for a in range(L.n)
+                     if not (mask >> a) & 1 and all(L.incomparable(a, b) for b in elems)]
+            if not loose:
+                continue
+            dec_k = dec(induced(L, elems))[0]
+            for a in loose:
+                rep.hypothesis_instances += 1
+                joins = {L.join[a][b] for b in elems}
+                meets = {L.meet[a][b] for b in elems}
+                if dec_k > len(joins) * len(meets):
+                    rep.conclusion_violations.append(
+                        (L.labels[a], _labels(L, elems), dec_k, len(joins) * len(meets))
+                    )
+
+    return _check("dec_bound", L, name, ("whitman", "member"), membership, scan)
 
 
 def degeneracy_lemma_check(L: FiniteLattice, name=None, budget=None, membership=None) -> TheoremReport:
     """For every convex sublattice K and a incomparable to all of K: a has at
     least three join values against K, or at least three meet values, or K is
     distributive."""
-    t0 = time.perf_counter()
-    rep = TheoremReport("degeneracy", _name_of(L, name))
-    if membership is None:
-        membership = variety_membership
-    if _gate(rep, L, t0, ("whitman",), membership):
-        return _finish(rep, t0)
-    for mask, elems in _all_sublattice_masks(L, convex_only=True):
-        loose = [a for a in range(L.n)
-                 if not (mask >> a) & 1 and all(L.incomparable(a, b) for b in elems)]
-        if not loose:
-            continue
-        distr = bool(laws.distributive(induced(L, elems)))
-        for a in loose:
-            rep.hypothesis_instances += 1
-            if distr:
+
+    def scan(rep):
+        for mask, elems in _all_sublattice_masks(L, convex_only=True):
+            loose = [a for a in range(L.n)
+                     if not (mask >> a) & 1 and all(L.incomparable(a, b) for b in elems)]
+            if not loose:
                 continue
-            joins = {L.join[a][b] for b in elems}
-            meets = {L.meet[a][b] for b in elems}
-            if len(joins) < 3 and len(meets) < 3:
-                rep.conclusion_violations.append(
-                    (L.labels[a], _labels(L, elems), len(joins), len(meets))
-                )
-    return _finish(rep, t0)
+            distr = bool(laws.distributive(induced(L, elems)))
+            for a in loose:
+                rep.hypothesis_instances += 1
+                if distr:
+                    continue
+                joins = {L.join[a][b] for b in elems}
+                meets = {L.meet[a][b] for b in elems}
+                if len(joins) < 3 and len(meets) < 3:
+                    rep.conclusion_violations.append(
+                        (L.labels[a], _labels(L, elems), len(joins), len(meets))
+                    )
+
+    return _check("degeneracy", L, name, ("whitman", "member"), membership, scan)
 
 
 # -- twelve-element lemma -----------------------------------------------------
@@ -413,46 +384,43 @@ def twelve_element_lemma_check(L: FiniteLattice, name=None, budget=None,
     """No 2 x 5 grid sublattice admits both a point strictly inside its
     middle rung and a point strictly inside the rung above, with the exact
     incomparabilities of the twelve-element configuration."""
-    t0 = time.perf_counter()
-    rep = TheoremReport("twelve_element", _name_of(L, name))
-    if membership is None:
-        membership = variety_membership
-    if _gate(rep, L, t0, ("no_dr",), membership):
-        return _finish(rep, t0)
-    grid = catalog.grid(5)
-    gidx = {k: grid.index_of(v) for k, v in _GRID_POS.items()}
-    for w in embed.iter_embeddings(grid, L, budget):
-        pos = {k: w.map[i] for k, i in gidx.items()}
-        image = set(w.map)
-        below_c = [pos[k] for k in ("w'", "w", "a")]
-        above_c = [pos[k] for k in ("b", "z", "z'")]
-        incomp_c = [pos[k] for k in ("x'", "x", "y", "y'")]
-        cs = [
-            c for c in range(L.n)
-            if c not in image
-            and all(L.lt(x, c) for x in below_c)
-            and all(L.lt(c, x) for x in above_c)
-            and all(L.incomparable(c, x) for x in incomp_c)
-        ]
-        for c in cs:
-            rep.hypothesis_instances += 1
-            below_s = [pos[k] for k in ("w'", "w", "a")]
-            above_s = [pos[k] for k in ("y", "y'", "z", "z'")]
-            incomp_s = [pos[k] for k in ("x'", "x", "b")]
-            for s in range(L.n):
-                if s in image or s == c:
-                    continue
-                if (
-                    all(L.lt(x, s) for x in below_s)
-                    and all(L.lt(s, x) for x in above_s)
-                    and all(L.incomparable(s, x) for x in incomp_s)
-                    and L.incomparable(s, c)
-                ):
-                    rep.conclusion_violations.append(
-                        ("grid with interior points",
-                         _labels(L, w.map), L.labels[c], L.labels[s])
-                    )
-    return _finish(rep, t0)
+
+    def scan(rep):
+        grid = catalog.grid(5)
+        gidx = {k: grid.index_of(v) for k, v in _GRID_POS.items()}
+        for w in embed.iter_embeddings(grid, L, budget):
+            pos = {k: w.map[i] for k, i in gidx.items()}
+            image = set(w.map)
+            below_c = [pos[k] for k in ("w'", "w", "a")]
+            above_c = [pos[k] for k in ("b", "z", "z'")]
+            incomp_c = [pos[k] for k in ("x'", "x", "y", "y'")]
+            cs = [
+                c for c in range(L.n)
+                if c not in image
+                and all(L.lt(x, c) for x in below_c)
+                and all(L.lt(c, x) for x in above_c)
+                and all(L.incomparable(c, x) for x in incomp_c)
+            ]
+            for c in cs:
+                rep.hypothesis_instances += 1
+                below_s = [pos[k] for k in ("w'", "w", "a")]
+                above_s = [pos[k] for k in ("y", "y'", "z", "z'")]
+                incomp_s = [pos[k] for k in ("x'", "x", "b")]
+                for s in range(L.n):
+                    if s in image or s == c:
+                        continue
+                    if (
+                        all(L.lt(x, s) for x in below_s)
+                        and all(L.lt(s, x) for x in above_s)
+                        and all(L.incomparable(s, x) for x in incomp_s)
+                        and L.incomparable(s, c)
+                    ):
+                        rep.conclusion_violations.append(
+                            ("grid with interior points",
+                             _labels(L, w.map), L.labels[c], L.labels[s])
+                        )
+
+    return _check("twelve_element", L, name, ("no_dr", "member"), membership, scan)
 
 
 # -- staircase cover theorem ----------------------------------------------------
@@ -463,44 +431,42 @@ def staircase_cover_check(L: FiniteLattice, name=None, budget=None,
     """Along a five-chain incomparable to a with strictly increasing joins:
     if (a v b4) ^ b5 differs from b4, then (a v b3) ^ b5 is covered by
     a v b3.  The dual form runs the same scan on the dual lattice."""
-    t0 = time.perf_counter()
-    rep = TheoremReport("staircase_dual" if dual_form else "staircase", _name_of(L, name))
-    if membership is None:
-        membership = variety_membership
-    if _gate(rep, L, t0, ("no_dr",), membership):
-        return _finish(rep, t0)
-    M = dual(L) if dual_form else L
-    n = M.n
 
-    for a in range(n):
-        pool = [b for b in range(n) if M.incomparable(a, b)]
+    def scan(rep):
+        M = dual(L) if dual_form else L
+        n = M.n
 
-        def extend(chain, joins):
-            if len(chain) == 5:
-                rep.hypothesis_instances += 1
-                b4, b5 = chain[3], chain[4]
-                j3, j4 = joins[2], joins[3]
-                if M.meet[j4][b5] != b4:
-                    low = M.meet[j3][b5]
-                    if not M.covers(low, j3):
-                        rep.conclusion_violations.append(
-                            (M.labels[a], _labels(M, chain))
-                        )
-                return
-            for b in pool:
-                if chain and not M.lt(chain[-1], b):
-                    continue
-                j = M.join[a][b]
-                if joins and not M.lt(joins[-1], j):
-                    continue
-                chain.append(b)
-                joins.append(j)
-                extend(chain, joins)
-                chain.pop()
-                joins.pop()
+        for a in range(n):
+            pool = [b for b in range(n) if M.incomparable(a, b)]
 
-        extend([], [])
-    return _finish(rep, t0)
+            def extend(chain, joins):
+                if len(chain) == 5:
+                    rep.hypothesis_instances += 1
+                    b4, b5 = chain[3], chain[4]
+                    j3, j4 = joins[2], joins[3]
+                    if M.meet[j4][b5] != b4:
+                        low = M.meet[j3][b5]
+                        if not M.covers(low, j3):
+                            rep.conclusion_violations.append(
+                                (M.labels[a], _labels(M, chain))
+                            )
+                    return
+                for b in pool:
+                    if chain and not M.lt(chain[-1], b):
+                        continue
+                    j = M.join[a][b]
+                    if joins and not M.lt(joins[-1], j):
+                        continue
+                    chain.append(b)
+                    joins.append(j)
+                    extend(chain, joins)
+                    chain.pop()
+                    joins.pop()
+
+            extend([], [])
+
+    theorem_id = "staircase_dual" if dual_form else "staircase"
+    return _check(theorem_id, L, name, ("no_dr", "member"), membership, scan)
 
 
 # -- corollary profiles -------------------------------------------------------
@@ -517,34 +483,25 @@ PROFILE_CHECKS = {
 }
 
 
-def _dispatch(check_id, L, name, budget, membership):
-    if check_id == "l15_lemma":
-        return lemma_l15_check(L, name, budget, membership)
-    if check_id == "cube":
-        return cube_theorem_check(L, name, budget, membership)
-    if check_id == "cube_dual":
-        return cube_theorem_check(dual(L), name, budget, membership,
-                                  theorem_id="cube_dual")
-    if check_id == "cube_join_cover":
-        return cube_join_cover_check(L, name, budget, membership)
-    if check_id == "cube_meet_cover":
-        return cube_meet_cover_check(L, name, budget, membership)
-    if check_id == "dec_bound":
-        return dec_bound_check(L, name, budget, membership)
-    if check_id == "degeneracy":
-        return degeneracy_lemma_check(L, name, budget, membership)
-    if check_id == "twelve_element":
-        return twelve_element_lemma_check(L, name, budget, membership)
-    if check_id == "staircase":
-        return staircase_cover_check(L, name, budget, membership)
-    if check_id == "staircase_dual":
-        return staircase_cover_check(L, name, budget, membership, dual_form=True)
-    raise UnknownProfile(check_id)
+# check id -> call taking (L, name, budget, membership); each entry looks its
+# function up in the module globals at call time, so rebinding a module
+# attribute (as a tracer does) reaches every check
+_CHECKS = {
+    "l15_lemma": lambda L, *a: lemma_l15_check(L, *a),
+    "cube": lambda L, *a: cube_theorem_check(L, *a),
+    "cube_dual": lambda L, *a: cube_theorem_check(dual(L), *a, theorem_id="cube_dual"),
+    "cube_join_cover": lambda L, *a: cube_theorem_check(
+        L, *a, theorem_id="cube_join_cover", forms=("join",), sizes=(3,)),
+    "cube_meet_cover": lambda L, *a: cube_theorem_check(
+        L, *a, theorem_id="cube_meet_cover", forms=("meet",), sizes=(3,)),
+    "dec_bound": lambda L, *a: dec_bound_check(L, *a),
+    "degeneracy": lambda L, *a: degeneracy_lemma_check(L, *a),
+    "twelve_element": lambda L, *a: twelve_element_lemma_check(L, *a),
+    "staircase": lambda L, *a: staircase_cover_check(L, *a),
+    "staircase_dual": lambda L, *a: staircase_cover_check(L, *a, dual_form=True),
+}
 
-
-ALL_CHECK_IDS = ("l15_lemma", "cube", "cube_dual", "cube_join_cover",
-                 "cube_meet_cover", "dec_bound", "degeneracy",
-                 "twelve_element", "staircase", "staircase_dual")
+ALL_CHECK_IDS = tuple(_CHECKS)
 
 
 def run_profile(L: FiniteLattice, profile_id: str, name=None, budget=None) -> list:
@@ -558,12 +515,12 @@ def run_profile(L: FiniteLattice, profile_id: str, name=None, budget=None) -> li
     else:
         verdict = profile_membership(embed.profile(gate_kind))(L, budget)
     membership = lambda _L, _v=verdict: _v
-    return [_dispatch(cid, L, name, budget, membership) for cid in check_ids]
+    return [_CHECKS[cid](L, name, budget, membership) for cid in check_ids]
 
 
 def run_check(L: FiniteLattice, check_id: str, name=None, budget=None,
               membership=None) -> TheoremReport:
     """Run a single named theorem check under the default variety gate."""
-    if check_id not in ALL_CHECK_IDS:
+    if check_id not in _CHECKS:
         raise UnknownProfile(check_id)
-    return _dispatch(check_id, L, name, budget, membership)
+    return _CHECKS[check_id](L, name, budget, membership)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 
 from . import catalog
-from .core import FiniteLattice, canonical_form, induced, iter_bits
+from .core import FiniteLattice, _UnionFind, canonical_form, induced, iter_bits
 from .errors import SizeLimit
 
 CONGRUENCE_CAP = 16
@@ -90,29 +90,6 @@ def identity_congruence(n: int) -> Congruence:
 
 def all_congruence(n: int) -> Congruence:
     return Congruence((0,) * n)
-
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
 
 
 def principal_congruence(L: FiniteLattice, a, b) -> Congruence:

@@ -1,12 +1,19 @@
 """Theorem verification machinery: witness constructions, vacuity and skip
-reporting, dual consistency, profile gating."""
+reporting, dual consistency, profile gating; reports, Dec searches and
+semidistributivity witnesses pinned against digests and oracles."""
+
+import hashlib
+import json
 
 import pytest
 
-from latcheck import catalog, embed, theorems
+from latcheck import catalog, embed, laws, theorems
 from latcheck.core import dual, are_isomorphic, induced
+from latcheck.decomp import dec, minimum_distributive_partitions
 from latcheck.enumeration import all_lattices
 from latcheck.errors import HypothesisViolated, UnknownProfile
+
+from oracles import dec_oracle, minimum_distributive_partitions_oracle
 
 
 def l15_self_tuple():
@@ -200,3 +207,73 @@ def test_report_serialization():
     assert d["skipped"] is False
     import json
     json.dumps(d)
+
+
+# sha256 over the JSON of every report below, and over the semidistributive
+# witnesses of every lattice with n <= 8; recorded from an earlier
+# implementation, so a change to any report or witness must update them
+REPORTS_SHA256 = "143b04a815e6a93687a4653a62105ea8903682436e21f67bd77b0c057cc1f9f8"
+SD_WITNESSES_SHA256 = "f6331ddfa42865da82693773d4d063457b14acb2e4d85703313a5e3d3628ca5a"
+PINNED_NAMES = ("N5", "M3", "B3", "stacked_n5") + catalog.MCKENZIE_NAMES
+
+
+def test_reports_pinned():
+    """Every profile and every single check over the lattices with n <= 7
+    and the named catalog lattices (97 lattices, 3,201 reports)."""
+    lattices = [(f"n{n}#{k}", L) for n in range(1, 8) for k, L in enumerate(all_lattices(n))]
+    lattices += [(name, catalog.get(name)) for name in PINNED_NAMES]
+    digest = hashlib.sha256()
+    fired = dict.fromkeys(theorems.ALL_CHECK_IDS, 0)
+    count = 0
+    for name, L in lattices:
+        reports = [r for prof in theorems.PROFILE_CHECKS
+                   for r in theorems.run_profile(L, prof, name=name)]
+        reports += [theorems.run_check(L, cid, name=name) for cid in theorems.ALL_CHECK_IDS]
+        for r in reports:
+            digest.update(json.dumps(r.to_dict(), sort_keys=True).encode())
+            fired[r.theorem] += r.hypothesis_instances > 0
+            count += 1
+    assert (len(lattices), count) == (97, 3201)
+    # the one-sided cube checks run with live instances, not vacuously
+    assert fired["cube_join_cover"] == fired["cube_meet_cover"] == 3
+    assert digest.hexdigest() == REPORTS_SHA256
+
+
+def test_dec_searches_match_oracles():
+    for n in range(1, 7):
+        for L in all_lattices(n):
+            k, witness = dec(L)
+            assert k == dec_oracle(L) == len(witness)
+            parts = minimum_distributive_partitions(L)
+            assert parts == sorted(parts, key=lambda p: p.encoding())
+            assert witness in parts
+            as_sets = [frozenset(p.blocks) for p in parts]
+            assert len(set(as_sets)) == len(as_sets)
+            assert set(as_sets) == minimum_distributive_partitions_oracle(L)
+
+
+def test_semidistributive_witnesses_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for L in all_lattices(n):
+            checks = laws.semidistributive(L)
+            digest.update(repr([(c.holds, c.witness) for c in checks]).encode())
+    assert digest.hexdigest() == SD_WITNESSES_SHA256
+
+
+def test_check_table_calls_module_attributes(monkeypatch):
+    """Rebinding a check function on the module (as a tracer does) reaches
+    run_profile and run_check."""
+    calls = []
+    real = theorems.cube_theorem_check
+
+    def spy(L, *args, **kwargs):
+        calls.append(kwargs.get("theorem_id", "cube"))
+        return real(L, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "cube_theorem_check", spy)
+    b3 = catalog.get("B3")
+    theorems.run_profile(b3, "cor65", name="B3")
+    for cid in ("cube", "cube_dual", "cube_meet_cover"):
+        theorems.run_check(b3, cid, name="B3")
+    assert calls == ["cube_join_cover", "cube", "cube_dual", "cube_meet_cover"]
