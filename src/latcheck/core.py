@@ -88,68 +88,20 @@ class CoverDiagram:
             pairs.add((a, b))
 
 
-class FiniteLattice:
-    """A finite lattice on elements ``0..n-1`` with precomputed tables.
+class FiniteOrder:
+    """A finite partial order on ``0..n-1`` held as reflexive ``up`` and
+    ``down`` bitmasks, with the cover, height and depth queries that
+    canonical forms need.  It derives no meet or join table, so it is the
+    cheap view on which candidate orders are tested before a
+    :class:`FiniteLattice` is built."""
 
-    Do not call the constructor directly; use :func:`build_lattice`,
-    :func:`dual`, :func:`direct_product` or the catalog.
-    """
+    __slots__ = ("n", "up", "down", "_cache")
 
-    __slots__ = (
-        "n", "labels", "up", "down", "meet", "join", "bottom", "top",
-        "full_mask", "_cache",
-    )
-
-    def __init__(self, labels, up, meet=None, join=None):
-        n = len(labels)
-        self.n = n
-        self.labels = tuple(labels)
+    def __init__(self, up, down):
+        self.n = len(up)
         self.up = tuple(up)
-        self.full_mask = (1 << n) - 1
-        down = [0] * n
-        for a in range(n):
-            for b in iter_bits(up[a]):
-                down[b] |= 1 << a
         self.down = tuple(down)
-        if meet is None or join is None:
-            meet, join = self._derive_tables()
-        self.meet = meet
-        self.join = join
-        self.bottom = next(a for a in range(n) if self.up[a] == self.full_mask)
-        self.top = next(a for a in range(n) if self.down[a] == self.full_mask)
         self._cache = {}
-
-    def _derive_tables(self):
-        n, up, down = self.n, self.up, self.down
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                commons = down[a] & down[b]
-                m = self._extreme(commons, down)
-                if m is None:
-                    raise NotALattice((self.labels[a], self.labels[b]), "greatest lower bound")
-                meet[a][b] = meet[b][a] = m
-                commons = up[a] & up[b]
-                j = self._extreme(commons, up)
-                if j is None:
-                    raise NotALattice((self.labels[a], self.labels[b]), "least upper bound")
-                join[a][b] = join[b][a] = j
-        return tuple(map(tuple, meet)), tuple(map(tuple, join))
-
-    @staticmethod
-    def _extreme(commons, bound):
-        # the glb (resp. lub) is the unique c among the common bounds with
-        # every common bound below (resp. above) it
-        m = commons
-        while m:
-            c = (m & -m).bit_length() - 1
-            if commons & ~bound[c] == 0:
-                return c
-            m &= m - 1
-        return None
-
-    # -- basic queries -------------------------------------------------
 
     def leq(self, a, b):
         return bool((self.up[a] >> b) & 1)
@@ -160,20 +112,11 @@ class FiniteLattice:
     def incomparable(self, a, b):
         return not (self.leq(a, b) or self.leq(b, a))
 
-    def index_of(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(label) from None
-
     def elements(self):
         return range(self.n)
 
     def __len__(self):
         return self.n
-
-    def __repr__(self):
-        return f"FiniteLattice(n={self.n}, labels={self.labels!r})"
 
     # -- covers and chains ----------------------------------------------
 
@@ -223,6 +166,61 @@ class FiniteLattice:
         return self._cache["depths"]
 
 
+class FiniteLattice(FiniteOrder):
+    """A finite lattice on elements ``0..n-1`` with precomputed tables.
+
+    Do not call the constructor directly; use :func:`build_lattice`,
+    :func:`dual`, :func:`direct_product` or the catalog.
+    """
+
+    __slots__ = ("labels", "meet", "join", "bottom", "top", "full_mask")
+
+    def __init__(self, labels, up, meet=None, join=None):
+        n = len(labels)
+        down = [0] * n
+        for a in range(n):
+            for b in iter_bits(up[a]):
+                down[b] |= 1 << a
+        super().__init__(up, down)
+        self.labels = tuple(labels)
+        self.full_mask = (1 << n) - 1
+        if meet is None or join is None:
+            meet, join = self._derive_tables()
+        self.meet = meet
+        self.join = join
+        self.bottom = next(a for a in range(n) if self.up[a] == self.full_mask)
+        self.top = next(a for a in range(n) if self.down[a] == self.full_mask)
+
+    def _derive_tables(self):
+        # the glb of a and b is the element whose down-set is
+        # down[a] & down[b], if there is one; the lub is the dual
+        n, up, down = self.n, self.up, self.down
+        below = {m: c for c, m in enumerate(down)}
+        above = {m: c for c, m in enumerate(up)}
+        meet = [[0] * n for _ in range(n)]
+        join = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                m = below.get(down[a] & down[b])
+                if m is None:
+                    raise NotALattice((self.labels[a], self.labels[b]), "greatest lower bound")
+                meet[a][b] = meet[b][a] = m
+                j = above.get(up[a] & up[b])
+                if j is None:
+                    raise NotALattice((self.labels[a], self.labels[b]), "least upper bound")
+                join[a][b] = join[b][a] = j
+        return tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+    def index_of(self, label):
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise KeyError(label) from None
+
+    def __repr__(self):
+        return f"FiniteLattice(n={self.n}, labels={self.labels!r})"
+
+
 def build_lattice(diagram: CoverDiagram) -> FiniteLattice:
     """Build the lattice whose order is the reflexive-transitive closure of
     the diagram's covers.  Fails loudly if some pair lacks a unique glb or
@@ -237,28 +235,32 @@ def build_lattice(diagram: CoverDiagram) -> FiniteLattice:
     for a, b in diagram.covers:
         above[index[a]].append(index[b])
 
+    # depth-first closure with an explicit stack: ``path`` holds the
+    # elements being closed, ``todo`` an iterator over each one's covers
     up = [0] * n
-    state = [0] * n  # 0 new, 1 on stack, 2 done
-    path = []
-
-    def close(v):
-        if state[v] == 1:
-            cycle = path[path.index(v):] + [v]
-            raise CyclicCovers([labels[c] for c in cycle])
-        if state[v] == 2:
-            return
-        state[v] = 1
-        path.append(v)
-        mask = 1 << v
-        for w in above[v]:
-            close(w)
-            mask |= up[w]
-        up[v] = mask
-        path.pop()
-        state[v] = 2
-
-    for v in range(n):
-        close(v)
+    state = [0] * n  # 0 new, 1 on path, 2 done
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        path, todo = [root], [iter(above[root])]
+        while path:
+            w = next(todo[-1], None)
+            if w is None:
+                v = path.pop()
+                todo.pop()
+                mask = 1 << v
+                for w in above[v]:
+                    mask |= up[w]
+                up[v] = mask
+                state[v] = 2
+            elif state[w] == 1:
+                cycle = path[path.index(w):] + [w]
+                raise CyclicCovers([labels[c] for c in cycle])
+            elif state[w] == 0:
+                state[w] = 1
+                path.append(w)
+                todo.append(iter(above[w]))
     return FiniteLattice(labels, up)
 
 
@@ -398,16 +400,23 @@ def maximal_antichains(L: FiniteLattice):
 # -- canonical forms and isomorphism ----------------------------------------
 
 
-def _refined_classes(L: FiniteLattice):
-    """Partition elements into colour classes via iterated cover-multiset
-    refinement seeded with (height, depth, up-degree, down-degree).
+def _seed_signature(L: FiniteOrder):
+    """Per element (height, depth, up-degree, down-degree): the colours that
+    refinement starts from."""
+    h, d = L.heights(), L.depths()
+    return [(h[a], d[a], len(L.upper_covers(a)), len(L.lower_covers(a))) for a in range(L.n)]
 
-    The seed makes colour order respect height, so the canonical labelling
-    is always a linear extension.
+
+def _refined_classes(L: FiniteOrder):
+    """Partition elements into colour classes via iterated cover-multiset
+    refinement seeded with :func:`_seed_signature`.
+
+    Refinement only splits classes, so colour order extends signature
+    order; the seed makes it respect height, so the canonical labelling is
+    always a linear extension.
     """
     n = L.n
-    h, d = L.heights(), L.depths()
-    sig = [(h[a], d[a], len(L.upper_covers(a)), len(L.lower_covers(a))) for a in range(n)]
+    sig = _seed_signature(L)
     order = sorted(range(n), key=lambda a: sig[a])
     colour = [0] * n
     rank = 0
@@ -440,7 +449,7 @@ def _refined_classes(L: FiniteLattice):
     return [classes[c] for c in sorted(classes)]
 
 
-def canonical_form(L: FiniteLattice) -> bytes:
+def canonical_form(L: FiniteOrder) -> bytes:
     """Canonical byte string: equal strings iff lattices are isomorphic.
 
     Elements are bucketed by refined structural invariants; the order matrix
@@ -506,7 +515,7 @@ def canonical_form(L: FiniteLattice) -> bytes:
     return result
 
 
-def matrix_bytes(L: FiniteLattice, perm=None) -> bytes:
+def matrix_bytes(L: FiniteOrder, perm=None) -> bytes:
     """Size byte plus the row-major order matrix bits under ``perm``
     (identity by default)."""
     order = list(perm) if perm is not None else list(range(L.n))

@@ -1,25 +1,51 @@
 """Exhaustive generation of all finite lattices with n elements, one
 representative per isomorphism class.
 
-Lattices grow bottom-up: element 0 is the bottom and each new element takes
-an order ideal of the current poset as its strict down-set, so every pair of
-placed elements keeps a unique greatest lower bound (new elements never fall
-below old ones).  A completed structure is a lattice iff it also has a unique
-maximal element.  Isomorph rejection is self-canonicality: a labelled lattice
-is accepted iff its identity labelling realises its canonical form, which is
-always reachable because canonical labellings are linear extensions with
-non-decreasing heights.
+Lattices grow bottom-up: element 0 is the bottom and each new element i
+takes an order ideal of the placed poset as its strict down-set.  The
+ideals are generated directly: index order is a linear extension, so
+element x may join the ideal only if its own strict down-set is already
+inside.  An ideal is kept only if every placed element outside it meets it
+in a principal down-set, which keeps a unique greatest lower bound for every
+pair (new elements never fall below old ones), and only if the new height
+is not below the previous one.
+
+New elements never fall below old ones, so element n-1 is always maximal,
+and a lattice's unique maximum must be element n-1: at i = n-1 the only
+candidate is the full set.  Every completed structure is then a lattice.
+
+Isomorph rejection is self-canonicity: a labelled lattice is accepted iff
+its identity labelling realises its canonical form, which is always
+reachable because canonical labellings are linear extensions with
+non-decreasing heights.  It is tested on a :class:`FiniteOrder` view, with
+no meet or join table, in order of cost: the seed signature must be
+non-decreasing along 0..n-1 (refinement only splits colour classes in
+signature order), then the refined classes must list 0..n-1 in order, then
+the order matrix must equal the canonical form.  Tables are derived only
+for accepted lattices, which keep the view's cache (canonical form and
+permutation included).
 """
 
 from __future__ import annotations
 
 from . import embed, laws, variety
-from .core import FiniteLattice, canonical_form, matrix_bytes, _refined_classes
+from .core import (FiniteLattice, FiniteOrder, canonical_form, iter_bits, matrix_bytes,
+                   _refined_classes, _seed_signature)
 from .errors import SizeLimit
 
 ENUM_CAP = 9
 
 _CACHE = {}
+
+
+def _self_canonical(view):
+    """True iff the identity labelling of ``view`` realises its canonical
+    form; the cheaper necessary conditions are tested first."""
+    sig = _seed_signature(view)
+    if any(sig[a] > sig[a + 1] for a in range(view.n - 1)):
+        return False
+    flat = [e for cls in _refined_classes(view) for e in cls]
+    return flat == list(range(view.n)) and matrix_bytes(view) == canonical_form(view)
 
 
 def _generate(n):
@@ -30,52 +56,44 @@ def _generate(n):
     up = [1] + [0] * (n - 1)
     down = [1] + [0] * (n - 1)
     heights = [0] * n
+    by_down = {1: 0}  # down-set mask -> element
+
+    def ideals(i):
+        # strict down-sets for element i: order ideals of 0..i-1 holding 0;
+        # the last element is the top, above everything
+        if i == n - 1:
+            return [(1 << i) - 1]
+        found = [1]
+        for x in range(1, i):
+            below = down[x] & ~(1 << x)
+            found += [D | 1 << x for D in found if below & ~D == 0]
+        return found
 
     def rec(i):
         if i == n:
-            if sum(1 for a in range(n) if up[a] == 1 << a) != 1:
-                return
-            L = FiniteLattice(labels, tuple(up))
-            flat = [e for cls in _refined_classes(L) for e in cls]
-            if flat == list(range(n)) and matrix_bytes(L) == canonical_form(L):
+            view = FiniteOrder(up, down)
+            if _self_canonical(view):
+                L = FiniteLattice(labels, up)
+                L._cache = view._cache
                 results.append(L)
             return
         prev_h = heights[i - 1]
-        for D in range(1, 1 << i, 2):  # strict down-sets always contain the bottom
-            ok = True
-            h = 0
-            m = D
-            while m:
-                x = (m & -m).bit_length() - 1
-                if down[x] & ~D:
-                    ok = False
-                    break
-                if heights[x] >= h:
-                    h = heights[x] + 1
-                m &= m - 1
-            if not ok or h < prev_h:
-                continue
-            for a in range(i):
-                if (D >> a) & 1:
-                    continue
-                if FiniteLattice._extreme(down[a] & D, down) is None:
-                    ok = False
-                    break
-            if not ok:
+        for D in ideals(i):
+            h = 1 + max(heights[x] for x in iter_bits(D))
+            # every placed element must meet D in a principal down-set, so
+            # that it keeps a glb with the new element
+            if h < prev_h or any(down[a] & D not in by_down for a in range(i)):
                 continue
             down[i] = D | (1 << i)
             up[i] = 1 << i
             heights[i] = h
-            touched = []
-            m = D
-            while m:
-                x = (m & -m).bit_length() - 1
+            by_down[down[i]] = i
+            for x in iter_bits(D):
                 up[x] |= 1 << i
-                touched.append(x)
-                m &= m - 1
             rec(i + 1)
-            for x in touched:
+            for x in iter_bits(D):
                 up[x] &= ~(1 << i)
+            del by_down[down[i]]
             down[i] = 0
             up[i] = 0
 

@@ -368,46 +368,43 @@ def parse_term(text: str) -> FreeTerm:
             i = j
             continue
         raise ParseError(f"unexpected character {ch!r}", offset=i)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def expect_factor():
-        tok = peek()
+    # expr := meets ("|" meets)*, meets := factor ("&" factor)*,
+    # factor := ident | "(" expr ")"; one frame per open parenthesis holds
+    # [finished meets of its expr, factors of the current meets, "(" token]
+    frames = [[[], [], None]]
+    pos = 0
+    while True:
+        tok = tokens[pos] if pos < len(tokens) else None
         if tok is None:
             raise ParseError("unexpected end of term", offset=len(text))
-        if tok[0] == "ident":
-            pos[0] += 1
-            return gen(tok[2])
+        pos += 1
         if tok[0] == "(":
-            pos[0] += 1
-            t = expr()
-            closing = peek()
-            if closing is None or closing[0] != ")":
-                raise ParseError("missing closing parenthesis", offset=tok[1])
-            pos[0] += 1
-            return t
-        raise ParseError(f"unexpected token {tok[0]!r}", offset=tok[1])
-
-    def meets():
-        parts = [expect_factor()]
-        while (tok := peek()) is not None and tok[0] == "&":
-            pos[0] += 1
-            parts.append(expect_factor())
-        return meet(*parts)
-
-    def expr():
-        parts = [meets()]
-        while (tok := peek()) is not None and tok[0] == "|":
-            pos[0] += 1
-            parts.append(meets())
-        return join(*parts)
-
-    t = expr()
-    if pos[0] != len(tokens):
-        raise ParseError("trailing input", offset=tokens[pos[0]][1])
-    return t
+            frames.append([[], [], tok])
+            continue
+        if tok[0] != "ident":
+            raise ParseError(f"unexpected token {tok[0]!r}", offset=tok[1])
+        t = gen(tok[2])
+        while True:  # t completes a factor; close what it completes
+            frame = frames[-1]
+            frame[1].append(t)
+            tok = tokens[pos] if pos < len(tokens) else None
+            if tok is not None and tok[0] == "&":
+                break
+            frame[0].append(meet(*frame[1]))
+            frame[1] = []
+            if tok is not None and tok[0] == "|":
+                break
+            t = join(*frame[0])
+            opening = frame[2]
+            if opening is None:
+                if pos != len(tokens):
+                    raise ParseError("trailing input", offset=tok[1])
+                return t
+            if tok is None or tok[0] != ")":
+                raise ParseError("missing closing parenthesis", offset=opening[1])
+            pos += 1
+            frames.pop()
+        pos += 1
 
 
 def format_term(t: FreeTerm) -> str:

@@ -130,11 +130,21 @@ def test_variety_size_cap_exits_budget(tmp_path):
 
 
 def test_deep_term_exits_budget_without_traceback():
-    term = "(" * 600 + "x" + ")" * 600
+    # parsing is iterative, but canonicalize still recurses once per level
+    term = "x"
+    for _ in range(600):
+        term = f"x & (y | ({term}))"
     proc = run_cli(["freelat", "canon", term])
     assert proc.returncode == cli.EXIT_BUDGET
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_deep_parentheses_are_decided():
+    term = "(" * 600 + "x" + ")" * 600
+    proc = run_cli(["freelat", "canon", term])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["results"]["canonical"] == "x"
 
 
 def test_find_forbidden_exit_codes(tmp_path):

@@ -82,6 +82,41 @@ def test_build_rejects_nonunique_bound():
         build_lattice(d)
 
 
+def test_not_a_lattice_names_first_failing_pair():
+    # a crown: two atoms below two middles below two coatoms; pairs are
+    # checked in index order, glb before lub
+    covers = (("0", "c1"), ("0", "c2"), ("c1", "a"), ("c1", "b"), ("c2", "a"),
+              ("c2", "b"), ("a", "d1"), ("a", "d2"), ("b", "d1"), ("b", "d2"),
+              ("d1", "1"), ("d2", "1"))
+    labels = ("0", "c1", "c2", "a", "b", "d1", "d2", "1")
+    with pytest.raises(NotALattice) as exc:
+        build_lattice(CoverDiagram(labels, covers))
+    assert exc.value.pair == ("c1", "c2")
+    assert exc.value.kind == "least upper bound"
+    with pytest.raises(NotALattice) as exc:
+        build_lattice(CoverDiagram(labels[::-1], covers))
+    assert exc.value.pair == ("d2", "d1")
+    assert exc.value.kind == "greatest lower bound"
+    with pytest.raises(NotALattice) as exc:
+        build_lattice(CoverDiagram(("a", "b") + labels[:3] + labels[5:], covers))
+    assert exc.value.pair == ("a", "b")
+    assert exc.value.kind == "greatest lower bound"
+
+
+def test_build_long_cover_cycle():
+    labels = tuple(f"v{i}" for i in range(1500))
+    covers = tuple(zip(labels, labels[1:] + labels[:1]))
+    with pytest.raises(CyclicCovers) as exc:
+        build_lattice(CoverDiagram(labels, covers))
+    assert exc.value.cycle == list(labels) + [labels[0]]
+
+
+def test_build_long_chain():
+    c = catalog.chain(1100)
+    assert (c.bottom, c.top) == (0, 1099)
+    assert all(row == tuple(min(a, b) for b in range(1100)) for a, row in enumerate(c.meet))
+
+
 def test_dual_chain_self():
     assert are_isomorphic(dual(catalog.chain(3)), catalog.chain(3))
 

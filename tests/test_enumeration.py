@@ -1,5 +1,6 @@
 """Exhaustive lattice generation against independent oracles."""
 
+import hashlib
 import random
 
 import pytest
@@ -43,6 +44,18 @@ def test_matches_grown_oracle_up_to_seven():
         # same classes, not just same counts
         ours_forms = {canonical_form(L) for L in ours}
         assert {canonical_form(L) for L in oracle} == ours_forms
+
+
+def test_output_pinned():
+    # sha256 over n = 8 and 9, in output order, of each lattice's canonical
+    # form, then repr((up, labels, canon_perm)): a change to which labelled
+    # representative is kept, or to its canonical permutation, fails here
+    h = hashlib.sha256()
+    for n in (8, 9):
+        for L in all_lattices(n):
+            h.update(canonical_form(L))
+            h.update(repr((L.up, L.labels, L._cache["canon_perm"])).encode())
+    assert h.hexdigest() == "611fa18698fe47334a4a898941ce619b3cd5fbbbc9e6e1dad1a72f0d5fae0c36"
 
 
 def test_no_duplicate_canonical_forms():

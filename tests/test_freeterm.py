@@ -185,6 +185,38 @@ def test_parse_errors_positioned():
         parse_term("x y")
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("x & ", "unexpected end of term", 4),
+    ("", "unexpected end of term", 0),
+    ("x |", "unexpected end of term", 3),
+    ("(x | y", "missing closing parenthesis", 0),
+    ("(x & (y | z)", "missing closing parenthesis", 0),
+    ("x ? y", "unexpected character '?'", 2),
+    ("x y", "trailing input", 2),
+    ("((x) | y))", "trailing input", 9),
+    (")", "unexpected token ')'", 0),
+    ("&x", "unexpected token '&'", 0),
+    ("x | (y & )", "unexpected token ')'", 9),
+])
+def test_parse_error_messages_and_offsets(text, message, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert str(exc.value) == message
+    assert exc.value.offset == offset
+
+
+def test_parse_deep_parentheses():
+    assert parse_term("(" * 3000 + "x" + ")" * 3000) is x
+    deep = "x"
+    for _ in range(700):
+        deep = f"x & (y | ({deep}))"
+    t = parse_term(deep)
+    assert t.depth == 1400 and t.size == 1401
+    with pytest.raises(ParseError) as exc:
+        parse_term("(" * 3000 + "x")
+    assert (str(exc.value), exc.value.offset) == ("missing closing parenthesis", 2999)
+
+
 def test_canonical_pool_is_canonical_and_sorted():
     pool = canonical_terms(["x", "y"], 4, 4)
     assert all(canonicalize(t) is t for t in pool)
