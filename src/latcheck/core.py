@@ -1,15 +1,19 @@
 """Finite lattices as dense order and meet/join tables, plus the structural
 primitives everything else is built on: construction from cover data, duals,
-direct products, generated sublattices, canonical forms and cover queries.
+direct products, sublattice closure and enumeration, canonical forms, cover
+queries and the node budget every search spends.
 
 Order relations are stored as per-element bitmasks (``up[a]`` has bit ``b``
 set iff ``a <= b``), which keeps every downstream predicate a matter of
 integer arithmetic.  Lattices are immutable after construction.
+:func:`sublattices` finds the (convex) sublattices inside a mask by closure,
+never by a scan of all 2^n subsets.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 from .errors import (
@@ -18,10 +22,38 @@ from .errors import (
     EmptySeeds,
     InvalidDiagram,
     NotALattice,
+    SearchBudgetExceeded,
     SizeLimit,
 )
 
 PRODUCT_SIZE_CAP = 400
+DEFAULT_BUDGET = 20_000_000
+
+
+def default_budget():
+    """``LATCHECK_BUDGET`` when it is an integer, else DEFAULT_BUDGET."""
+    env = os.environ.get("LATCHECK_BUDGET")
+    if env:
+        try:
+            return int(env)
+        except ValueError:
+            pass
+    return DEFAULT_BUDGET
+
+
+class _Budget:
+    """Nodes left for one search (``default_budget()`` unless given);
+    spending past zero raises SearchBudgetExceeded."""
+
+    __slots__ = ("left", "total")
+
+    def __init__(self, nodes=None):
+        self.left = self.total = default_budget() if nodes is None else nodes
+
+    def spend(self, what):
+        self.left -= 1
+        if self.left < 0:
+            raise SearchBudgetExceeded(self.total, what)
 
 
 def iter_bits(mask):
@@ -298,26 +330,72 @@ def direct_product(A: FiniteLattice, B: FiniteLattice, size_cap=PRODUCT_SIZE_CAP
     return FiniteLattice(labels, up, tuple(map(tuple, meet)), tuple(map(tuple, join)))
 
 
+def closure(L: FiniteLattice, closed, extra, allowed=None, convex=False):
+    """Bitmask of the sublattice (the convex sublattice if ``convex``)
+    generated by ``closed | extra``, where ``closed`` is one already or 0;
+    None as soon as it leaves ``allowed`` (every element by default)."""
+    allowed = L.full_mask if allowed is None else allowed
+    mask = closed | extra
+    if convex:  # the convex sublattice generated by S is the interval [^S, vS]
+        lo = hi = (mask & -mask).bit_length() - 1
+        for a in iter_bits(mask):
+            lo, hi = L.meet[lo][a], L.join[hi][a]
+        mask = L.up[lo] & L.down[hi]
+        return None if mask & ~allowed else mask
+    if mask & ~allowed:
+        return None
+    # only the new members need pairing: pairs inside ``closed`` are closed
+    members, todo = list(iter_bits(closed)), list(iter_bits(extra & ~closed))
+    while todo:
+        a = todo.pop()
+        members.append(a)
+        new = 0
+        for b in members:
+            new |= (1 << L.meet[a][b]) | (1 << L.join[a][b])
+        new &= ~mask
+        if new & ~allowed:
+            return None
+        mask |= new
+        todo.extend(iter_bits(new))
+    return mask
+
+
+def sublattices(L: FiniteLattice, allowed=None, convex=False, root=0, keep=None,
+                budget=None):
+    """Yield once each, in no fixed order, the nonempty (convex) sublattices
+    inside ``allowed`` that contain ``root`` (a closed mask, or 0) and satisfy
+    ``keep``, as bitmasks.  ``keep`` must be hereditary (true of every
+    sub-sublattice of a mask it holds for): a mask failing it is not grown.
+    Depth-first search adding one element at a time by :func:`closure`; each
+    closure spends a node of ``budget`` (a :class:`_Budget`) if one is given."""
+    allowed = L.full_mask if allowed is None else allowed
+    seen, stack = {root}, [root]
+    while stack:
+        mask = stack.pop()
+        if mask:
+            if keep is not None and not keep(mask):
+                continue
+            yield mask
+        for x in iter_bits(allowed & ~mask):
+            if budget is not None:
+                budget.spend("sublattice enumeration")
+            bigger = closure(L, mask, 1 << x, allowed, convex)
+            if bigger is not None and bigger not in seen:
+                seen.add(bigger)
+                stack.append(bigger)
+
+
 def generated_sublattice(L: FiniteLattice, seeds) -> frozenset:
     """Closure of ``seeds`` under the meet and join tables."""
     seeds = set(seeds)
     if not seeds:
         raise EmptySeeds("generated_sublattice needs at least one seed")
+    mask = 0
     for s in seeds:
         if not 0 <= s < L.n:
             raise IndexError(f"seed {s} out of range")
-    members = list(seeds)
-    current = set(seeds)
-    i = 0
-    while i < len(members):
-        a = members[i]
-        for b in members[: i + 1]:
-            for c in (L.meet[a][b], L.join[a][b]):
-                if c not in current:
-                    current.add(c)
-                    members.append(c)
-        i += 1
-    return frozenset(current)
+        mask |= 1 << s
+    return frozenset(iter_bits(closure(L, 0, mask)))
 
 
 def is_sublattice_set(L: FiniteLattice, elems) -> bool:

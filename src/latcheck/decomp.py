@@ -6,17 +6,17 @@ sublattice and, for each pair of distinct blocks, the union either fails to
 be a sublattice, fails to be convex, or is itself a convex distributive
 sublattice.  Dec is the minimum block count over such partitions, computed
 exactly by branch and bound over blocks grown from the lowest unassigned
-element.
+element, which :func:`core.sublattices` finds by closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import laws
+from . import catalog, laws
 from .core import (FiniteLattice, _UnionFind, canonical_form, induced, is_convex_set,
-                   is_sublattice_set, iter_bits)
-from .errors import NotAPartition, NotDistributive, SizeLimit
+                   is_sublattice_set, iter_bits, sublattices)
+from .errors import NotALattice, NotAPartition, NotDistributive, SizeLimit
 
 DEC_CAP = 16
 
@@ -106,59 +106,13 @@ def is_distributive_partition(L: FiniteLattice, blocks) -> PartitionCheck:
     return PartitionCheck(True)
 
 
-def _cds_closure(L, seed, allowed_mask):
-    """Smallest convex meet/join-closed superset of seed, or None if it
-    escapes the allowed element set."""
-    mask = 0
-    for e in seed:
-        mask |= 1 << e
-    while True:
-        new = mask
-        members = list(iter_bits(mask))
-        for i, a in enumerate(members):
-            for b in members[i:]:
-                new |= 1 << L.meet[a][b]
-                new |= 1 << L.join[a][b]
-                if L.leq(a, b):
-                    new |= L.up[a] & L.down[b]
-                elif L.leq(b, a):
-                    new |= L.up[b] & L.down[a]
-        if new & ~allowed_mask:
-            return None
-        if new == mask:
-            return mask
-        mask = new
-
-
 def _candidate_blocks(L, e, allowed_mask):
     """All convex distributive sublattices through e inside the allowed set,
-    grown by closure; pruned because sublattices of distributive lattices
-    stay distributive."""
-    start = _cds_closure(L, [e], allowed_mask)
-    results = []
-    if start is None:
-        return results
-    seen = set()
-    stack = [start]
-    while stack:
-        mask = stack.pop()
-        if mask in seen:
-            continue
-        seen.add(mask)
-        if not _is_distributive_subset(L, list(iter_bits(mask))):
-            continue
-        results.append(mask)
-        rest = allowed_mask & ~mask
-        for x in iter_bits(rest):
-            bigger = _cds_closure(L, list(iter_bits(mask | (1 << x))), allowed_mask)
-            if bigger is not None and bigger not in seen:
-                stack.append(bigger)
-    results.sort(key=lambda m: (-m.bit_count(), m))
-    return results
-
-
-def _pair_ok_masks(L, m1, m2):
-    return _pair_ok(L, list(iter_bits(m1)), list(iter_bits(m2)))
+    largest first; distributivity is hereditary, so it prunes the search
+    ({e} is itself a convex sublattice, so it is the root)."""
+    blocks = sublattices(L, allowed_mask, convex=True, root=1 << e,
+                         keep=lambda m: _is_distributive_subset(L, list(iter_bits(m))))
+    return sorted(blocks, key=lambda m: (-m.bit_count(), m))
 
 
 def _minimum_partitions(L, cap, keep_ties):
@@ -188,7 +142,7 @@ def _minimum_partitions(L, cap, keep_ties):
             return
         e = ((~assigned) & full & -((~assigned) & full)).bit_length() - 1
         for cand in _candidate_blocks(L, e, full & ~assigned):
-            if all(_pair_ok_masks(L, cand, b) for b in blocks):
+            if all(_pair_ok(L, iter_bits(cand), iter_bits(b)) for b in blocks):
                 blocks.append(cand)
                 rec(assigned | cand, blocks)
                 blocks.pop()
@@ -231,11 +185,9 @@ def _shape_tag(L, elems):
     elems = sorted(elems)
     if all(not L.incomparable(a, b) for i, a in enumerate(elems) for b in elems[i + 1:]):
         return "chain"
-    from . import catalog  # local import to avoid a cycle at module load
-
     try:
         block = induced(L, elems)
-    except Exception:
+    except NotALattice:
         return None
     if len(elems) % 2 == 0:
         k = len(elems) // 2

@@ -7,37 +7,11 @@ order-embedded subposet.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from . import catalog
-from .core import EmbeddingWitness, FiniteLattice
-from .errors import SearchBudgetExceeded, UnknownProfile
-
-DEFAULT_BUDGET = 20_000_000
-
-
-def default_budget():
-    env = os.environ.get("LATCHECK_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
-
-
-class _Budget:
-    __slots__ = ("left", "total")
-
-    def __init__(self, nodes):
-        self.left = nodes
-        self.total = nodes
-
-    def spend(self, what):
-        self.left -= 1
-        if self.left < 0:
-            raise SearchBudgetExceeded(self.total, what)
+from .core import EmbeddingWitness, FiniteLattice, _Budget
+from .errors import UnknownProfile
 
 
 def iter_embeddings(pattern: FiniteLattice, host: FiniteLattice, budget=None):
@@ -50,7 +24,7 @@ def iter_embeddings(pattern: FiniteLattice, host: FiniteLattice, budget=None):
     """
     if pattern.n > host.n:
         return
-    budget = _Budget(budget if budget is not None else default_budget())
+    budget = _Budget(budget)
     ph, pd = pattern.heights(), pattern.depths()
     hh, hd = host.heights(), host.depths()
     order = sorted(

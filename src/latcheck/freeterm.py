@@ -8,8 +8,8 @@ decision is memoised on pairs.
 
 from __future__ import annotations
 
-from .core import FiniteLattice, generated_sublattice
-from .errors import BadParameter, ParseError, SearchBudgetExceeded, UnassignedGenerator
+from .core import FiniteLattice, _Budget, generated_sublattice
+from .errors import BadParameter, ParseError, UnassignedGenerator
 
 
 class FreeTerm:
@@ -303,7 +303,7 @@ def find_free_embedding(L: FiniteLattice, n_gens=3, max_depth=4, max_size=7,
     pool = canonical_terms(names, max_size, max_depth)
     gens_of_L = minimal_generating_set(L)
     plan = _derivation_plan(L, gens_of_L)
-    nodes = [0]
+    budget = _Budget(budget)
 
     def compatible(assigned, g, t):
         for g2, t2 in assigned.items():
@@ -328,9 +328,7 @@ def find_free_embedding(L: FiniteLattice, n_gens=3, max_depth=4, max_size=7,
             return complete(assigned)
         g = gens_of_L[k]
         for t in pool:
-            nodes[0] += 1
-            if nodes[0] > budget:
-                raise SearchBudgetExceeded(budget, "free embedding search")
+            budget.spend("free embedding search")
             if t in assigned.values():
                 continue
             if compatible(assigned, g, t):

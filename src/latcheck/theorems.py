@@ -7,6 +7,10 @@ the variety hypothesis for forbidden-sublattice conditions.
 
 Hypothesis gating is explicit: a lattice failing a check's hypotheses gets a
 skipped report, never a silent pass, and vacuous runs are flagged as such.
+
+The Dec bound and the degeneracy lemma find their sublattices by closure
+(:func:`core.sublattices`), so no size cap applies: the scan spends the
+check's node budget and raises SearchBudgetExceeded when it runs out.
 """
 
 from __future__ import annotations
@@ -19,17 +23,17 @@ from . import catalog, embed, laws, variety
 from .core import (
     EmbeddingWitness,
     FiniteLattice,
+    _Budget,
     canonical_form,
     dual,
     induced,
-    is_convex_set,
     is_sublattice_set,
     isomorphism,
+    iter_bits,
+    sublattices,
 )
 from .decomp import dec
-from .errors import HypothesisViolated, LatcheckError, SizeLimit, UnknownProfile
-
-SUBLATTICE_ENUM_CAP = 12
+from .errors import HypothesisViolated, LatcheckError, UnknownProfile
 
 
 @dataclass
@@ -307,18 +311,17 @@ def boolean_cube_witness(L: FiniteLattice, triple, d, membership=None) -> Embedd
 # -- Dec bound and degeneracy lemma -------------------------------------------
 
 
-def _all_sublattice_masks(L, convex_only=False):
-    if L.n > SUBLATTICE_ENUM_CAP:
-        raise SizeLimit(L.n, SUBLATTICE_ENUM_CAP, "sublattice enumeration")
-    from .core import iter_bits
-
-    for mask in range(1, 1 << L.n):
-        elems = list(iter_bits(mask))
-        if not is_sublattice_set(L, elems):
-            continue
-        if convex_only and not is_convex_set(L, elems):
-            continue
-        yield mask, elems
+def _loose_sublattices(L, convex, budget):
+    """Every (convex) sublattice K with an element a incomparable to all of
+    K, as (K's elements, every such a), in ascending order of K's mask.
+    Such K are exactly the sublattices inside a's incomparable set, so each
+    a enumerates only those, all spending one node budget."""
+    budget, loose = _Budget(budget), {}
+    for a in range(L.n):
+        incomparable = L.full_mask & ~(L.up[a] | L.down[a])
+        for K in sublattices(L, incomparable, convex, budget=budget):
+            loose.setdefault(K, []).append(a)
+    return [(list(iter_bits(K)), loose[K]) for K in sorted(loose)]
 
 
 def dec_bound_check(L: FiniteLattice, name=None, budget=None, membership=None) -> TheoremReport:
@@ -327,11 +330,7 @@ def dec_bound_check(L: FiniteLattice, name=None, budget=None, membership=None) -
     against K."""
 
     def scan(rep):
-        for mask, elems in _all_sublattice_masks(L):
-            loose = [a for a in range(L.n)
-                     if not (mask >> a) & 1 and all(L.incomparable(a, b) for b in elems)]
-            if not loose:
-                continue
+        for elems, loose in _loose_sublattices(L, False, budget):
             dec_k = dec(induced(L, elems))[0]
             for a in loose:
                 rep.hypothesis_instances += 1
@@ -351,11 +350,7 @@ def degeneracy_lemma_check(L: FiniteLattice, name=None, budget=None, membership=
     distributive."""
 
     def scan(rep):
-        for mask, elems in _all_sublattice_masks(L, convex_only=True):
-            loose = [a for a in range(L.n)
-                     if not (mask >> a) & 1 and all(L.incomparable(a, b) for b in elems)]
-            if not loose:
-                continue
+        for elems, loose in _loose_sublattices(L, True, budget):
             distr = bool(laws.distributive(induced(L, elems)))
             for a in loose:
                 rep.hypothesis_instances += 1

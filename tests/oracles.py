@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: permutation search for isomorphism,
 exhaustive relation matrices and labelled growth for enumeration, Bell-scan
-partition filters for congruences and Dec.  None of it shares code paths
+partition filters for congruences and Dec, a 2^n subset scan for
+sublattices.  None of it shares code paths
 with the algorithms under test beyond the meet/join tables themselves, except
 the congruence-lattice referee: it closes every principal congruence under
 joins with the library's ``principal_congruence`` and ``join_congruences``
@@ -262,6 +263,17 @@ def _subset_is_distributive(L, s):
                 if L.join[a][L.meet[b][c]] != L.meet[L.join[a][b]][L.join[a][c]]:
                     return False
     return True
+
+
+def sublattice_masks_oracle(L: FiniteLattice, convex=False):
+    """Bitmask of every nonempty (convex) sublattice, ascending, by scanning
+    all 2^n subsets."""
+    out = []
+    for mask in range(1, 1 << L.n):
+        s = {a for a in range(L.n) if (mask >> a) & 1}
+        if _subset_is_sublattice(L, s) and not (convex and not _subset_is_convex(L, s)):
+            out.append(mask)
+    return out
 
 
 def distributive_partition_oracle(L: FiniteLattice, blocks) -> bool:

@@ -226,6 +226,17 @@ def test_budget_exit_code(tmp_path):
     assert proc.returncode == cli.EXIT_BUDGET
 
 
+def test_dec_survey_script():
+    script = os.path.join(os.path.dirname(SRC), "scripts", "dec_survey.py")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, script, "--max-size", "5"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "n=5: dec distribution {1:3, 3:2}, max=3 on 2 lattice(s)" in proc.stdout.splitlines()
+
+
 def test_pretty_output_runs(tmp_path):
     path = write_catalog_file(tmp_path, "N5")
     proc = run_cli(["check", path, "--pretty"])

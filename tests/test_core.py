@@ -23,6 +23,7 @@ from latcheck.core import (
     isomorphism,
     matrix_bytes,
     maximal_antichains,
+    sublattices,
 )
 from latcheck.errors import (
     CyclicCovers,
@@ -31,8 +32,9 @@ from latcheck.errors import (
     NotALattice,
     SizeLimit,
 )
+from latcheck.enumeration import all_lattices
 
-from oracles import brute_isomorphic
+from oracles import brute_isomorphic, sublattice_masks_oracle
 
 
 def test_build_n5_meets_and_joins():
@@ -186,6 +188,35 @@ def test_generated_sublattice_idempotent_and_monotone():
         assert generated_sublattice(L, closed) == closed
         bigger = seeds | {rng.randrange(L.n)}
         assert generated_sublattice(L, bigger) >= closed
+
+
+def test_sublattices_match_subset_scan():
+    """The closure search finds exactly the (convex) sublattices the 2^n
+    scan finds, inside the whole lattice and inside each element's
+    incomparable set, on every lattice with n <= 7."""
+    for n in range(1, 8):
+        for L in all_lattices(n):
+            masks = [L.full_mask] + [L.full_mask & ~(L.up[a] | L.down[a]) for a in range(n)]
+            for convex in (False, True):
+                every = sublattice_masks_oracle(L, convex)
+                for allowed in masks:
+                    found = list(sublattices(L, allowed, convex))
+                    assert len(found) == len(set(found))
+                    assert sorted(found) == [m for m in every if m & ~allowed == 0]
+
+
+def test_sublattices_root_and_keep():
+    """A root keeps only the sublattices above it; a hereditary ``keep``
+    (here: at most four elements) keeps only those it holds for."""
+    small = lambda m: m.bit_count() <= 4
+    for n in range(1, 7):
+        for L in all_lattices(n):
+            every = sublattice_masks_oracle(L)
+            for a in range(n):
+                root = sum(1 << e for e in generated_sublattice(L, {a, n - 1 - a}))
+                assert sorted(sublattices(L, root=root)) == [m for m in every if m & root == root]
+                assert sorted(sublattices(L, root=root, keep=small)) == [
+                    m for m in every if m & root == root and small(m)]
 
 
 def test_canonical_form_dual_pentagon():

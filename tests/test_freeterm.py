@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcheck import catalog
-from latcheck.errors import ParseError, UnassignedGenerator
+from latcheck.errors import ParseError, SearchBudgetExceeded, UnassignedGenerator
 from latcheck.freeterm import (
     canonical_terms,
     canonicalize,
@@ -152,6 +152,13 @@ def test_pentagon_witness_search():
 
 def test_diamond_search_exhausts():
     assert find_free_embedding(catalog.get("M3"), max_size=4) is None
+
+
+def test_free_embedding_budget():
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        find_free_embedding(catalog.get("stacked_n5"), budget=1000)
+    assert exc.value.budget == 1000
+    assert str(exc.value) == "free embedding search exceeded node budget 1000"
 
 
 def test_free_sublattices_up_to_five_get_witnesses():

@@ -8,12 +8,12 @@ import json
 import pytest
 
 from latcheck import catalog, embed, laws, theorems
-from latcheck.core import dual, are_isomorphic, induced
+from latcheck.core import dual, are_isomorphic, induced, iter_bits
 from latcheck.decomp import dec, minimum_distributive_partitions
 from latcheck.enumeration import all_lattices
-from latcheck.errors import HypothesisViolated, UnknownProfile
+from latcheck.errors import HypothesisViolated, SearchBudgetExceeded, UnknownProfile
 
-from oracles import dec_oracle, minimum_distributive_partitions_oracle
+from oracles import dec_oracle, minimum_distributive_partitions_oracle, sublattice_masks_oracle
 
 
 def l15_self_tuple():
@@ -111,6 +111,28 @@ def test_dec_bound_pentagon_side():
 def test_degeneracy_pentagon():
     rep = theorems.degeneracy_lemma_check(catalog.get("N5"))
     assert rep.holds and rep.hypothesis_instances > 0
+
+
+def test_sublattice_checks_past_twelve_elements():
+    """In V(N5), with W, and once refused by a 12-element cap: every
+    (K, a) pair the subset scan finds is one hypothesis instance."""
+    for L, counts in ((catalog.grid(7), (240, 112)), (catalog.grid(8), (494, 168)),
+                      (catalog.ninf(5), (1033, 65))):
+        for cid, convex, count in (("dec_bound", False, counts[0]),
+                                   ("degeneracy", True, counts[1])):
+            expected = sum(
+                all(L.incomparable(a, b) for b in iter_bits(K))
+                for K in sublattice_masks_oracle(L, convex) for a in range(L.n))
+            rep = theorems.run_check(L, cid)
+            assert not rep.skipped
+            assert rep.hypothesis_instances == expected == count
+            assert rep.holds
+
+
+def test_sublattice_check_budget():
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        theorems.run_check(catalog.ninf(6), "dec_bound", budget=100)
+    assert exc.value.budget == 100
 
 
 def test_twelve_element_grid_itself():
