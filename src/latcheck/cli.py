@@ -174,14 +174,14 @@ def cmd_check(args):
 def cmd_dec(args):
     started = time.perf_counter()
     L, name = load_lattice(args.file)
-    value, witness = decomp.dec(L)
+    value, witness = decomp.dec(L, args.budget)
     results = {
         "name": name,
         "dec": value,
         "witness": witness.as_label_sets(L),
     }
     if args.all_witnesses:
-        parts = decomp.minimum_distributive_partitions(L)
+        parts = decomp.minimum_distributive_partitions(L, args.budget)
         results["witness_count"] = len(parts)
         results["witnesses"] = [p.as_label_sets(L) for p in parts]
     emit(args, "dec", args.file, results, [], started)
@@ -361,7 +361,7 @@ def cmd_freelat(args):
     L, name = load_lattice(args.file)
     found = freeterm.find_free_embedding(
         L, n_gens=args.gens, max_depth=args.depth, max_size=args.term_size,
-        budget=args.budget or 2_000_000,
+        budget=args.budget,
     )
     results = {
         "name": name,

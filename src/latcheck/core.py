@@ -1,13 +1,14 @@
 """Finite lattices as dense order and meet/join tables, plus the structural
 primitives everything else is built on: construction from cover data, duals,
-direct products, sublattice closure and enumeration, canonical forms, cover
-queries and the node budget every search spends.
+direct products, sublattice closure and enumeration, intervals, canonical
+forms, cover queries and the node budget every search spends.
 
 Order relations are stored as per-element bitmasks (``up[a]`` has bit ``b``
 set iff ``a <= b``), which keeps every downstream predicate a matter of
 integer arithmetic.  Lattices are immutable after construction.
-:func:`sublattices` finds the (convex) sublattices inside a mask by closure,
-never by a scan of all 2^n subsets.
+:func:`sublattices` finds the sublattices inside a mask by closure, never by
+a scan of all 2^n subsets.  A convex sublattice of a finite lattice is an
+interval, so :func:`intervals` lists those directly, at most n(n+1)/2.
 """
 
 from __future__ import annotations
@@ -301,11 +302,11 @@ def dual(L: FiniteLattice) -> FiniteLattice:
     return FiniteLattice(L.labels, L.down, meet=L.join, join=L.meet)
 
 
-def direct_product(A: FiniteLattice, B: FiniteLattice, size_cap=PRODUCT_SIZE_CAP) -> FiniteLattice:
+def direct_product(A: FiniteLattice, B: FiniteLattice) -> FiniteLattice:
     """Componentwise-ordered product on A x B with labels "a.b"."""
     n = A.n * B.n
-    if n > size_cap:
-        raise SizeLimit(n, size_cap, "direct product")
+    if n > PRODUCT_SIZE_CAP:
+        raise SizeLimit(n, PRODUCT_SIZE_CAP, "direct product")
     labels = tuple(f"{A.labels[i]}.{B.labels[j]}" for i in range(A.n) for j in range(B.n))
 
     def idx(i, j):
@@ -330,18 +331,12 @@ def direct_product(A: FiniteLattice, B: FiniteLattice, size_cap=PRODUCT_SIZE_CAP
     return FiniteLattice(labels, up, tuple(map(tuple, meet)), tuple(map(tuple, join)))
 
 
-def closure(L: FiniteLattice, closed, extra, allowed=None, convex=False):
-    """Bitmask of the sublattice (the convex sublattice if ``convex``)
-    generated by ``closed | extra``, where ``closed`` is one already or 0;
-    None as soon as it leaves ``allowed`` (every element by default)."""
+def closure(L: FiniteLattice, closed, extra, allowed=None):
+    """Bitmask of the sublattice generated by ``closed | extra``, where
+    ``closed`` is one already or 0; None as soon as it leaves ``allowed``
+    (every element by default)."""
     allowed = L.full_mask if allowed is None else allowed
     mask = closed | extra
-    if convex:  # the convex sublattice generated by S is the interval [^S, vS]
-        lo = hi = (mask & -mask).bit_length() - 1
-        for a in iter_bits(mask):
-            lo, hi = L.meet[lo][a], L.join[hi][a]
-        mask = L.up[lo] & L.down[hi]
-        return None if mask & ~allowed else mask
     if mask & ~allowed:
         return None
     # only the new members need pairing: pairs inside ``closed`` are closed
@@ -360,29 +355,45 @@ def closure(L: FiniteLattice, closed, extra, allowed=None, convex=False):
     return mask
 
 
-def sublattices(L: FiniteLattice, allowed=None, convex=False, root=0, keep=None,
-                budget=None):
-    """Yield once each, in no fixed order, the nonempty (convex) sublattices
-    inside ``allowed`` that contain ``root`` (a closed mask, or 0) and satisfy
-    ``keep``, as bitmasks.  ``keep`` must be hereditary (true of every
-    sub-sublattice of a mask it holds for): a mask failing it is not grown.
-    Depth-first search adding one element at a time by :func:`closure`; each
-    closure spends a node of ``budget`` (a :class:`_Budget`) if one is given."""
+def sublattices(L: FiniteLattice, allowed=None, budget=None):
+    """Yield once each, in no fixed order, the nonempty sublattices inside
+    ``allowed`` as bitmasks.  Depth-first search adding one element at a
+    time by :func:`closure`; each closure spends a node of ``budget`` (a
+    :class:`_Budget`) if one is given."""
     allowed = L.full_mask if allowed is None else allowed
-    seen, stack = {root}, [root]
+    seen, stack = {0}, [0]
     while stack:
         mask = stack.pop()
         if mask:
-            if keep is not None and not keep(mask):
-                continue
             yield mask
         for x in iter_bits(allowed & ~mask):
             if budget is not None:
                 budget.spend("sublattice enumeration")
-            bigger = closure(L, mask, 1 << x, allowed, convex)
+            bigger = closure(L, mask, 1 << x, allowed)
             if bigger is not None and bigger not in seen:
                 seen.add(bigger)
                 stack.append(bigger)
+
+
+def intervals(L: FiniteLattice, allowed=None):
+    """Yield once each the intervals [a, b] = up[a] & down[b] inside
+    ``allowed`` (every element by default): the convex sublattices, since
+    one holds the meet and join of its members and all between them."""
+    allowed = L.full_mask if allowed is None else allowed
+    for a in iter_bits(allowed):
+        for b in iter_bits(L.up[a] & allowed):
+            mask = L.up[a] & L.down[b]
+            if not mask & ~allowed:
+                yield mask
+
+
+def is_interval(L: FiniteLattice, mask) -> bool:
+    """True iff the nonempty ``mask`` is an interval (a convex sublattice):
+    all of [meet of mask, join of mask]."""
+    lo = hi = (mask & -mask).bit_length() - 1
+    for a in iter_bits(mask):
+        lo, hi = L.meet[lo][a], L.join[hi][a]
+    return mask == L.up[lo] & L.down[hi]
 
 
 def generated_sublattice(L: FiniteLattice, seeds) -> frozenset:
@@ -404,21 +415,6 @@ def is_sublattice_set(L: FiniteLattice, elems) -> bool:
     if not s:
         return False
     return all(L.meet[a][b] in s and L.join[a][b] in s for a in s for b in s)
-
-
-def is_convex_set(L: FiniteLattice, elems) -> bool:
-    """True iff ``elems`` contains every lattice element between two of its
-    members."""
-    s = set(elems)
-    between = 0
-    for a in s:
-        for b in s:
-            if L.leq(a, b):
-                between |= L.up[a] & L.down[b]
-    mask = 0
-    for a in s:
-        mask |= 1 << a
-    return between & ~mask == 0
 
 
 def induced(L: FiniteLattice, elems) -> FiniteLattice:

@@ -4,21 +4,22 @@ shape classifier for finite distributive lattices.
 A set partition is distributive when every block is a convex distributive
 sublattice and, for each pair of distinct blocks, the union either fails to
 be a sublattice, fails to be convex, or is itself a convex distributive
-sublattice.  Dec is the minimum block count over such partitions, computed
-exactly by branch and bound over blocks grown from the lowest unassigned
-element, which :func:`core.sublattices` finds by closure.
+sublattice.  A convex sublattice of a finite lattice is an interval, so both
+tests read off intervals (:func:`core.intervals`).  Dec is the minimum block
+count over such partitions, computed exactly by branch and bound over the
+blocks through the lowest unassigned element, one budget node per step.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from . import catalog, laws
-from .core import (FiniteLattice, _UnionFind, canonical_form, induced, is_convex_set,
-                   is_sublattice_set, iter_bits, sublattices)
-from .errors import NotALattice, NotAPartition, NotDistributive, SizeLimit
-
-DEC_CAP = 16
+from .core import (FiniteLattice, _Budget, _UnionFind, canonical_form, induced, intervals,
+                   is_interval, is_sublattice_set, iter_bits)
+from .errors import NotALattice, NotAPartition, NotDistributive
 
 
 @dataclass(frozen=True)
@@ -49,32 +50,18 @@ class PartitionCheck:
         return self.holds
 
 
-def _is_distributive_subset(L: FiniteLattice, elems) -> bool:
-    # only called on meet/join-closed subsets, where the induced order
-    # carries the restricted operations
-    return bool(laws.distributive(induced(L, elems)))
+def _distributive_memo(L):
+    """Distributivity of sublattice masks of L, each tested at most once; the
+    induced order carries L's operations on a sublattice, and every lattice
+    with fewer than five elements is distributive."""
+    return cache(lambda mask: mask.bit_count() < 5
+                 or bool(laws.distributive(induced(L, iter_bits(mask)))))
 
 
-def _block_ok(L, block):
-    """Clause of the block-level condition that fails, or None."""
-    if not is_sublattice_set(L, block):
-        return "block is not a sublattice"
-    if not is_convex_set(L, block):
-        return "block is not convex"
-    if not _is_distributive_subset(L, block):
-        return "block is not distributive"
-    return None
-
-
-def _pair_ok(L, b1, b2):
-    """The pairwise condition: the union is not a sublattice, or not convex,
-    or is a convex distributive sublattice."""
-    union = set(b1) | set(b2)
-    if not is_sublattice_set(L, union):
-        return True
-    if not is_convex_set(L, union):
-        return True
-    return _is_distributive_subset(L, union)
+def _pair_ok(L, m1, m2, is_distributive):
+    """The pairwise condition on two block masks: the union is not a convex
+    sublattice (an interval), or it is a distributive one."""
+    return not is_interval(L, m1 | m2) or is_distributive(m1 | m2)
 
 
 def is_distributive_partition(L: FiniteLattice, blocks) -> PartitionCheck:
@@ -90,40 +77,46 @@ def is_distributive_partition(L: FiniteLattice, blocks) -> PartitionCheck:
         covered |= b
     if covered != set(range(L.n)):
         raise NotAPartition("blocks do not cover the element set")
-    blocks = sorted(blocks, key=min)
-    for b in blocks:
-        clause = _block_ok(L, b)
-        if clause is not None:
-            return PartitionCheck(False, clause, (tuple(sorted(b)),))
-    for i, b1 in enumerate(blocks):
-        for b2 in blocks[i + 1:]:
-            if not _pair_ok(L, b1, b2):
-                return PartitionCheck(
-                    False,
-                    "union of blocks is a convex sublattice but not distributive",
-                    (tuple(sorted(b1)), tuple(sorted(b2))),
-                )
+    blocks = [(b, sum(1 << e for e in b)) for b in sorted(blocks, key=min)]
+    is_distributive = _distributive_memo(L)
+    for b, m in blocks:
+        if not is_sublattice_set(L, b):
+            clause = "block is not a sublattice"
+        elif not is_interval(L, m):  # a sublattice is convex iff it is an interval
+            clause = "block is not convex"
+        elif not is_distributive(m):
+            clause = "block is not distributive"
+        else:
+            continue
+        return PartitionCheck(False, clause, (tuple(sorted(b)),))
+    for (b1, m1), (b2, m2) in itertools.combinations(blocks, 2):
+        if not _pair_ok(L, m1, m2, is_distributive):
+            return PartitionCheck(
+                False,
+                "union of blocks is a convex sublattice but not distributive",
+                (tuple(sorted(b1)), tuple(sorted(b2))),
+            )
     return PartitionCheck(True)
 
 
-def _candidate_blocks(L, e, allowed_mask):
-    """All convex distributive sublattices through e inside the allowed set,
-    largest first; distributivity is hereditary, so it prunes the search
-    ({e} is itself a convex sublattice, so it is the root)."""
-    blocks = sublattices(L, allowed_mask, convex=True, root=1 << e,
-                         keep=lambda m: _is_distributive_subset(L, list(iter_bits(m))))
-    return sorted(blocks, key=lambda m: (-m.bit_count(), m))
+def _candidate_blocks(L, e, free, is_distributive):
+    """The convex distributive sublattices through e inside ``free``, largest
+    first: the intervals through e, each tested by the memoised
+    ``is_distributive`` only when the search reaches it."""
+    through = sorted((m for m in intervals(L, free) if m >> e & 1),
+                     key=lambda m: (-m.bit_count(), m))
+    return (m for m in through if is_distributive(m))
 
 
-def _minimum_partitions(L, cap, keep_ties):
+def _minimum_partitions(L, budget, keep_ties):
     """Branch and bound over partitions into convex distributive blocks, each
-    grown from the lowest unassigned element.  Returns the minimum block
-    count and the partitions kept: without ties the search prunes on strict
-    improvement and keeps the first minimum partition; with ties it keeps
-    every partition of the best count so far, clearing the list whenever a
-    smaller count appears."""
-    if L.n > cap:
-        raise SizeLimit(L.n, cap, "dec computation")
+    through the lowest unassigned element, spending one node of ``budget``
+    per search node.  Returns the minimum block count and the partitions
+    kept: without ties the search prunes on strict improvement and keeps the
+    first minimum partition; with ties it keeps every partition of the best
+    count so far, clearing the list whenever a smaller count appears."""
+    budget = _Budget(budget)
+    is_distributive = _distributive_memo(L)
     best = L.n + 1
     found = []
     full = L.full_mask
@@ -132,6 +125,7 @@ def _minimum_partitions(L, cap, keep_ties):
 
     def rec(assigned, blocks):
         nonlocal best
+        budget.spend("Dec search")
         if assigned == full:
             if len(blocks) < best:
                 best = len(blocks)
@@ -140,9 +134,10 @@ def _minimum_partitions(L, cap, keep_ties):
             return
         if len(blocks) + 1 + margin > best:
             return
-        e = ((~assigned) & full & -((~assigned) & full)).bit_length() - 1
-        for cand in _candidate_blocks(L, e, full & ~assigned):
-            if all(_pair_ok(L, iter_bits(cand), iter_bits(b)) for b in blocks):
+        free = full & ~assigned
+        e = (free & -free).bit_length() - 1
+        for cand in _candidate_blocks(L, e, free, is_distributive):
+            if all(_pair_ok(L, cand, b, is_distributive) for b in blocks):
                 blocks.append(cand)
                 rec(assigned | cand, blocks)
                 blocks.pop()
@@ -154,17 +149,18 @@ def _minimum_partitions(L, cap, keep_ties):
     ]
 
 
-def dec(L: FiniteLattice, cap=DEC_CAP):
+def dec(L: FiniteLattice, budget=None):
     """Exact minimum cardinality of a distributive partition, with one
-    minimizing witness (the first found in the deterministic search order)."""
-    best, (witness,) = _minimum_partitions(L, cap, keep_ties=False)
+    minimizing witness (the first found in the deterministic search order).
+    The search spends ``budget`` nodes (``default_budget()`` by default)."""
+    best, (witness,) = _minimum_partitions(L, budget, keep_ties=False)
     return best, witness
 
 
-def minimum_distributive_partitions(L: FiniteLattice, cap=DEC_CAP):
+def minimum_distributive_partitions(L: FiniteLattice, budget=None):
     """All minimum-cardinality distributive partitions, in lexicographic
-    block-encoding order."""
-    _, found = _minimum_partitions(L, cap, keep_ties=True)
+    block-encoding order, found within ``budget`` search nodes."""
+    _, found = _minimum_partitions(L, budget, keep_ties=True)
     found.sort(key=lambda p: p.encoding())
     return found
 

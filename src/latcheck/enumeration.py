@@ -102,11 +102,11 @@ def _generate(n):
     return results
 
 
-def all_lattices(n: int, cap: int = ENUM_CAP):
+def all_lattices(n: int):
     """All lattices with n elements up to isomorphism, in canonical-form
     order."""
-    if not 1 <= n <= cap:
-        raise SizeLimit(n, cap, "lattice enumeration")
+    if not 1 <= n <= ENUM_CAP:
+        raise SizeLimit(n, ENUM_CAP, "lattice enumeration")
     if n not in _CACHE:
         _CACHE[n] = tuple(_generate(n))
     return _CACHE[n]
@@ -131,10 +131,10 @@ def _parse_predicates(names):
     return preds
 
 
-def filtered(n: int, predicates, cap: int = ENUM_CAP):
+def filtered(n: int, predicates):
     """Sub-stream of all_lattices(n) satisfying every named predicate
     (from: sd, whitman, distributive, in_n5, profile(NAME))."""
     preds = _parse_predicates(list(predicates))
-    for L in all_lattices(n, cap):
+    for L in all_lattices(n):
         if all(p(L) for p in preds):
             yield L

@@ -292,10 +292,11 @@ def _derivation_plan(L, gens):
 
 
 def find_free_embedding(L: FiniteLattice, n_gens=3, max_depth=4, max_size=7,
-                        budget=2_000_000):
+                        budget=None):
     """Bounded search for a free-lattice embedding witness: terms over
     ``n_gens`` generators are assigned to a minimal generating set of L, the
-    rest derived through the tables.  Returns element -> term, or None when
+    rest derived through the tables, within ``budget`` nodes
+    (``default_budget()`` by default).  Returns element -> term, or None when
     the bounded search exhausts (inconclusive, not a refutation)."""
     names = [chr(ord("x") + i) for i in range(n_gens)] if n_gens <= 3 else [
         f"g{i}" for i in range(n_gens)

@@ -8,9 +8,11 @@ the variety hypothesis for forbidden-sublattice conditions.
 Hypothesis gating is explicit: a lattice failing a check's hypotheses gets a
 skipped report, never a silent pass, and vacuous runs are flagged as such.
 
-The Dec bound and the degeneracy lemma find their sublattices by closure
-(:func:`core.sublattices`), so no size cap applies: the scan spends the
-check's node budget and raises SearchBudgetExceeded when it runs out.
+The Dec bound finds its sublattices by closure (:func:`core.sublattices`),
+so no size cap applies: the scan spends the check's node budget and raises
+SearchBudgetExceeded when it runs out, and so does each Dec search.  The
+degeneracy lemma's convex sublattices are intervals, listed directly by
+:func:`core.intervals` in O(n^2) per element, with no search.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
     canonical_form,
     dual,
     induced,
+    intervals,
     is_sublattice_set,
     isomorphism,
     iter_bits,
@@ -312,14 +315,16 @@ def boolean_cube_witness(L: FiniteLattice, triple, d, membership=None) -> Embedd
 
 
 def _loose_sublattices(L, convex, budget):
-    """Every (convex) sublattice K with an element a incomparable to all of
-    K, as (K's elements, every such a), in ascending order of K's mask.
-    Such K are exactly the sublattices inside a's incomparable set, so each
-    a enumerates only those, all spending one node budget."""
+    """Every sublattice K (every interval if ``convex``) with an element a
+    incomparable to all of K, as (K's elements, every such a), in ascending
+    order of K's mask.  Such K are exactly those inside a's incomparable
+    set, so each a lists only those: the intervals directly, the
+    sublattices by a closure search that spends one node budget."""
     budget, loose = _Budget(budget), {}
     for a in range(L.n):
         incomparable = L.full_mask & ~(L.up[a] | L.down[a])
-        for K in sublattices(L, incomparable, convex, budget=budget):
+        found = intervals(L, incomparable) if convex else sublattices(L, incomparable, budget)
+        for K in found:
             loose.setdefault(K, []).append(a)
     return [(list(iter_bits(K)), loose[K]) for K in sorted(loose)]
 
@@ -327,11 +332,11 @@ def _loose_sublattices(L, convex, budget):
 def dec_bound_check(L: FiniteLattice, name=None, budget=None, membership=None) -> TheoremReport:
     """For every sublattice K and element a incomparable to all of K, Dec(K)
     is at most the number of join values times the number of meet values of a
-    against K."""
+    against K.  Each Dec(K) search gets ``budget`` nodes of its own."""
 
     def scan(rep):
         for elems, loose in _loose_sublattices(L, False, budget):
-            dec_k = dec(induced(L, elems))[0]
+            dec_k = dec(induced(L, elems), budget)[0]
             for a in loose:
                 rep.hypothesis_instances += 1
                 joins = {L.join[a][b] for b in elems}
@@ -396,16 +401,15 @@ def twelve_element_lemma_check(L: FiniteLattice, name=None, budget=None,
                 and all(L.lt(c, x) for x in above_c)
                 and all(L.incomparable(c, x) for x in incomp_c)
             ]
+            above_s = [pos[k] for k in ("y", "y'", "z", "z'")]
+            incomp_s = [pos[k] for k in ("x'", "x", "b")]
             for c in cs:
                 rep.hypothesis_instances += 1
-                below_s = [pos[k] for k in ("w'", "w", "a")]
-                above_s = [pos[k] for k in ("y", "y'", "z", "z'")]
-                incomp_s = [pos[k] for k in ("x'", "x", "b")]
                 for s in range(L.n):
                     if s in image or s == c:
                         continue
                     if (
-                        all(L.lt(x, s) for x in below_s)
+                        all(L.lt(x, s) for x in below_c)
                         and all(L.lt(s, x) for x in above_s)
                         and all(L.incomparable(s, x) for x in incomp_s)
                         and L.incomparable(s, c)

@@ -128,10 +128,10 @@ def join_congruences(c1: Congruence, c2: Congruence) -> Congruence:
     return _canonical_blocks(uf.find, n)
 
 
-def _join_irreducible_congruences(L: FiniteLattice, cap) -> list:
+def _join_irreducible_congruences(L: FiniteLattice) -> list:
     """J(Con L): the distinct con(j_*, j) over the join-irreducible j."""
-    if L.n > cap:
-        raise SizeLimit(L.n, cap, "congruence computation")
+    if L.n > CONGRUENCE_CAP:
+        raise SizeLimit(L.n, CONGRUENCE_CAP, "congruence computation")
     return list(dict.fromkeys(principal_congruence(L, L.lower_covers(j)[0], j)
                               for j in range(L.n) if len(L.lower_covers(j)) == 1))
 
@@ -140,10 +140,10 @@ def _congruence_order(c: Congruence):
     return (c.n - c.block_count, c.block_index)
 
 
-def all_congruences(L: FiniteLattice, cap=CONGRUENCE_CAP) -> list:
+def all_congruences(L: FiniteLattice) -> list:
     """The full congruence lattice: identity plus the join-closure of the
     join-irreducible congruences."""
-    gens = _join_irreducible_congruences(L, cap)
+    gens = _join_irreducible_congruences(L)
     found = {identity_congruence(L.n)}
     frontier = list(found)
     while frontier:
@@ -180,30 +180,30 @@ def quotient(L: FiniteLattice, c: Congruence) -> FiniteLattice:
     return FiniteLattice(tuple(labels), tuple(up))
 
 
-def is_subdirectly_irreducible(L: FiniteLattice, cap=CONGRUENCE_CAP) -> bool:
+def is_subdirectly_irreducible(L: FiniteLattice) -> bool:
     """True iff the congruence lattice has a unique atom (monolith): the
     atoms of Con L are the minimal join-irreducible congruences."""
-    gens = _join_irreducible_congruences(L, cap)
+    gens = _join_irreducible_congruences(L)
     atoms = [c for c in gens if not any(d != c and d.refines(c) for d in gens)]
     return len(atoms) == 1
 
 
-def meet_irreducible_congruences(L: FiniteLattice, cap=CONGRUENCE_CAP) -> list:
+def meet_irreducible_congruences(L: FiniteLattice) -> list:
     """Congruences with exactly one upper cover in the congruence lattice:
     for each join-irreducible psi, the join of the join-irreducibles not
     above psi."""
-    gens = _join_irreducible_congruences(L, cap)
+    gens = _join_irreducible_congruences(L)
     bottom = identity_congruence(L.n)
     kappa = {reduce(join_congruences, [phi for phi in gens if not psi.refines(phi)], bottom)
              for psi in gens}
     return sorted(kappa, key=_congruence_order)
 
 
-def si_factors(L: FiniteLattice, cap=CONGRUENCE_CAP) -> list:
+def si_factors(L: FiniteLattice) -> list:
     """Quotients by all meet-irreducible congruences, deduplicated up to
     isomorphism."""
     seen = {}
-    for c in meet_irreducible_congruences(L, cap):
+    for c in meet_irreducible_congruences(L):
         q = quotient(L, c)
         key = canonical_form(q)
         if key not in seen:
@@ -229,11 +229,11 @@ def _si_forms() -> frozenset:
                      (catalog.chain(1), catalog.chain(2), catalog.get("N5")))
 
 
-def in_n5_variety(L: FiniteLattice, cap=CONGRUENCE_CAP) -> VarietyDecision:
+def in_n5_variety(L: FiniteLattice) -> VarietyDecision:
     """Exact membership in the variety generated by the pentagon, with the
     subdirectly irreducible factor list as certificate."""
     allowed = _si_forms()
-    factors = tuple(si_factors(L, cap))
+    factors = tuple(si_factors(L))
     for q in factors:
         if canonical_form(q) not in allowed:
             return VarietyDecision(False, factors, q)

@@ -17,11 +17,11 @@ from latcheck.errors import ParseError
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
-def run_cli(args):
+def run_cli(args, **env):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "latcheck.cli", *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path, **env),
     )
     return proc
 
@@ -224,6 +224,30 @@ def test_budget_exit_code(tmp_path):
     path = write_catalog_file(tmp_path, "stacked_n5")
     proc = run_cli(["find-forbidden", path, "--profile", "N", "--budget", "3"])
     assert proc.returncode == cli.EXIT_BUDGET
+
+
+def test_dec_has_no_size_cap_and_spends_budget(tmp_path):
+    path = tmp_path / "chain17.json"
+    cli.write_lattice_file(str(path), cli.diagram_of(catalog.chain(17), name="chain(17)"))
+    proc = run_cli(["dec", str(path)])
+    assert proc.returncode == cli.EXIT_OK
+    assert json.loads(proc.stdout)["results"]["dec"] == 1
+
+    proc = run_cli(["--budget", "5", "dec", write_catalog_file(tmp_path, "stacked_n5")])
+    assert proc.returncode == cli.EXIT_BUDGET
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_freelat_embed_reads_budget_env(tmp_path):
+    path = write_catalog_file(tmp_path, "N5")
+    for proc in (run_cli(["freelat", "embed", path], LATCHECK_BUDGET="10"),
+                 run_cli(["freelat", "embed", path, "--budget", "10"])):
+        assert proc.returncode == cli.EXIT_BUDGET
+        assert proc.stderr == "error: free embedding search exceeded node budget 10\n"
+    proc = run_cli(["freelat", "embed", path])
+    assert proc.returncode == cli.EXIT_OK
+    assert json.loads(proc.stdout)["results"]["found"] is True
 
 
 def test_dec_survey_script():

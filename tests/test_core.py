@@ -20,6 +20,8 @@ from latcheck.core import (
     dual,
     generated_sublattice,
     induced,
+    intervals,
+    is_interval,
     isomorphism,
     matrix_bytes,
     maximal_antichains,
@@ -153,7 +155,7 @@ def test_product_n5_n5_size():
 
 def test_product_size_cap():
     with pytest.raises(SizeLimit):
-        direct_product(catalog.chain(30), catalog.chain(30), size_cap=400)
+        direct_product(catalog.chain(30), catalog.chain(30))
 
 
 def test_product_labels():
@@ -191,32 +193,20 @@ def test_generated_sublattice_idempotent_and_monotone():
 
 
 def test_sublattices_match_subset_scan():
-    """The closure search finds exactly the (convex) sublattices the 2^n
-    scan finds, inside the whole lattice and inside each element's
-    incomparable set, on every lattice with n <= 7."""
+    """The closure search finds exactly the sublattices, and the interval
+    listing exactly the convex sublattices, that the 2^n scan finds, inside
+    the whole lattice and inside each element's incomparable set, on every
+    lattice with n <= 7."""
     for n in range(1, 8):
         for L in all_lattices(n):
             masks = [L.full_mask] + [L.full_mask & ~(L.up[a] | L.down[a]) for a in range(n)]
-            for convex in (False, True):
-                every = sublattice_masks_oracle(L, convex)
+            every = {c: sublattice_masks_oracle(L, c) for c in (False, True)}
+            for convex, listing in ((False, sublattices), (True, intervals)):
                 for allowed in masks:
-                    found = list(sublattices(L, allowed, convex))
+                    found = list(listing(L, allowed))
                     assert len(found) == len(set(found))
-                    assert sorted(found) == [m for m in every if m & ~allowed == 0]
-
-
-def test_sublattices_root_and_keep():
-    """A root keeps only the sublattices above it; a hereditary ``keep``
-    (here: at most four elements) keeps only those it holds for."""
-    small = lambda m: m.bit_count() <= 4
-    for n in range(1, 7):
-        for L in all_lattices(n):
-            every = sublattice_masks_oracle(L)
-            for a in range(n):
-                root = sum(1 << e for e in generated_sublattice(L, {a, n - 1 - a}))
-                assert sorted(sublattices(L, root=root)) == [m for m in every if m & root == root]
-                assert sorted(sublattices(L, root=root, keep=small)) == [
-                    m for m in every if m & root == root and small(m)]
+                    assert sorted(found) == [m for m in every[convex] if m & ~allowed == 0]
+            assert [m for m in range(1, 1 << n) if is_interval(L, m)] == every[True]
 
 
 def test_canonical_form_dual_pentagon():

@@ -1,5 +1,7 @@
 """Distributive partitions, Dec, and the Galvin-Jonsson shape classifier."""
 
+import hashlib
+
 import pytest
 
 from latcheck import catalog
@@ -11,7 +13,7 @@ from latcheck.decomp import (
     minimum_distributive_partitions,
 )
 from latcheck.enumeration import all_lattices
-from latcheck.errors import NotAPartition, NotDistributive, SizeLimit
+from latcheck.errors import NotAPartition, NotDistributive, SearchBudgetExceeded
 from latcheck.laws import distributive, is_finite_free_sublattice, whitman
 
 from oracles import (
@@ -133,9 +135,27 @@ def test_dec_dual_invariant():
             assert dec(L)[0] == dec(dual(L))[0]
 
 
-def test_dec_size_cap():
-    with pytest.raises(SizeLimit):
-        dec(catalog.chain(17))
+def test_dec_budget():
+    """Dec has no size cap; its search spends the node budget instead."""
+    assert dec(catalog.chain(17))[0] == 1
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        dec(catalog.get("stacked_n5"), budget=5)
+    assert str(exc.value) == "Dec search exceeded node budget 5"
+    with pytest.raises(SearchBudgetExceeded):
+        minimum_distributive_partitions(catalog.get("stacked_n5"), budget=5)
+
+
+def test_dec_results_pinned():
+    """Dec values, witnesses and every minimum partition on each lattice
+    with n <= 8 and each fixed catalog lattice, as one sha256 recorded
+    before candidate blocks were listed as intervals."""
+    h = hashlib.sha256()
+    lattices = [L for n in range(1, 9) for L in all_lattices(n)]
+    for L in lattices + [catalog.get(name) for name in catalog.FIXED_NAMES]:
+        value, witness = dec(L)
+        parts = minimum_distributive_partitions(L)
+        h.update(repr((value, witness.encoding(), [p.encoding() for p in parts])).encode())
+    assert h.hexdigest() == "a25f088b88a72f2461e339a7148b82881e2c48773c76945f0f7a865de57105de"
 
 
 def test_gj_cube_single_block():

@@ -1,0 +1,43 @@
+"""Negative controls: each check, run with its membership gate forced
+open, reports a pinned violation on a lattice outside the pentagon
+variety, and the real gate skips that lattice.  A check that can never
+report a violation would pass these lattices silently."""
+
+import pytest
+
+from latcheck import catalog, theorems
+
+ALWAYS = lambda L: (True, None)
+
+# (check id, lattice, hypothesis instances, violations) with the gate open
+CASES = [
+    ("dec_bound", "L6", 32, [("h", ("b", "c", "d", "e", "f"), 3, 1)]),
+    ("dec_bound", "L7", 42, [("f", ("b", "d", "e", "g", "h"), 3, 2)]),
+    ("dec_bound", "L8", 42, [("f", ("b", "d", "e", "g", "h"), 3, 2)]),
+    ("dec_bound", "L9", 47, [("h", ("b", "d", "e", "f", "g"), 3, 2)]),
+    ("dec_bound", "L10", 47, [("h", ("b", "d", "e", "f", "g"), 3, 2)]),
+    ("degeneracy", "L6", 23, [("h", ("b", "c", "d", "e", "f"), 1, 1)]),
+    ("degeneracy", "L7", 32, [("f", ("b", "d", "e", "g", "h"), 2, 1)]),
+    ("degeneracy", "L8", 32, [("f", ("b", "d", "e", "g", "h"), 1, 2)]),
+    ("degeneracy", "L9", 37, [("h", ("b", "d", "e", "f", "g"), 2, 1)]),
+    ("degeneracy", "L10", 37, [("h", ("b", "d", "e", "f", "g"), 1, 2)]),
+    ("degeneracy", "L15", 42, [("g", ("b", "d", "e", "f", "h"), 2, 2),
+                               ("e", ("c", "d", "f", "g", "i"), 2, 2)]),
+    ("twelve_element", "shape_2x5_plus", 1,
+     [("grid with interior points",
+       ("w'", "w", "a", "y", "y'", "x'", "x", "b", "z", "z'"), "c", "s")]),
+]
+
+
+@pytest.mark.parametrize("cid, name, instances, violations", CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in CASES])
+def test_check_reports_violation_with_gate_open(cid, name, instances, violations):
+    L = catalog.get(name)
+    rep = theorems.run_check(L, cid, name=name, membership=ALWAYS)
+    assert not rep.skipped and not rep.holds
+    assert rep.hypothesis_instances == instances
+    assert rep.conclusion_violations == violations
+
+    gated = theorems.run_check(L, cid, name=name)
+    assert gated.skipped
+    assert gated.skip_reason.startswith("not in the pentagon variety")

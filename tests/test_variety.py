@@ -4,7 +4,7 @@ membership."""
 import pytest
 
 from latcheck import catalog, embed
-from latcheck.core import are_isomorphic, canonical_form, direct_product, dual, is_convex_set, is_sublattice_set
+from latcheck.core import are_isomorphic, canonical_form, direct_product, dual, is_sublattice_set
 from latcheck.enumeration import all_lattices
 from latcheck.errors import SizeLimit
 from latcheck.laws import semidistributive
@@ -19,6 +19,7 @@ from latcheck.variety import (
 )
 
 from oracles import (
+    _subset_is_convex,
     compatible_partitions,
     congruence_closure_oracle,
     is_subdirectly_irreducible_oracle,
@@ -89,7 +90,7 @@ def test_congruence_blocks_are_convex_sublattices():
         for c in all_congruences(L):
             for b in c.blocks():
                 assert is_sublattice_set(L, b)
-                assert is_convex_set(L, b)
+                assert _subset_is_convex(L, b)
 
 
 def test_quotient_collapse_all():
