@@ -7,24 +7,30 @@ violations, timing, version}; --pretty renders them for humans.  Exit codes:
 0 all checks pass, 1 violation found, 2 input or usage error, 3 search
 budget exceeded.  Identical inputs give byte-identical reports; the timing
 field stays null unless --timing is passed.
+
+Each command imports only the modules it runs, inside its cmd_* function,
+so a call pays start-up for what it uses and nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 import time
 
-from . import __version__, catalog, core, decomp, embed, enumeration, freeterm, laws, theorems, variety
-from .core import CoverDiagram, FiniteLattice, build_lattice
+from . import __version__
 from .errors import (
     LatcheckError,
     ParseError,
     SearchBudgetExceeded,
     SizeLimit,
 )
+
+# CoverDiagram and FiniteLattice in annotations are core's; annotations are
+# not evaluated (PEP 563), so they need no import of core.
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -36,6 +42,8 @@ EXIT_BUDGET = 3
 
 
 def parse_lattice_file(path: str) -> CoverDiagram:
+    from . import core
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -63,12 +71,14 @@ def parse_lattice_file(path: str) -> CoverDiagram:
         ):
             raise ParseError(f'cover #{k} must be a pair of element names')
         pairs.append((pair[0], pair[1]))
-    return CoverDiagram(tuple(elements), tuple(pairs), name=name)
+    return core.CoverDiagram(tuple(elements), tuple(pairs), name=name)
 
 
 def diagram_of(L: FiniteLattice, name=None) -> CoverDiagram:
+    from . import core
+
     covers = [(L.labels[a], L.labels[b]) for a, b in L.cover_pairs()]
-    return CoverDiagram(L.labels, tuple(covers), name=name)
+    return core.CoverDiagram(L.labels, tuple(covers), name=name)
 
 
 def format_lattice_file(d: CoverDiagram) -> str:
@@ -86,8 +96,10 @@ def write_lattice_file(path: str, d: CoverDiagram):
 
 
 def load_lattice(path: str) -> tuple:
+    from . import core
+
     d = parse_lattice_file(path)
-    return build_lattice(d), (d.name or os.path.basename(path))
+    return core.build_lattice(d), (d.name or os.path.basename(path))
 
 
 # -- reports ------------------------------------------------------------------
@@ -151,6 +163,8 @@ def _render_value(value, depth, stream):
 
 
 def cmd_check(args):
+    from . import laws
+
     started = time.perf_counter()
     L, name = load_lattice(args.file)
     p = laws.law_profile(L)
@@ -172,6 +186,8 @@ def cmd_check(args):
 
 
 def cmd_dec(args):
+    from . import decomp
+
     started = time.perf_counter()
     L, name = load_lattice(args.file)
     value, witness = decomp.dec(L, args.budget)
@@ -189,6 +205,8 @@ def cmd_dec(args):
 
 
 def cmd_variety(args):
+    from . import embed, laws, variety
+
     started = time.perf_counter()
     L, name = load_lattice(args.file)
     decision = variety.in_n5_variety(L)
@@ -221,6 +239,8 @@ def cmd_variety(args):
 
 
 def cmd_find_forbidden(args):
+    from . import embed
+
     started = time.perf_counter()
     L, name = load_lattice(args.file)
     prof = embed.profile(args.profile)
@@ -240,6 +260,8 @@ def cmd_find_forbidden(args):
 
 
 def cmd_verify_theorems(args):
+    from . import enumeration, theorems
+
     started = time.perf_counter()
     totals = {}
     violations = []
@@ -288,6 +310,8 @@ def cmd_verify_theorems(args):
 
 
 def cmd_enumerate(args):
+    from . import enumeration
+
     started = time.perf_counter()
     filters = [f.strip() for f in args.filter.split(",") if f.strip()] if args.filter else []
     try:
@@ -314,6 +338,8 @@ def cmd_enumerate(args):
 
 
 def cmd_catalog(args):
+    from . import catalog
+
     started = time.perf_counter()
     names = [args.name] if args.name else list(catalog.FIXED_NAMES)
     entries = []
@@ -340,6 +366,8 @@ def cmd_catalog(args):
 
 
 def cmd_freelat(args):
+    from . import freeterm
+
     started = time.perf_counter()
     if args.freelat_cmd == "leq":
         s = freeterm.parse_term(args.left)
@@ -383,6 +411,26 @@ def cmd_freelat(args):
 # -- argument parsing ---------------------------------------------------------
 
 
+class _Choices:
+    """The valid values of an option, read from `module.attr` (put in order
+    by `order`) only when argparse tests or lists them, so that building the
+    parser imports no module.  Options using it need an explicit metavar,
+    since argparse would otherwise list the choices in the usage line."""
+
+    def __init__(self, module, attr, order=tuple):
+        self.module, self.attr, self.order = module, attr, order
+
+    def _values(self):
+        module = importlib.import_module(f"{__package__}.{self.module}")
+        return self.order(getattr(module, self.attr))
+
+    def __contains__(self, value):
+        return value in self._values()
+
+    def __iter__(self):
+        return iter(self._values())
+
+
 def _add_common(parser, suppress=False):
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--pretty", action="store_true",
@@ -424,14 +472,17 @@ def build_parser():
 
     c = add_parser("find-forbidden", help="forbidden-sublattice hits")
     c.add_argument("file")
-    c.add_argument("--profile", required=True, choices=sorted(embed.PROFILES))
+    c.add_argument("--profile", required=True, choices=_Choices("embed", "PROFILES", sorted),
+                   metavar="PROFILE", help="one of %(choices)s")
     c.set_defaults(fn=cmd_find_forbidden)
 
     c = add_parser("verify-theorems", help="run the theorem harness over "
                                                "enumerated lattices")
     c.add_argument("--size", type=int, default=6)
-    c.add_argument("--theorem", choices=theorems.ALL_CHECK_IDS, default=None)
-    c.add_argument("--profile", choices=sorted(theorems.PROFILE_CHECKS), default="N-full")
+    c.add_argument("--theorem", choices=_Choices("theorems", "ALL_CHECK_IDS"), default=None,
+                   metavar="THEOREM", help="one of %(choices)s")
+    c.add_argument("--profile", choices=_Choices("theorems", "PROFILE_CHECKS", sorted),
+                   default="N-full", metavar="PROFILE", help="one of %(choices)s")
     c.set_defaults(fn=cmd_verify_theorems)
 
     c = add_parser("enumerate", help="enumerate lattices up to isomorphism")

@@ -13,7 +13,6 @@ interval, so :func:`intervals` lists those directly, at most n(n+1)/2.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 

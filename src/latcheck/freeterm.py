@@ -3,13 +3,16 @@ procedure for the word problem, canonical forms, evaluation into finite
 lattices, and bounded search for free-lattice embeddings of finite lattices.
 
 Terms are hash-consed, so canonical terms compare by identity; the order
-decision is memoised on pairs.
+decision is memoised on pairs.  The word problem needs no finite lattice, so
+`core` is imported only by the embedding search.
 """
 
 from __future__ import annotations
 
-from .core import FiniteLattice, _Budget, generated_sublattice
 from .errors import BadParameter, ParseError, UnassignedGenerator
+
+# FiniteLattice in annotations is core's; annotations are not evaluated
+# (PEP 563), so they need no import of core.
 
 
 class FreeTerm:
@@ -262,6 +265,8 @@ def minimal_generating_set(L: FiniteLattice):
     is the whole lattice."""
     from itertools import combinations
 
+    from .core import generated_sublattice
+
     full = frozenset(range(L.n))
     for k in range(1, L.n + 1):
         for seeds in combinations(range(L.n), k):
@@ -298,6 +303,8 @@ def find_free_embedding(L: FiniteLattice, n_gens=3, max_depth=4, max_size=7,
     rest derived through the tables, within ``budget`` nodes
     (``default_budget()`` by default).  Returns element -> term, or None when
     the bounded search exhausts (inconclusive, not a refutation)."""
+    from .core import _Budget
+
     names = [chr(ord("x") + i) for i in range(n_gens)] if n_gens <= 3 else [
         f"g{i}" for i in range(n_gens)
     ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 
 from . import catalog
-from .core import FiniteLattice, _UnionFind, canonical_form, induced, iter_bits
+from .core import FiniteLattice, _UnionFind, canonical_form, iter_bits
 from .errors import SizeLimit
 
 CONGRUENCE_CAP = 16

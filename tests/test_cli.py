@@ -1,6 +1,7 @@
 """Command-line interface: file format round-trips, reports, exit codes,
 determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -272,3 +273,99 @@ def test_timing_flag_included(tmp_path):
     path = write_catalog_file(tmp_path, "N5")
     doc = json.loads(run_cli(["check", path, "--timing"]).stdout)
     assert isinstance(doc["timing"], float)
+
+
+# -- pinned reports and exit codes --------------------------------------------
+
+TERM_PAIRS = (
+    ("x & y", "x | y"),
+    ("x & (y | z)", "(x & y) | (x & z)"),
+    ("(x | y) & (x | z)", "x | (y & z)"),
+    ("x | (y & (x | z))", "(x | y) & (x | z)"),
+    ("((x & y) | (x & z)) | (y & z)", "(x | y) & ((x | z) & (y | z))"),
+)
+TERMS = ("x | (x | y)", "(x | y) & (x | y)", "(x & (y | x)) | (z & w)",
+         "((a & b) | (a & c)) & (a | (b & c))")
+
+
+def report_calls():
+    """(group, argv) for the pinned CLI calls; lattice paths are relative to
+    the directory the catalog files are written to."""
+    calls = []
+    for name in catalog.FIXED_NAMES:
+        f = f"{name}.json"
+        calls += [("check", ["check", f]), ("variety", ["variety", f]),
+                  ("dec", ["dec", f, "--all-witnesses"]),
+                  ("find-forbidden", ["find-forbidden", f, "--profile", "N"])]
+    calls += [("freelat leq", ["freelat", "leq", s, t]) for s, t in TERM_PAIRS]
+    calls += [("freelat canon", ["freelat", "canon", t]) for t in TERMS]
+    calls.append(("freelat embed", ["freelat", "embed", "N5.json"]))
+    calls.append(("verify-theorems", ["verify-theorems", "--size", "5"]))
+    return calls
+
+
+def run_report_calls(tmp_path, monkeypatch, capsys):
+    """Runs every pinned call in-process: (group, argv, exit code, stdout)."""
+    for name in catalog.FIXED_NAMES:
+        write_catalog_file(tmp_path, name)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    out = []
+    for group, argv in report_calls():
+        code = cli.main(argv)
+        out.append((group, argv, code, capsys.readouterr().out))
+    return out
+
+
+# sha256 of the concatenated stdout per group, recorded before the CLI
+# imported its modules per command
+PINNED_REPORT_DIGESTS = {
+    "check": "9849784044a95c19c8e12afe1bf6fc2b78223f024a1d16ab4eaf67994b737ca2",
+    "variety": "6c7aaf35104ad6ab8ed81ff77f350663863fcbd7f04a6aea6a145cda3d6a8c2f",
+    "dec": "b9d48575abaaf7040ba4c22ad41bd1ee754054b19d9ffc6e36681f1884ff69ec",
+    "find-forbidden": "9ee3da7b06e62676e1604b236bb635792f42d700dfd54e202814abc22a199603",
+    "freelat leq": "b77be08859694aaeafcd6ec4fe1651ef8ced03d0c8a4b843b413dbe711d12267",
+    "freelat canon": "d12757d588acf394ee58cb80cdfe0d458b920a5449237306f2cec65290767800",
+    "freelat embed": "b9f5c43ab7f4ec9f7a3a0cb5d6ff4b6a6926807c2adc5f6583d0b0255b544ccc",
+    "verify-theorems": "7e21523472abbc52141492d87bced70355c14005e87453531da74e62d9d442b0",
+}
+
+
+def test_reports_pinned(tmp_path, monkeypatch, capsys):
+    digests = {}
+    for group, _, _, stdout in run_report_calls(tmp_path, monkeypatch, capsys):
+        digests.setdefault(group, hashlib.sha256()).update(stdout.encode())
+    assert {g: h.hexdigest() for g, h in digests.items()} == PINNED_REPORT_DIGESTS
+
+
+def test_exit_one_only_on_violations(tmp_path, monkeypatch, capsys):
+    runs = run_report_calls(tmp_path, monkeypatch, capsys)
+    for group, argv, code, stdout in runs:
+        violations = json.loads(stdout)["violations"]
+        assert code == (cli.EXIT_VIOLATION if violations else cli.EXIT_OK), argv
+    # both outcomes occur, so the equivalence is tested both ways
+    assert {code for _, _, code, _ in runs} == {cli.EXIT_OK, cli.EXIT_VIOLATION}
+
+
+def test_choices_checked_and_listed(monkeypatch, capsys):
+    from latcheck import embed, theorems
+
+    # one line per option in --help, so no choice is wrapped at a hyphen
+    monkeypatch.setenv("COLUMNS", "1000")
+    cases = [
+        (["find-forbidden", "N5.json", "--profile", "Q"], sorted(embed.PROFILES)),
+        (["verify-theorems", "--profile", "Q"], sorted(theorems.PROFILE_CHECKS)),
+        (["verify-theorems", "--theorem", "nope"], list(theorems.ALL_CHECK_IDS)),
+    ]
+    for argv, names in cases:
+        assert cli.main(argv) == cli.EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert f"invalid choice: {argv[-1]!r} (choose from " in err
+        assert all(repr(name) in err for name in names), err
+
+    assert cli.main(["find-forbidden", "--help"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert all(name in out for name in embed.PROFILES)
+    assert cli.main(["verify-theorems", "--help"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert all(name in out for name in (*theorems.ALL_CHECK_IDS, *theorems.PROFILE_CHECKS))
