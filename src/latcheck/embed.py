@@ -2,11 +2,13 @@
 a meet/join-closed subset, and forbidden-pattern profiles built from that.
 
 "Sublattice" always means closed under the host's operations, never a mere
-order-embedded subposet.
+order-embedded subposet.  The search checks partial maps against facts
+listed per search level before it starts (see :func:`iter_embeddings`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import catalog
@@ -18,9 +20,16 @@ def iter_embeddings(pattern: FiniteLattice, host: FiniteLattice, budget=None):
     """Yield every sublattice embedding of ``pattern`` into ``host``.
 
     Backtracking over pattern elements in a fixed order (most-constrained
-    cover degree first), pruning with order compatibility, meet/join
-    consistency of the partial image, and height/degree feasibility.  Raises
-    SearchBudgetExceeded when the node budget runs out before completion.
+    cover degree first), pruning with height/degree feasibility and with
+    facts listed per level before the search starts.  Level k holds the
+    facts whose last element is order[k]: the earlier elements above and
+    below it (the rest are incomparable to it), each z = x op y with x, y, z
+    all placed, and, while z is unplaced, that the host value of x op y is
+    not yet in the image.  (z = x op y with z one of x, y is an order fact.)
+    A candidate passing its level's lists extends an order embedding that
+    keeps every meet and join among placed elements, which is the pruning
+    the search has always done.  Each candidate spends one node; raises
+    SearchBudgetExceeded when the budget runs out before completion.
     """
     if pattern.n > host.n:
         return
@@ -42,52 +51,39 @@ def iter_embeddings(pattern: FiniteLattice, host: FiniteLattice, budget=None):
         ]
         for a in range(pattern.n)
     ]
-    assigned = {}
-    image = set()
+    level = {a: k for k, a in enumerate(order)}
+    # per level: earlier elements above and below, each z = x op y as
+    # (host table, x, y, z), each pending x op y as (host table, x, y)
+    facts = [([b for b in order[:k] if pattern.leq(a, b)],
+              [b for b in order[:k] if pattern.leq(b, a)], [], [])
+             for k, a in enumerate(order)]
+    for x, y in itertools.combinations(range(pattern.n), 2):
+        for pt, ht in ((pattern.meet, host.meet), (pattern.join, host.join)):
+            z = pt[x][y]
+            if z != x and z != y:
+                last = max(level[x], level[y])
+                facts[max(last, level[z])][2].append((ht, x, y, z))
+                if level[z] > last:
+                    facts[last][3].append((ht, x, y))
+    f, ups, downs = [0] * pattern.n, host.up, host.down
 
-    def consistent(a, h):
-        for b, g in assigned.items():
-            if pattern.leq(a, b) != host.leq(h, g) or pattern.leq(b, a) != host.leq(g, h):
-                return False
-        items = list(assigned.items())
-        for i, (b, g) in enumerate(items):
-            for (m_p, m_h) in ((pattern.meet[a][b], host.meet[h][g]),
-                               (pattern.join[a][b], host.join[h][g])):
-                if m_p == a:
-                    if m_h != h:
-                        return False
-                elif m_p in assigned:
-                    if assigned[m_p] != m_h:
-                        return False
-                elif m_h in image and m_h not in (h, g):
-                    # that host element is already spoken for by a different
-                    # pattern element
-                    return False
-            # pairs whose meet or join is the element being assigned now
-            for c, f in items[i:]:
-                if pattern.meet[b][c] == a and host.meet[g][f] != h:
-                    return False
-                if pattern.join[b][c] == a and host.join[g][f] != h:
-                    return False
-        return True
-
-    def rec(k):
+    def rec(k, image):
         if k == pattern.n:
-            yield EmbeddingWitness(pattern, host,
-                                   tuple(assigned[a] for a in range(pattern.n)))
+            yield EmbeddingWitness(pattern, host, tuple(f))
             return
-        a = order[k]
+        a, (above, below, ops, pending) = order[k], facts[k]
+        up = sum(1 << f[b] for b in above)
+        down = sum(1 << f[b] for b in below)
         for h in feasible[a]:
             budget.spend("embedding search")
-            if h in image or not consistent(a, h):
+            if (image >> h) & 1 or ups[h] & image != up or downs[h] & image != down:
                 continue
-            assigned[a] = h
-            image.add(h)
-            yield from rec(k + 1)
-            del assigned[a]
-            image.discard(h)
+            f[a] = h
+            if (all(t[f[x]][f[y]] == f[z] for t, x, y, z in ops)
+                    and not any((image >> t[f[x]][f[y]]) & 1 for t, x, y in pending)):
+                yield from rec(k + 1, image | 1 << h)
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def find_embedding(pattern: FiniteLattice, host: FiniteLattice, budget=None):

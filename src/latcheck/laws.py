@@ -2,8 +2,9 @@
 semidistributive laws, distributivity, modularity, doubly reducible elements,
 chain length and the finite free-sublattice test.
 
-All predicates are exhaustive tuple loops with early exit; counterexamples
-are the lexicographically first in index order.
+The equational laws are exhaustive tuple loops with early exit;
+counterexamples are the lexicographically first in index order.  Doubly
+reducible elements are read off the cached covers.
 """
 
 from __future__ import annotations
@@ -38,7 +39,14 @@ class LawProfile:
 
 def whitman(L: FiniteLattice) -> Check:
     """Whenever a^b <= cvd, one of a <= cvd, b <= cvd, a^b <= c, a^b <= d
-    must hold; returns the first violating quadruple otherwise."""
+    must hold; returns the first violating quadruple otherwise.  The verdict
+    is kept in the lattice's cache, so the O(n^4) scan runs once per lattice."""
+    if "whitman" not in L._cache:
+        L._cache["whitman"] = _whitman_scan(L)
+    return L._cache["whitman"]
+
+
+def _whitman_scan(L: FiniteLattice) -> Check:
     n, meet, join, leq = L.n, L.meet, L.join, L.leq
     for a in range(n):
         for b in range(n):
@@ -99,17 +107,10 @@ def modular(L: FiniteLattice) -> Check:
 
 
 def doubly_reducible_elements(L: FiniteLattice) -> tuple:
-    """Elements that are simultaneously a join of two incomparable elements
-    and a meet of two incomparable elements."""
-    n = L.n
-    join_red = [False] * n
-    meet_red = [False] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if L.incomparable(a, b):
-                join_red[L.join[a][b]] = True
-                meet_red[L.meet[a][b]] = True
-    return tuple(x for x in range(n) if join_red[x] and meet_red[x])
+    """Elements that are a join of two incomparable elements (in a finite
+    lattice: have two lower covers) and a meet of two (have two upper covers)."""
+    return tuple(x for x in range(L.n)
+                 if len(L.lower_covers(x)) > 1 and len(L.upper_covers(x)) > 1)
 
 
 def length(L: FiniteLattice) -> int:

@@ -15,7 +15,8 @@ join-irreducible element.  Con L is distributive, so each psi in J(Con L)
 pairs with one meet-irreducible congruence, the join of every phi in
 J(Con L) not above psi, and L is subdirectly irreducible iff J(Con L) has a
 single minimal element (the monolith).  ``all_congruences`` still returns the
-whole of Con L for API callers, as the join-closure of J(Con L).
+whole of Con L for API callers, as the join-closure of J(Con L); only it is
+size-capped, since Con L can be exponential in n.
 """
 
 from __future__ import annotations
@@ -130,8 +131,6 @@ def join_congruences(c1: Congruence, c2: Congruence) -> Congruence:
 
 def _join_irreducible_congruences(L: FiniteLattice) -> list:
     """J(Con L): the distinct con(j_*, j) over the join-irreducible j."""
-    if L.n > CONGRUENCE_CAP:
-        raise SizeLimit(L.n, CONGRUENCE_CAP, "congruence computation")
     return list(dict.fromkeys(principal_congruence(L, L.lower_covers(j)[0], j)
                               for j in range(L.n) if len(L.lower_covers(j)) == 1))
 
@@ -142,7 +141,9 @@ def _congruence_order(c: Congruence):
 
 def all_congruences(L: FiniteLattice) -> list:
     """The full congruence lattice: identity plus the join-closure of the
-    join-irreducible congruences."""
+    join-irreducible congruences (2^(n-1) of them on an n-chain, hence the cap)."""
+    if L.n > CONGRUENCE_CAP:
+        raise SizeLimit(L.n, CONGRUENCE_CAP, "congruence computation")
     gens = _join_irreducible_congruences(L)
     found = {identity_congruence(L.n)}
     frontier = list(found)

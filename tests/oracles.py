@@ -326,15 +326,32 @@ def dec_oracle(L: FiniteLattice) -> int:
     return best
 
 
-def sublattice_embeds_oracle(pattern: FiniteLattice, host: FiniteLattice) -> bool:
-    """Subset enumeration: a meet/join-closed subset isomorphic to the
-    pattern."""
-    from latcheck.core import induced
+def doubly_reducible_oracle(L: FiniteLattice) -> tuple:
+    """Elements that are the join of some incomparable pair and the meet of
+    some incomparable pair, by scanning every pair."""
+    join_red = [False] * L.n
+    meet_red = [False] * L.n
+    for a, b in itertools.combinations(range(L.n), 2):
+        if L.incomparable(a, b):
+            join_red[L.join[a][b]] = True
+            meet_red[L.meet[a][b]] = True
+    return tuple(x for x in range(L.n) if join_red[x] and meet_red[x])
 
+
+def sublattice_embeddings_oracle(pattern: FiniteLattice, host: FiniteLattice):
+    """Every sublattice embedding of the pattern, as maps (pattern element
+    -> host element), by subset enumeration: each meet/join-closed subset of
+    the pattern's size, and each bijection onto it that preserves and
+    reflects the order."""
     for sub in itertools.combinations(range(host.n), pattern.n):
-        s = set(sub)
-        if _subset_is_sublattice(host, s) and brute_isomorphic(
-            induced(host, sub), pattern
-        ):
-            return True
-    return False
+        if not _subset_is_sublattice(host, set(sub)):
+            continue
+        for perm in itertools.permutations(sub):
+            if all(pattern.leq(a, b) == host.leq(perm[a], perm[b])
+                   for a in range(pattern.n) for b in range(pattern.n)):
+                yield perm
+
+
+def sublattice_embeds_oracle(pattern: FiniteLattice, host: FiniteLattice) -> bool:
+    """A meet/join-closed subset isomorphic to the pattern."""
+    return next(sublattice_embeddings_oracle(pattern, host), None) is not None

@@ -123,11 +123,17 @@ def test_variety_command(tmp_path):
 
 
 def test_variety_size_cap_exits_budget(tmp_path):
+    """variety has no size cap: chain(17) is decided, and only running out
+    of search budget exits 3."""
     path = tmp_path / "chain17.json"
     cli.write_lattice_file(str(path), cli.diagram_of(catalog.chain(17), name="chain(17)"))
     proc = run_cli(["variety", str(path)])
+    assert proc.returncode == cli.EXIT_OK
+    results = json.loads(proc.stdout)["results"]
+    assert results["member"] is True and results["si_factor_sizes"] == [2]
+    proc = run_cli(["--budget", "3", "variety", str(path)])
     assert proc.returncode == cli.EXIT_BUDGET
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr == "error: embedding search exceeded node budget 3\n"
 
 
 def test_deep_term_exits_budget_without_traceback():

@@ -1,13 +1,15 @@
 """Sublattice-isomorphism search and forbidden profiles."""
 
+import hashlib
+
 import pytest
 
-from latcheck import catalog, embed
-from latcheck.core import dual, induced, are_isomorphic
+from latcheck import catalog, core, embed
+from latcheck.core import CoverDiagram, are_isomorphic, build_lattice, dual, induced
 from latcheck.enumeration import all_lattices
 from latcheck.errors import SearchBudgetExceeded
 
-from oracles import sublattice_embeds_oracle
+from oracles import sublattice_embeddings_oracle, sublattice_embeds_oracle
 
 
 def test_pentagon_in_nested_pentagons():
@@ -108,3 +110,77 @@ def test_all_witnesses_are_valid_sublattices():
             assert w.is_valid()
             count += 1
     assert count >= 1
+
+
+# sha256 over, for each (pattern, host) pair below, repr((every map that
+# iter_embeddings yields, in order, the nodes the search spent)); recorded
+# with the search that tested each candidate by a per-node case analysis of
+# the placed pairs, before the per-level fact lists replaced it
+EMBEDDING_SEARCH_PIN = ("9fceebae4e178f22574b13a04072d7e5624e1e85b5b5a622d06e0ec824329dc7",
+                        6720, 233_879, 15_843)
+
+
+@pytest.fixture
+def spent(monkeypatch):
+    """Nodes spent by the embedding searches, reset by the test."""
+    count = [0]
+
+    class CountingBudget(core._Budget):
+        def spend(self, what):
+            count[0] += 1
+            super().spend(what)
+
+    monkeypatch.setattr(embed, "_Budget", CountingBudget)
+    return count
+
+
+def test_embedding_search_pinned(spent):
+    """Same embeddings in the same order, and the same node count, on every
+    pair: M3, L1-L15, grid(5), N5, B3, chain(3) and grid(2) into every
+    lattice with n <= 8 and every fixed catalog lattice."""
+    patterns = ([catalog.get("M3")] + [catalog.get(f"L{i}") for i in range(1, 16)]
+                + [catalog.grid(5), catalog.get("N5"), catalog.get("B3"),
+                   catalog.chain(3), catalog.grid(2)])
+    hosts = ([L for n in range(1, 9) for L in all_lattices(n)]
+             + [catalog.get(name) for name in catalog.FIXED_NAMES])
+    digest = hashlib.sha256()
+    pairs = nodes = maps = 0
+    for p in patterns:
+        for host in hosts:
+            spent[0] = 0
+            found = [w.map for w in embed.iter_embeddings(p, host)]
+            digest.update(repr((found, spent[0])).encode())
+            pairs, nodes, maps = pairs + 1, nodes + spent[0], maps + len(found)
+    assert (digest.hexdigest(), pairs, nodes, maps) == EMBEDDING_SEARCH_PIN
+
+
+def test_pending_join_refutes_before_it_is_placed(spent):
+    """In the pattern, 6 = 2 v 3 lies strictly below the top 7, which is
+    placed first; in the host, every two incomparable elements below the
+    top join to the top.  The pending fact for 2 v 3 refutes a map as soon
+    as 2 and 3 are placed: 8 nodes, where waiting until 6 is placed would
+    spend 12."""
+    def lattice(n, covers):
+        return build_lattice(CoverDiagram(tuple(map(str, range(n))),
+                                          tuple((str(a), str(b)) for a, b in covers)))
+
+    pattern = lattice(8, [(0, 1), (0, 2), (0, 3), (1, 7), (2, 4), (2, 6), (3, 5), (3, 6),
+                          (4, 7), (5, 7), (6, 7)])
+    host = lattice(9, [(0, 1), (0, 2), (0, 3), (1, 8), (2, 4), (3, 5), (4, 6), (5, 7),
+                       (6, 8), (7, 8)])
+    assert embed.find_embedding(pattern, host) is None
+    assert spent[0] == 8
+
+
+def test_every_embedding_yielded_exactly_once():
+    pats = [catalog.chain(1), catalog.chain(2), catalog.chain(3), catalog.chain(4),
+            catalog.grid(2), catalog.get("N5"), catalog.get("M3"), catalog.get("L4"),
+            catalog.get("L5")]
+    total = 0
+    for host in [L for n in range(1, 7) for L in all_lattices(n)]:
+        for p in pats:
+            got = [w.map for w in embed.iter_embeddings(p, host)]
+            assert len(got) == len(set(got))
+            assert set(got) == set(sublattice_embeddings_oracle(p, host))
+            total += len(got)
+    assert total > 0

@@ -4,8 +4,9 @@ doubly reducible elements, length."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcheck import catalog, embed
-from latcheck.core import CoverDiagram, build_lattice, direct_product, dual
+from latcheck import catalog, embed, laws, theorems
+from latcheck.core import CoverDiagram, FiniteLattice, build_lattice, direct_product, dual
+from latcheck.enumeration import all_lattices
 from latcheck.laws import (
     dilworth_bound_holds,
     distributive,
@@ -17,6 +18,8 @@ from latcheck.laws import (
     semidistributive,
     whitman,
 )
+
+from oracles import doubly_reducible_oracle
 
 
 def hourglass():
@@ -94,6 +97,35 @@ def test_doubly_reducible_cube4():
     assert len(dr) == 6
     h = b4.heights()
     assert all(h[e] == 2 for e in dr)
+
+
+def test_doubly_reducible_from_covers_matches_pair_scan():
+    lattices = [L for n in range(1, 9) for L in all_lattices(n)]
+    lattices += [catalog.get(name) for name in catalog.FIXED_NAMES]
+    lattices += [catalog.grid(7), catalog.ninf(6), hourglass()]
+    for L in lattices:
+        assert doubly_reducible_elements(L) == doubly_reducible_oracle(L)
+    assert doubly_reducible_elements(hourglass()) == (hourglass().index_of("m"),)
+
+
+def test_whitman_decided_once_per_lattice(monkeypatch):
+    """run_profile gates cube, dec_bound and degeneracy on W, and the scan
+    runs once for all three (and for any later call on the same lattice)."""
+    scans = []
+
+    def counting_scan(L):
+        scans.append(L)
+        return scan(L)
+
+    scan = laws._whitman_scan
+    monkeypatch.setattr(laws, "_whitman_scan", counting_scan)
+    for L in [*all_lattices(6), catalog.get("L9"), catalog.get("M3")]:
+        fresh = FiniteLattice(L.labels, L.up)
+        theorems.run_profile(fresh, "N-full")
+        law_profile(fresh)
+        assert scans == [fresh]
+        assert whitman(fresh) == scan(fresh)
+        scans.clear()
 
 
 def test_length_values():

@@ -6,8 +6,20 @@ report a violation would pass these lattices silently."""
 import pytest
 
 from latcheck import catalog, theorems
+from latcheck.core import CoverDiagram, build_lattice
 
 ALWAYS = lambda L: (True, None)
+
+
+def m4():
+    """The diamond with four atoms: it satisfies W and has no doubly
+    reducible element, so only the variety gate keeps the cube checks off
+    its size-4 antichain."""
+    return build_lattice(CoverDiagram(
+        ("0", "a", "b", "c", "d", "1"),
+        tuple(("0", x) for x in "abcd") + tuple((x, "1") for x in "abcd"),
+    ))
+
 
 # (check id, lattice, hypothesis instances, violations) with the gate open
 CASES = [
@@ -26,13 +38,19 @@ CASES = [
     ("twelve_element", "shape_2x5_plus", 1,
      [("grid with interior points",
        ("w'", "w", "a", "y", "y'", "x'", "x", "b", "z", "z'"), "c", "s")]),
+    ("cube", "M4", 10,
+     [("meet form: antichain of size 4", ("a", "b", "c", "d"), "0"),
+      ("join form: antichain of size 4", ("a", "b", "c", "d"), "1")]),
+    ("cube_dual", "M4", 10,
+     [("meet form: antichain of size 4", ("a", "b", "c", "d"), "1"),
+      ("join form: antichain of size 4", ("a", "b", "c", "d"), "0")]),
 ]
 
 
 @pytest.mark.parametrize("cid, name, instances, violations", CASES,
                          ids=[f"{c[0]}-{c[1]}" for c in CASES])
 def test_check_reports_violation_with_gate_open(cid, name, instances, violations):
-    L = catalog.get(name)
+    L = m4() if name == "M4" else catalog.get(name)
     rep = theorems.run_check(L, cid, name=name, membership=ALWAYS)
     assert not rep.skipped and not rep.holds
     assert rep.hypothesis_instances == instances

@@ -160,10 +160,17 @@ def test_membership_product_multiplicative():
 
 
 def test_size_cap():
-    for entry in (all_congruences, is_subdirectly_irreducible,
-                  meet_irreducible_congruences, in_n5_variety):
-        with pytest.raises(SizeLimit):
-            entry(catalog.chain(17))
+    """Only the whole of Con L is capped: chain(17) has 2^16 congruences but
+    16 join-irreducible ones, so membership, the SI test and the
+    meet-irreducibles are decided from J(Con L) without a cap."""
+    c17 = catalog.chain(17)
+    with pytest.raises(SizeLimit):
+        all_congruences(c17)
+    decision = in_n5_variety(c17)
+    assert decision.member and [f.n for f in decision.factors] == [2]
+    assert not is_subdirectly_irreducible(c17)
+    assert len(meet_irreducible_congruences(c17)) == 16
+    assert in_n5_variety(catalog.grid(40))
 
 
 @pytest.mark.parametrize("source", [*range(1, 9), "catalog"])
