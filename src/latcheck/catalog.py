@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 
 from .core import CoverDiagram, FiniteLattice, build_lattice
 from .errors import BadParameter, UnknownName
@@ -276,8 +277,16 @@ def entry(name: str) -> CatalogEntry:
     return CatalogEntry(name, ninf_diagram(int(args[0])))
 
 
+@cache
+def _built(name: str) -> FiniteLattice:
+    return _FIXED[name].build()
+
+
 def get(name: str) -> FiniteLattice:
-    return entry(name).build()
+    """The named lattice.  Each fixed name is built once and the same object
+    is returned thereafter, so its memoised tables and covers are shared;
+    parametrized names and ``CatalogEntry.build`` build afresh."""
+    return _built(name) if name in _FIXED else entry(name).build()
 
 
 def chain(k: int) -> FiniteLattice:

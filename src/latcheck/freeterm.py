@@ -3,8 +3,11 @@ procedure for the word problem, canonical forms, evaluation into finite
 lattices, and bounded search for free-lattice embeddings of finite lattices.
 
 Terms are hash-consed, so canonical terms compare by identity; the order
-decision is memoised on pairs.  The word problem needs no finite lattice, so
-`core` is imported only by the embedding search.
+decision is memoised on pairs.  `canonicalize` alone says what a canonical
+term is (Freese, Jezek & Nation's characterisation, tested pairwise), and
+the embedding search's term pool is the closure of the generators under it.
+The word problem needs no finite lattice, so `core` is imported only by the
+embedding search.
 """
 
 from __future__ import annotations
@@ -122,10 +125,14 @@ _CANON = {}
 
 
 def canonicalize(t: FreeTerm) -> FreeTerm:
-    """The unique canonical representative of t's equivalence class: subterms
-    canonical, same-kind arguments flattened, redundant arguments dropped,
-    meet-arguments replaced by an inner argument comparable to the whole,
-    argument lists sorted by the fixed term order."""
+    """The unique canonical representative of t's equivalence class
+    (Freese, Jezek & Nation, *Free Lattices*, Ch. I).  For a join, and
+    dually for a meet: arguments canonical, same-kind arguments flattened,
+    every argument below another dropped, a meet-argument with an argument
+    of its own below the whole term replaced by that argument (then start
+    again), arguments sorted by the fixed term order.  The pairwise test
+    suffices: generators are join-prime, and a meet lies below a join only
+    if one of its arguments does or it lies below one of the join's."""
     hit = _CANON.get(t)
     if hit is not None:
         return hit
@@ -133,50 +140,27 @@ def canonicalize(t: FreeTerm) -> FreeTerm:
         _CANON[t] = t
         return t
     kind = t.kind
-    args = [canonicalize(a) for a in t.args]
     inner = "meet" if kind == "join" else "join"
+    below = leq if kind == "join" else (lambda a, b: leq(b, a))
+    args = [canonicalize(a) for a in t.args]
     while True:
         flat = []
         for a in args:
-            flat.extend(a.args if a.kind == kind else (a,))
-        uniq = []
-        for a in flat:
-            if a not in uniq:
-                uniq.append(a)
-        # drop arguments swallowed by the rest
-        changed = True
-        while changed and len(uniq) > 1:
-            changed = False
-            for i, a in enumerate(uniq):
-                rest = uniq[:i] + uniq[i + 1:]
-                bound = join(*rest) if kind == "join" else meet(*rest)
-                if (leq(a, bound) if kind == "join" else leq(bound, a)):
-                    uniq = rest
-                    changed = True
-                    break
-        if len(uniq) == 1:
-            res = uniq[0]
+            for b in (a.args if a.kind == kind else (a,)):
+                if b not in flat:
+                    flat.append(b)
+        # distinct canonical terms are never equal, so "below" is strict
+        args = [a for a in flat if not any(b is not a and below(a, b) for b in flat)]
+        if len(args) == 1:
+            res = args[0]
             break
-        # a meet-argument of a join (dually a join-argument of a meet) may
-        # not have an argument of its own comparable to the whole term; if
-        # it does, substitute that argument and renormalise
-        whole = _make(kind, None, tuple(uniq))
-        replaced = False
-        for i, a in enumerate(uniq):
-            if a.kind == inner:
-                for sub in a.args:
-                    if (leq(sub, whole) if kind == "join" else leq(whole, sub)):
-                        uniq[i] = sub
-                        replaced = True
-                        break
-            if replaced:
-                break
-        if replaced:
-            args = uniq
-            continue
-        uniq.sort(key=term_key)
-        res = _make(kind, None, tuple(uniq))
-        break
+        whole = _make(kind, None, tuple(args))
+        sub = next(((i, s) for i, a in enumerate(args) if a.kind == inner
+                    for s in a.args if below(s, whole)), None)
+        if sub is None:
+            res = _make(kind, None, tuple(sorted(args, key=term_key)))
+            break
+        args[sub[0]] = sub[1]
     _CANON[t] = res
     _CANON[res] = res
     return res
@@ -219,43 +203,23 @@ def verify_free_embedding(L: FiniteLattice, terms) -> bool:
 
 def canonical_terms(gen_names, max_size, max_depth):
     """All canonical terms over the given generators with at most max_size
-    generator occurrences and the given depth, sorted small-first."""
-    gens = [gen(g) for g in gen_names]
-    by_size = {1: list(gens)}
-    pool = list(gens)
-    for s in range(2, max_size + 1):
-        found = []
-        smaller = sorted(
-            (t for size in range(1, s) for t in by_size[size]),
-            key=lambda t: (t.size, term_key(t)),
-        )
-
-        def combos(kind, start, remaining, chosen):
-            if remaining == 0:
-                if len(chosen) >= 2:
-                    yield tuple(chosen)
-                return
-            for i in range(start, len(smaller)):
-                a = smaller[i]
-                if a.size > remaining:
-                    continue
-                if a.kind == kind:
-                    continue
-                if remaining == a.size and not chosen:
-                    continue  # single-argument node collapses
-                if any(leq(a, c) or leq(c, a) for c in chosen):
-                    continue
-                chosen.append(a)
-                yield from combos(kind, i + 1, remaining - a.size, chosen)
-                chosen.pop()
-
-        for kind in ("meet", "join"):
-            for args in combos(kind, 0, s, []):
-                t = _make(kind, None, tuple(sorted(args, key=term_key)))
-                if t.depth <= max_depth and canonicalize(t) is t and t not in found:
-                    found.append(t)
-        by_size[s] = found
-        pool.extend(found)
+    generator occurrences and the given depth, sorted small-first: the
+    closure of the generators under the canonical meet and join of two
+    terms.  It misses none, as a canonical t1 | ... | tk is the canonical
+    join of t1 and t2 | ... | tk, which is canonical, smaller and no deeper
+    (dually for meets)."""
+    pool = [gen(g) for g in gen_names]
+    seen = set(pool)
+    for i, a in enumerate(pool):  # the pool grows as it is scanned
+        for b in pool[: i + 1]:
+            # comparable terms meet and join to themselves
+            if a.size + b.size > max_size or leq(a, b) or leq(b, a):
+                continue
+            for op in (meet, join):
+                t = canonicalize(op(a, b))
+                if t.size <= max_size and t.depth <= max_depth and t not in seen:
+                    seen.add(t)
+                    pool.append(t)
     pool.sort(key=lambda t: (t.size, term_key(t)))
     return pool
 

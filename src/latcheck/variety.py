@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 
 from . import catalog
-from .core import FiniteLattice, _UnionFind, canonical_form, iter_bits
+from .core import FiniteLattice, _UnionFind, canonical_form
 from .errors import SizeLimit
 
 CONGRUENCE_CAP = 16
@@ -158,26 +158,13 @@ def all_congruences(L: FiniteLattice) -> list:
 
 
 def quotient(L: FiniteLattice, c: Congruence) -> FiniteLattice:
-    """Lattice of congruence blocks with the induced order."""
-    blocks = c.blocks()
-    reps = sorted(range(len(blocks)), key=lambda b: min(blocks[b]))
-    pos = {b: i for i, b in enumerate(reps)}
-    m = len(blocks)
-    labels = []
-    masks = []
-    for b in reps:
-        members = sorted(blocks[b])
-        labels.append("+".join(L.labels[e] for e in members))
-        mask = 0
-        for e in members:
-            mask |= 1 << e
-        masks.append(mask)
-    up = [0] * m
-    for i in range(m):
-        for j in range(m):
-            # block order: some member of i lies below some member of j
-            if any(L.up[a] & masks[j] for a in iter_bits(masks[i])):
-                up[i] |= 1 << j
+    """Lattice of congruence blocks with the induced order.  Every block is
+    an interval, so [x] <= [y] iff the least element of [x] lies below the
+    least element of [y]."""
+    blocks = sorted((sorted(b) for b in c.blocks()), key=min)
+    labels = ["+".join(L.labels[e] for e in members) for members in blocks]
+    least = [reduce(lambda a, b: L.meet[a][b], members) for members in blocks]
+    up = [sum(1 << j for j, b in enumerate(least) if L.up[a] >> b & 1) for a in least]
     return FiniteLattice(tuple(labels), tuple(up))
 
 

@@ -3,12 +3,15 @@
 Everything here is deliberately naive: permutation search for isomorphism,
 exhaustive relation matrices and labelled growth for enumeration, Bell-scan
 partition filters for congruences and Dec, a 2^n subset scan for
-sublattices.  None of it shares code paths
-with the algorithms under test beyond the meet/join tables themselves, except
-the congruence-lattice referee: it closes every principal congruence under
-joins with the library's ``principal_congruence`` and ``join_congruences``
-(both checked against the Bell scan) and reads meet-irreducibility and the
-monolith off the whole of Con L by cover scans.
+sublattices, an any-member scan for the order of a quotient.  None of it
+shares code paths with the algorithms under test beyond the meet/join tables
+themselves, except the congruence-lattice referee: it closes every principal
+congruence under joins with the library's ``principal_congruence`` and
+``join_congruences`` (both checked against the Bell scan) and reads
+meet-irreducibility and the monolith off the whole of Con L by cover scans;
+and the canonical-term referee, which states Freese-Jezek-Nation's
+conditions directly but decides each inequality with the library's ``leq``
+(Whitman's procedure, checked on its own by the word-problem tests).
 """
 
 from __future__ import annotations
@@ -355,3 +358,38 @@ def sublattice_embeddings_oracle(pattern: FiniteLattice, host: FiniteLattice):
 def sublattice_embeds_oracle(pattern: FiniteLattice, host: FiniteLattice) -> bool:
     """A meet/join-closed subset isomorphic to the pattern."""
     return next(sublattice_embeddings_oracle(pattern, host), None) is not None
+
+
+def quotient_order_oracle(L: FiniteLattice, c) -> tuple:
+    """Up-sets of the quotient L/c, blocks in order of their least index:
+    block i lies below block j iff some member of i lies below some member
+    of j."""
+    blocks = sorted((sorted(b) for b in c.blocks()), key=min)
+    return tuple(
+        sum(1 << j for j, bj in enumerate(blocks)
+            if any(L.leq(a, b) for a in bi for b in bj))
+        for bi in blocks
+    )
+
+
+def is_canonical_oracle(t) -> bool:
+    """Freese, Jezek & Nation, *Free Lattices*, Ch. I: a join t = t1 | ... | tk
+    (k >= 2) is canonical iff every ti is canonical and not a join, the ti
+    are pairwise incomparable, and no argument tij of a meet ti = tij & ...
+    lies below t; dually for meets.  Argument order is not checked."""
+    from latcheck.freeterm import leq
+
+    if t.kind == "gen":
+        return True
+    if t.kind == "join":
+        below, inner = leq, "meet"
+    else:
+        below, inner = (lambda a, b: leq(b, a)), "join"
+    args = t.args
+    return (
+        len(args) >= 2
+        and all(a.kind != t.kind and is_canonical_oracle(a) for a in args)
+        and not any(below(a, b) for i, a in enumerate(args)
+                    for j, b in enumerate(args) if i != j)
+        and not any(below(s, t) for a in args if a.kind == inner for s in a.args)
+    )

@@ -133,3 +133,24 @@ def test_named_lattices_are_minimal_forbidden_configurations():
         for c in all_congruences(L):
             if not c.is_identity():
                 assert in_n5_variety(quotient(L, c)), (name, c.block_index)
+
+
+def test_fixed_lattices_built_once(monkeypatch):
+    from latcheck import core, embed
+
+    assert catalog.get("L15") is catalog.get("L15")
+    assert catalog.get("chain(3)") is not catalog.get("chain(3)")
+    assert catalog.entry("L15").build() is not catalog.get("L15")
+    host = catalog.get("stacked_n5")
+    prof = embed.profile("N")
+    first = embed.contains_forbidden(host, prof)
+    built = []
+    init = core.FiniteLattice.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(core.FiniteLattice, "__init__", counting_init)
+    assert embed.contains_forbidden(host, prof) == first
+    assert built == []

@@ -1,6 +1,7 @@
 """Free-lattice terms: the word-problem decision, canonical forms,
 evaluation, embedding verification and bounded search."""
 
+import hashlib
 import random
 
 import pytest
@@ -20,8 +21,11 @@ from latcheck.freeterm import (
     meet,
     parse_term,
     term_equal,
+    term_key,
     verify_free_embedding,
 )
+
+from oracles import is_canonical_oracle
 
 x, y, z = gen("x"), gen("y"), gen("z")
 
@@ -230,3 +234,86 @@ def test_canonical_pool_is_canonical_and_sorted():
     sizes = [t.size for t in pool]
     assert sizes == sorted(sizes)
     assert len(set(pool)) == len(pool)
+
+
+def seeded_term_pairs(seed, count):
+    """(s, t) pairs with 8-64 leaves over x, y, z, w.  Subterms are pooled
+    by leaf count and reused; t is s | u, s & u, s | (s & u) or unrelated,
+    so both orders occur."""
+    rng = random.Random(seed)
+    gens = [gen(g) for g in "xyzw"]
+    reuse = {}
+
+    def term(leaves):
+        if leaves == 1:
+            return rng.choice(gens)
+        pooled = reuse.get(leaves)
+        if pooled and rng.random() < 0.3:
+            return rng.choice(pooled)
+        k = rng.randint(1, leaves - 1)
+        t = rng.choice((meet, join))(term(k), term(leaves - k))
+        if leaves >= 4 and rng.random() < 0.2:
+            reuse.setdefault(leaves, []).append(t)
+        return t
+
+    pairs = []
+    for _ in range(count):
+        s = term(rng.randint(8, 64))
+        kind = rng.randrange(4)
+        if kind == 0:
+            t = join(s, term(rng.randint(1, 16)))
+        elif kind == 1:
+            t = meet(s, term(rng.randint(1, 16)))
+        elif kind == 2:
+            t = join(s, meet(s, term(rng.randint(1, 8))))
+        else:
+            t = term(rng.randint(8, 64))
+        pairs.append((s, t))
+    return pairs
+
+
+def assert_canonical(t, c):
+    assert is_canonical_oracle(c), str(c)
+    assert term_equal(t, c)
+    assert canonicalize(c) is c
+
+
+def test_canonical_oracle_rejects_each_condition():
+    assert is_canonical_oracle(join(meet(x, join(y, z)), y))
+    assert not is_canonical_oracle(join(x, join(y, z)))  # nested join
+    assert not is_canonical_oracle(join(x, x))  # repeated argument
+    assert not is_canonical_oracle(meet(x, join(x, y)))  # comparable arguments
+    # pairwise incomparable, but y | z lies below the whole term
+    assert not is_canonical_oracle(join(meet(x, join(y, z)), y, z))
+    assert canonicalize(join(meet(x, join(y, z)), y, z)) is join(y, z)
+
+
+def test_canonical_forms_and_order_pinned():
+    lines = []
+    for seed in (1, 2, 3):
+        for s, t in seeded_term_pairs(seed, 100):
+            cs, ct = canonicalize(s), canonicalize(t)
+            assert_canonical(s, cs)
+            assert_canonical(t, ct)
+            lines.append(f"{format_term(cs)}\t{format_term(ct)}\t"
+                         f"{int(leq(s, t))}{int(leq(t, s))}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    # recorded before canonicalize switched to pairwise Whitman rules
+    assert digest == "228e55edd45dba94fd1b6a9756ea2b731c953691949d22a6a3c6b061efdec7d6"
+
+
+@pytest.mark.parametrize("names, max_size, max_depth, count, pin", [
+    ("xyz", 7, 4, 127, "dc3cb8ab85f66e9b63234a33a798fc55949c520d213d7663c67b3326b5a107c2"),
+    ("xyzw", 5, 4, 628, "1b1f0c18217cc87416705bd2f251c3a3e5a699d0cf2d9eaf8c067c584373eb4e"),
+    ("xyz", 8, 5, 337, "89c6a591bdbcd9c76376ded3e492889657163c4032cfa7b70cf2a346dd3fb2ab"),
+])
+def test_canonical_pools_pinned(names, max_size, max_depth, count, pin):
+    pool = canonical_terms(list(names), max_size, max_depth)
+    assert len(pool) == count
+    for t in pool:
+        assert_canonical(t, t)
+        assert t.size <= max_size and t.depth <= max_depth
+    assert pool == sorted(pool, key=lambda t: (t.size, term_key(t)))
+    text = "\n".join(format_term(t) for t in pool)
+    # recorded before the pool became the closure under binary meet and join
+    assert hashlib.sha256(text.encode()).hexdigest() == pin

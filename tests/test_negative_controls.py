@@ -21,6 +21,21 @@ def m4():
     ))
 
 
+def stretched_m3():
+    """M3 with each atom x split into a covering pair x' < x: 0 < x' < x < 1
+    for x in {a, b, c}.  It satisfies W and has no doubly reducible element,
+    and M3 is a sublattice, so again only the variety gate applies; no
+    element of the antichain {a', b', c'} is covered by 1, and none of
+    {a, b, c} covers 0."""
+    return build_lattice(CoverDiagram(
+        ("0", "a'", "b'", "c'", "a", "b", "c", "1"),
+        tuple(("0", x + "'") for x in "abc") + tuple((x + "'", x) for x in "abc")
+        + tuple((x, "1") for x in "abc"),
+    ))
+
+
+HAND_BUILT = {"M4": m4, "M3-stretched": stretched_m3}
+
 # (check id, lattice, hypothesis instances, violations) with the gate open
 CASES = [
     ("dec_bound", "L6", 32, [("h", ("b", "c", "d", "e", "f"), 3, 1)]),
@@ -44,13 +59,17 @@ CASES = [
     ("cube_dual", "M4", 10,
      [("meet form: antichain of size 4", ("a", "b", "c", "d"), "1"),
       ("join form: antichain of size 4", ("a", "b", "c", "d"), "0")]),
+    ("cube_join_cover", "M3-stretched", 8,
+     [("join form: no element adjacent to the bound", ("a'", "b'", "c'"), "1")]),
+    ("cube_meet_cover", "M3-stretched", 8,
+     [("meet form: no element adjacent to the bound", ("a", "b", "c"), "0")]),
 ]
 
 
 @pytest.mark.parametrize("cid, name, instances, violations", CASES,
                          ids=[f"{c[0]}-{c[1]}" for c in CASES])
 def test_check_reports_violation_with_gate_open(cid, name, instances, violations):
-    L = m4() if name == "M4" else catalog.get(name)
+    L = HAND_BUILT[name]() if name in HAND_BUILT else catalog.get(name)
     rep = theorems.run_check(L, cid, name=name, membership=ALWAYS)
     assert not rep.skipped and not rep.holds
     assert rep.hypothesis_instances == instances

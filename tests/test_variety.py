@@ -24,6 +24,7 @@ from oracles import (
     congruence_closure_oracle,
     is_subdirectly_irreducible_oracle,
     meet_irreducible_congruences_oracle,
+    quotient_order_oracle,
 )
 
 REFEREE_CATALOG = ([f"L{i}" for i in range(1, 16)] + ["M3", "N5", "B3", "stacked_n5"]
@@ -105,6 +106,14 @@ def test_quotient_n5_monolith_is_square():
     i = n5.index_of
     q = quotient(n5, principal_congruence(n5, i("x3"), i("x4")))
     assert are_isomorphic(q, catalog.grid(2))
+
+
+def test_quotient_order_matches_member_scan():
+    for n in range(1, 8):
+        for L in all_lattices(n):
+            for c in all_congruences(L):
+                q = quotient(L, c)
+                assert q.up == quotient_order_oracle(L, c), (L.labels, c.blocks())
 
 
 def test_si_n5_true_square_false():
