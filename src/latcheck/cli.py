@@ -268,6 +268,7 @@ def cmd_verify_theorems(args):
     smallest_instance = {}
     checked = 0
     skipped = 0
+    enumeration.all_lattices(args.size)  # rejects a size outside 1..ENUM_CAP up front
     for n in range(1, args.size + 1):
         for k, L in enumerate(enumeration.all_lattices(n)):
             lattice_id = f"n{n}#{k}"

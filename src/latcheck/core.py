@@ -197,6 +197,20 @@ class FiniteOrder:
             self._cache["depths"] = tuple(d)
         return self._cache["depths"]
 
+    def _prime(self, heights, depths, lower):
+        """Cache heights, depths and lower covers (an ascending tuple per
+        element) already known; the upper covers follow from the lower."""
+        cache = self._cache
+        cache["heights"] = tuple(heights)
+        cache["depths"] = tuple(depths)
+        upper = [[] for _ in range(self.n)]
+        for a, lows in enumerate(lower):
+            cache["lcov", a] = lows
+            for b in lows:
+                upper[b].append(a)
+        for a, ups in enumerate(upper):
+            cache["ucov", a] = tuple(ups)
+
 
 class FiniteLattice(FiniteOrder):
     """A finite lattice on elements ``0..n-1`` with precomputed tables.
@@ -531,9 +545,14 @@ def canonical_form(L: FiniteOrder) -> bytes:
     """
     if "canon" in L._cache:
         return L._cache["canon"]
-    n = L.n
-    classes = _refined_classes(L)
-    # slot i must be filled from class_of_slot[i]
+    return _canonical_search(L, _refined_classes(L))
+
+
+def _canonical_search(L: FiniteOrder, classes) -> bytes:
+    """The search behind :func:`canonical_form`, given ``L``'s refined
+    classes; stores the form and its permutation in ``L``'s cache."""
+    n, up = L.n, L.up
+    # slot i must be filled from slot_class[i]
     slot_class = []
     for cls in classes:
         slot_class.extend([cls] * len(cls))
@@ -549,9 +568,10 @@ def canonical_form(L: FiniteOrder) -> bytes:
         k = len(perm)
         col = 0
         row = 0
+        upv = up[v]
         for i, w in enumerate(perm):
-            col |= L.leq(w, v) << i
-            row |= L.leq(v, w) << i
+            col |= (up[w] >> v & 1) << i
+            row |= (upv >> w & 1) << i
         return (col << k) | row
 
     def rec(k, tight):
@@ -596,8 +616,9 @@ def matrix_bytes(L: FiniteOrder, perm=None) -> bytes:
     acc = 0
     count = 0
     for a in order:
+        upa = L.up[a]
         for b in order:
-            acc = (acc << 1) | L.leq(a, b)
+            acc = (acc << 1) | (upa >> b & 1)
             count += 1
             if count == 8:
                 packed.append(acc)

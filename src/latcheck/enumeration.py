@@ -17,35 +17,32 @@ candidate is the full set.  Every completed structure is then a lattice.
 Isomorph rejection is self-canonicity: a labelled lattice is accepted iff
 its identity labelling realises its canonical form, which is always
 reachable because canonical labellings are linear extensions with
-non-decreasing heights.  It is tested on a :class:`FiniteOrder` view, with
-no meet or join table, in order of cost: the seed signature must be
-non-decreasing along 0..n-1 (refinement only splits colour classes in
-signature order), then the refined classes must list 0..n-1 in order, then
-the order matrix must equal the canonical form.  Tables are derived only
-for accepted lattices, which keep the view's cache (canonical form and
-permutation included).
+non-decreasing heights.  The walk itself supplies the seed signature
+(height, depth, up-degree, down-degree) of every element: an element's
+lower covers are the maximal elements of its down-set, recorded when it is
+placed and never changed by later elements, its height follows from them,
+each element keeps a count of its upper covers, and at a leaf one reverse
+sweep over the lower covers gives the depths.  The tests run in order of
+cost.  The signature must be non-decreasing along 0..n-1 (refinement only
+splits colour classes in signature order); only a leaf that passes gets a
+:class:`FiniteOrder` view, with no meet or join table, whose cache is
+primed with those heights, depths and covers.  Its classes are refined
+once; they must list 0..n-1 in order, and the canonical-form search on
+those same classes must give the identity order matrix.  Tables are
+derived only for accepted lattices, which keep the view's cache (canonical
+form and permutation included).
 """
 
 from __future__ import annotations
 
 from . import embed, laws, variety
 from .core import (FiniteLattice, FiniteOrder, canonical_form, iter_bits, matrix_bytes,
-                   _refined_classes, _seed_signature)
-from .errors import SizeLimit
+                   _canonical_search, _refined_classes)
+from .errors import BadParameter, SizeLimit
 
 ENUM_CAP = 9
 
 _CACHE = {}
-
-
-def _self_canonical(view):
-    """True iff the identity labelling of ``view`` realises its canonical
-    form; the cheaper necessary conditions are tested first."""
-    sig = _seed_signature(view)
-    if any(sig[a] > sig[a + 1] for a in range(view.n - 1)):
-        return False
-    flat = [e for cls in _refined_classes(view) for e in cls]
-    return flat == list(range(view.n)) and matrix_bytes(view) == canonical_form(view)
 
 
 def _generate(n):
@@ -56,6 +53,8 @@ def _generate(n):
     up = [1] + [0] * (n - 1)
     down = [1] + [0] * (n - 1)
     heights = [0] * n
+    lower = [()] * n  # lower covers, fixed when the element is placed
+    updeg = [0] * n  # upper covers among the placed elements
     by_down = {1: 0}  # down-set mask -> element
 
     def ideals(i):
@@ -69,17 +68,37 @@ def _generate(n):
             found += [D | 1 << x for D in found if below & ~D == 0]
         return found
 
+    def leaf():
+        # index order is a linear extension, so one reverse sweep over the
+        # lower covers settles every depth
+        depths = [0] * n
+        for i in range(n - 1, 0, -1):
+            d = depths[i] + 1
+            for x in lower[i]:
+                if depths[x] < d:
+                    depths[x] = d
+        sig = [(heights[a], depths[a], updeg[a], len(lower[a])) for a in range(n)]
+        if any(sig[a] > sig[a + 1] for a in range(n - 1)):
+            return
+        view = FiniteOrder(up, down)
+        view._prime(heights, depths, lower)
+        classes = _refined_classes(view)
+        if ([e for cls in classes for e in cls] == list(range(n))
+                and matrix_bytes(view) == _canonical_search(view, classes)):
+            L = FiniteLattice(labels, up)
+            L._cache = view._cache
+            results.append(L)
+
     def rec(i):
         if i == n:
-            view = FiniteOrder(up, down)
-            if _self_canonical(view):
-                L = FiniteLattice(labels, up)
-                L._cache = view._cache
-                results.append(L)
+            leaf()
             return
         prev_h = heights[i - 1]
         for D in ideals(i):
-            h = 1 + max(heights[x] for x in iter_bits(D))
+            # the maximal elements of D; new elements never fall below old
+            # ones, so these stay the lower covers of i
+            lows = tuple(x for x in iter_bits(D) if up[x] & D == 1 << x)
+            h = 1 + max(heights[x] for x in lows)
             # every placed element must meet D in a principal down-set, so
             # that it keeps a glb with the new element
             if h < prev_h or any(down[a] & D not in by_down for a in range(i)):
@@ -87,10 +106,15 @@ def _generate(n):
             down[i] = D | (1 << i)
             up[i] = 1 << i
             heights[i] = h
+            lower[i] = lows
             by_down[down[i]] = i
             for x in iter_bits(D):
                 up[x] |= 1 << i
+            for x in lows:
+                updeg[x] += 1
             rec(i + 1)
+            for x in lows:
+                updeg[x] -= 1
             for x in iter_bits(D):
                 up[x] &= ~(1 << i)
             del by_down[down[i]]
@@ -105,7 +129,9 @@ def _generate(n):
 def all_lattices(n: int):
     """All lattices with n elements up to isomorphism, in canonical-form
     order."""
-    if not 1 <= n <= ENUM_CAP:
+    if n < 1:
+        raise BadParameter(f"lattice enumeration needs n >= 1, got {n}")
+    if n > ENUM_CAP:
         raise SizeLimit(n, ENUM_CAP, "lattice enumeration")
     if n not in _CACHE:
         _CACHE[n] = tuple(_generate(n))

@@ -11,14 +11,18 @@ congruence under joins with the library's ``principal_congruence`` and
 meet-irreducibility and the monolith off the whole of Con L by cover scans;
 and the canonical-term referee, which states Freese-Jezek-Nation's
 conditions directly but decides each inequality with the library's ``leq``
-(Whitman's procedure, checked on its own by the word-problem tests).
+(Whitman's procedure, checked on its own by the word-problem tests); and
+the self-canonicity referee, which runs the library's signature,
+refinement and canonical form on a fresh view, so that it checks what the
+enumeration derives during its walk against what the view derives alone.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from latcheck.core import FiniteLattice
+from latcheck.core import (FiniteLattice, FiniteOrder, canonical_form, matrix_bytes,
+                           _refined_classes, _seed_signature)
 
 
 def brute_isomorphic(A: FiniteLattice, B: FiniteLattice) -> bool:
@@ -97,10 +101,19 @@ def _has_unique_extreme(cands, leq, greatest):
 
 
 def grown_lattices(n):
-    """Every lattice on n labelled points whose labelling is a linear
-    extension with bottom 0, via ideal-by-ideal growth; dedup by the
-    permutation oracle gives one representative per isomorphism class.
+    """One representative per isomorphism class of lattices on n points:
+    :func:`grown_labelled` deduplicated by the permutation oracle.
     Practical for n <= 7."""
+    reps = []
+    for L in grown_labelled(n):
+        if not any(brute_isomorphic(L, R) for R in reps):
+            reps.append(L)
+    return reps
+
+
+def grown_labelled(n):
+    """Every lattice on n labelled points whose labelling is a linear
+    extension with bottom 0, via ideal-by-ideal growth."""
     if n == 1:
         return [FiniteLattice(("g0",), (1,))]
     collected = []
@@ -155,11 +168,21 @@ def grown_lattices(n):
             down[i] = up[i] = 0
 
     rec(1)
-    reps = []
-    for L in collected:
-        if not any(brute_isomorphic(L, R) for R in reps):
-            reps.append(L)
-    return reps
+    return collected
+
+
+def self_canonical_oracle(L: FiniteLattice) -> bool:
+    """The enumeration's leaf test as it stood before the walk tracked the
+    seed signature, on a fresh :class:`FiniteOrder` view of ``L``'s order:
+    the signature from the view's own heights, depths and covers is
+    non-decreasing along 0..n-1, refinement lists 0..n-1 in order, and the
+    identity order matrix is the canonical form."""
+    view = FiniteOrder(L.up, L.down)
+    sig = _seed_signature(view)
+    if any(sig[a] > sig[a + 1] for a in range(view.n - 1)):
+        return False
+    flat = [e for cls in _refined_classes(view) for e in cls]
+    return flat == list(range(view.n)) and matrix_bytes(view) == canonical_form(view)
 
 
 def set_partitions(elems):

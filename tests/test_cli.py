@@ -180,6 +180,19 @@ def test_verify_theorems_single_theorem():
     assert list(doc["results"]["per_theorem"]) == ["staircase"]
 
 
+def test_enumeration_sizes_checked_up_front():
+    for argv in (["enumerate", "--size", "0"], ["verify-theorems", "--size", "-3"]):
+        proc = run_cli(argv)
+        assert proc.returncode == cli.EXIT_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: lattice enumeration needs n >= 1, got {argv[-1]}\n"
+    # above the cap, verify-theorems stops before running any check
+    proc = run_cli(["verify-theorems", "--size", "10"])
+    assert proc.returncode == cli.EXIT_BUDGET
+    assert proc.stdout == ""
+    assert proc.stderr == "error: lattice enumeration size 10 exceeds configured cap 9\n"
+
+
 def test_enumerate_emit_and_reload(tmp_path):
     out = tmp_path / "emitted"
     proc = run_cli(["enumerate", "--size", "4", "--emit", str(out)])

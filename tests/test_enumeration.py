@@ -2,15 +2,17 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
-from latcheck import catalog
-from latcheck.core import CoverDiagram, build_lattice, canonical_form
+from latcheck import catalog, core, enumeration
+from latcheck.core import CoverDiagram, FiniteOrder, build_lattice, canonical_form
 from latcheck.enumeration import all_lattices, filtered
-from latcheck.errors import SizeLimit
+from latcheck.errors import BadParameter, SizeLimit
 
-from oracles import brute_isomorphic, grown_lattices, matrix_lattices
+from oracles import (brute_isomorphic, grown_labelled, grown_lattices, matrix_lattices,
+                     self_canonical_oracle)
 
 
 def test_counts_small():
@@ -46,16 +48,61 @@ def test_matches_grown_oracle_up_to_seven():
         assert {canonical_form(L) for L in oracle} == ours_forms
 
 
-def test_output_pinned():
-    # sha256 over n = 8 and 9, in output order, of each lattice's canonical
-    # form, then repr((up, labels, canon_perm)): a change to which labelled
+def _output_digest(sizes):
+    # sha256, in output order, of each lattice's canonical form, then
+    # repr((up, labels, canon_perm)): a change to which labelled
     # representative is kept, or to its canonical permutation, fails here
     h = hashlib.sha256()
-    for n in (8, 9):
+    for n in sizes:
         for L in all_lattices(n):
             h.update(canonical_form(L))
             h.update(repr((L.up, L.labels, L._cache["canon_perm"])).encode())
-    assert h.hexdigest() == "611fa18698fe47334a4a898941ce619b3cd5fbbbc9e6e1dad1a72f0d5fae0c36"
+    return h.hexdigest()
+
+
+def test_output_pinned():
+    assert _output_digest((8, 9)) == (
+        "611fa18698fe47334a4a898941ce619b3cd5fbbbc9e6e1dad1a72f0d5fae0c36")
+    assert _output_digest(range(1, 10)) == (
+        "0c4e8f702429368a230b88d0788f35c6e4f63f338c9559dbba44693ad0a2573a")
+
+
+def test_every_output_passes_the_referee():
+    # the walk's signature and its primed view must agree with a fresh view
+    for n in range(1, 10):
+        for L in all_lattices(n):
+            assert self_canonical_oracle(L)
+            fresh = FiniteOrder(L.up, L.down)
+            assert L.heights() == fresh.heights()
+            assert L.depths() == fresh.depths()
+            for a in range(n):
+                assert L.upper_covers(a) == fresh.upper_covers(a)
+                assert L.lower_covers(a) == fresh.lower_covers(a)
+
+
+def test_referee_keeps_one_labelling_per_class():
+    # of every labelling that is a linear extension, the referee keeps
+    # exactly the labelled lattices the enumeration outputs
+    for n in range(1, 9):
+        kept = {L.up for L in grown_labelled(n) if self_canonical_oracle(L)}
+        assert kept == {L.up for L in all_lattices(n)}
+
+
+def test_each_view_refined_once(monkeypatch):
+    refined = Counter()
+    views = []  # held so that no id is reused
+    real = core._refined_classes
+
+    def counting(view):
+        refined[id(view)] += 1
+        views.append(view)
+        return real(view)
+
+    monkeypatch.setattr(core, "_refined_classes", counting)
+    monkeypatch.setattr(enumeration, "_refined_classes", counting)
+    assert len(enumeration._generate(8)) == 222
+    assert len(refined) >= 222
+    assert max(refined.values()) == 1
 
 
 def test_no_duplicate_canonical_forms():
@@ -122,5 +169,6 @@ def test_filtered_unknown_predicate():
 def test_size_cap():
     with pytest.raises(SizeLimit):
         all_lattices(10)
-    with pytest.raises(SizeLimit):
-        all_lattices(0)
+    for n in (0, -3):
+        with pytest.raises(BadParameter, match=f"needs n >= 1, got {n}"):
+            all_lattices(n)
