@@ -3,10 +3,13 @@ membership, forbidden-pattern search, the theorem harness, enumeration,
 catalog export, and the free-lattice word problem.
 
 Reports are machine-first JSON documents {command, input, results,
-violations, timing, version}; --pretty renders them for humans.  Exit codes:
-0 all checks pass, 1 violation found, 2 input or usage error, 3 search
-budget exceeded.  Identical inputs give byte-identical reports; the timing
-field stays null unless --timing is passed.
+violations, timing, version}; --pretty renders them for humans.  Each cmd_*
+function returns its report as (command, input, results, violations) and
+writes nothing; main alone writes the report and derives the exit code:
+0 when violations is empty, 1 when it is not, 2 input or usage error, 3
+search budget exceeded.  Identical inputs give byte-identical reports; the
+timing field stays null unless --timing is passed, and then counts the wall
+time from dispatch, the command's own imports included.
 
 Each command imports only the modules it runs, inside its cmd_* function,
 so a call pays start-up for what it uses and nothing else.
@@ -165,30 +168,18 @@ def _render_value(value, depth, stream):
 def cmd_check(args):
     from . import laws
 
-    started = time.perf_counter()
     L, name = load_lattice(args.file)
     p = laws.law_profile(L)
-    results = {
-        "name": name,
-        "elements": L.n,
-        "whitman": p.whitman,
-        "sd_join": p.sd_join,
-        "sd_meet": p.sd_meet,
-        "distributive": p.distributive,
-        "modular": p.modular,
-        "doubly_reducible": [L.labels[e] for e in p.doubly_reducible],
-        "length": p.length,
-        "free_sublattice_finite": p.free_sublattice_finite,
-        "dilworth_bound_holds": laws.dilworth_bound_holds(L),
-    }
-    emit(args, "check", args.file, results, [], started)
-    return EXIT_OK
+    results = {"name": name, "elements": L.n, **vars(p),
+               "dilworth_bound_holds": laws.dilworth_bound_holds(L)}
+    # indices become labels in place, so the key keeps its position
+    results["doubly_reducible"] = [L.labels[e] for e in p.doubly_reducible]
+    return "check", args.file, results, []
 
 
 def cmd_dec(args):
     from . import decomp
 
-    started = time.perf_counter()
     L, name = load_lattice(args.file)
     value, witness = decomp.dec(L, args.budget)
     results = {
@@ -200,14 +191,12 @@ def cmd_dec(args):
         parts = decomp.minimum_distributive_partitions(L, args.budget)
         results["witness_count"] = len(parts)
         results["witnesses"] = [p.as_label_sets(L) for p in parts]
-    emit(args, "dec", args.file, results, [], started)
-    return EXIT_OK
+    return "dec", args.file, results, []
 
 
 def cmd_variety(args):
     from . import embed, laws, variety
 
-    started = time.perf_counter()
     L, name = load_lattice(args.file)
     decision = variety.in_n5_variety(L)
     sd_join, sd_meet = laws.semidistributive(L)
@@ -234,14 +223,12 @@ def cmd_variety(args):
             "forbidden_profile_hits": [h[0] for h in hits],
         },
     }
-    emit(args, "variety", args.file, results, violations, started)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return "variety", args.file, results, violations
 
 
 def cmd_find_forbidden(args):
     from . import embed
 
-    started = time.perf_counter()
     L, name = load_lattice(args.file)
     prof = embed.profile(args.profile)
     hits = embed.contains_forbidden(L, prof, args.budget)
@@ -255,14 +242,12 @@ def cmd_find_forbidden(args):
         "patterns_checked": list(prof.patterns),
         "hits": [pname for pname, _ in hits],
     }
-    emit(args, "find-forbidden", args.file, results, violations, started)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return "find-forbidden", args.file, results, violations
 
 
 def cmd_verify_theorems(args):
     from . import enumeration, theorems
 
-    started = time.perf_counter()
     totals = {}
     violations = []
     smallest_instance = {}
@@ -305,15 +290,12 @@ def cmd_verify_theorems(args):
         "per_theorem": totals,
         "smallest_size_with_instances": smallest_instance or None,
     }
-    emit(args, "verify-theorems", f"enumeration up to n={args.size}", results,
-         violations, started)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return "verify-theorems", f"enumeration up to n={args.size}", results, violations
 
 
 def cmd_enumerate(args):
     from . import enumeration
 
-    started = time.perf_counter()
     filters = [f.strip() for f in args.filter.split(",") if f.strip()] if args.filter else []
     try:
         ls = list(enumeration.filtered(args.size, filters))
@@ -334,42 +316,33 @@ def cmd_enumerate(args):
             write_lattice_file(path, diagram_of(L, name=name))
             paths.append(path)
         results["emitted"] = paths
-    emit(args, "enumerate", f"n={args.size}", results, [], started)
-    return EXIT_OK
+    return "enumerate", f"n={args.size}", results, []
 
 
 def cmd_catalog(args):
     from . import catalog
 
-    started = time.perf_counter()
-    names = [args.name] if args.name else list(catalog.FIXED_NAMES)
-    entries = []
-    for name in names:
-        L = catalog.get(name)
+    entries, paths = [], []
+    for name in [args.name] if args.name else catalog.FIXED_NAMES:
+        L = catalog.get(name)  # an unknown name fails before --emit makes a directory
         entries.append({"name": name, "elements": L.n,
                         "covers": len(L.cover_pairs())})
+        if args.emit:
+            os.makedirs(args.emit, exist_ok=True)
+            safe = name.replace("(", "_").replace(")", "").replace(",", "_")
+            paths.append(os.path.join(args.emit, safe + ".json"))
+            write_lattice_file(paths[-1], diagram_of(L, name=name))
     results = {"entries": entries}
     if args.emit:
-        os.makedirs(args.emit, exist_ok=True)
-        paths = []
-        for name in names:
-            L = catalog.get(name)
-            safe = name.replace("(", "_").replace(")", "").replace(",", "_")
-            path = os.path.join(args.emit, safe + ".json")
-            write_lattice_file(path, diagram_of(L, name=name))
-            paths.append(path)
         results["emitted"] = paths
-    if args.name and not args.emit:
-        results["file"] = format_lattice_file(diagram_of(catalog.get(args.name),
-                                                         name=args.name))
-    emit(args, "catalog", args.name or "all", results, [], started)
-    return EXIT_OK
+    elif args.name:
+        results["file"] = format_lattice_file(diagram_of(L, name=args.name))
+    return "catalog", args.name or "all", results, []
 
 
 def cmd_freelat(args):
     from . import freeterm
 
-    started = time.perf_counter()
     if args.freelat_cmd == "leq":
         s = freeterm.parse_term(args.left)
         t = freeterm.parse_term(args.right)
@@ -379,13 +352,11 @@ def cmd_freelat(args):
             "leq": freeterm.leq(s, t),
             "geq": freeterm.leq(t, s),
         }
-        emit(args, "freelat leq", f"{args.left!r} vs {args.right!r}", results, [], started)
-        return EXIT_OK
+        return "freelat leq", f"{args.left!r} vs {args.right!r}", results, []
     if args.freelat_cmd == "canon":
         t = freeterm.parse_term(args.term)
         results = {"canonical": freeterm.format_term(freeterm.canonicalize(t))}
-        emit(args, "freelat canon", repr(args.term), results, [], started)
-        return EXIT_OK
+        return "freelat canon", repr(args.term), results, []
     # embed
     L, name = load_lattice(args.file)
     found = freeterm.find_free_embedding(
@@ -405,8 +376,7 @@ def cmd_freelat(args):
         }
     else:
         results["note"] = "inconclusive at this bound; not a refutation"
-    emit(args, "freelat embed", args.file, results, [], started)
-    return EXIT_OK
+    return "freelat embed", args.file, results, []
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -524,8 +494,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
+    started = time.perf_counter()
     try:
-        return args.fn(args)
+        command, input_desc, results, violations = args.fn(args)
+        emit(args, command, input_desc, results, violations, started)
     except (SearchBudgetExceeded, SizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -535,6 +507,7 @@ def main(argv=None) -> int:
     except LatcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -321,27 +321,11 @@ def direct_product(A: FiniteLattice, B: FiniteLattice) -> FiniteLattice:
     if n > PRODUCT_SIZE_CAP:
         raise SizeLimit(n, PRODUCT_SIZE_CAP, "direct product")
     labels = tuple(f"{A.labels[i]}.{B.labels[j]}" for i in range(A.n) for j in range(B.n))
-
-    def idx(i, j):
-        return i * B.n + j
-
-    up = [0] * n
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i in range(A.n):
-        for j in range(B.n):
-            a = idx(i, j)
-            mask = 0
-            for k in iter_bits(A.up[i]):
-                for l in iter_bits(B.up[j]):
-                    mask |= 1 << idx(k, l)
-            up[a] = mask
-            for k in range(A.n):
-                for l in range(B.n):
-                    b = idx(k, l)
-                    meet[a][b] = idx(A.meet[i][k], B.meet[j][l])
-                    join[a][b] = idx(A.join[i][k], B.join[j][l])
-    return FiniteLattice(labels, up, tuple(map(tuple, meet)), tuple(map(tuple, join)))
+    # (i, j) is element i * B.n + j, so the pairs above it with first
+    # component k are B.up[j] shifted by k * B.n; the tables are derived
+    up = [sum(B.up[j] << k * B.n for k in iter_bits(A.up[i]))
+          for i in range(A.n) for j in range(B.n)]
+    return FiniteLattice(labels, up)
 
 
 def closure(L: FiniteLattice, closed, extra, allowed=None):

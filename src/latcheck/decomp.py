@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
 
 from . import catalog, laws
 from .core import (FiniteLattice, _Budget, _UnionFind, canonical_form, induced, intervals,
@@ -50,18 +49,22 @@ class PartitionCheck:
         return self.holds
 
 
-def _distributive_memo(L):
-    """Distributivity of sublattice masks of L, each tested at most once; the
-    induced order carries L's operations on a sublattice, and every lattice
-    with fewer than five elements is distributive."""
-    return cache(lambda mask: mask.bit_count() < 5
-                 or bool(laws.distributive(induced(L, iter_bits(mask)))))
+def is_distributive_sublattice(L: FiniteLattice, mask) -> bool:
+    """Distributivity of the sublattice ``mask`` of L, read on L's tables
+    and kept in L's cache, so each mask is tested at most once per lattice;
+    every lattice with fewer than five elements is distributive."""
+    if mask.bit_count() < 5:
+        return True
+    memo = L._cache.setdefault("distributive", {})
+    if mask not in memo:
+        memo[mask] = bool(laws._distributive_on(L, tuple(iter_bits(mask))))
+    return memo[mask]
 
 
-def _pair_ok(L, m1, m2, is_distributive):
+def _pair_ok(L, m1, m2):
     """The pairwise condition on two block masks: the union is not a convex
     sublattice (an interval), or it is a distributive one."""
-    return not is_interval(L, m1 | m2) or is_distributive(m1 | m2)
+    return not is_interval(L, m1 | m2) or is_distributive_sublattice(L, m1 | m2)
 
 
 def is_distributive_partition(L: FiniteLattice, blocks) -> PartitionCheck:
@@ -78,19 +81,18 @@ def is_distributive_partition(L: FiniteLattice, blocks) -> PartitionCheck:
     if covered != set(range(L.n)):
         raise NotAPartition("blocks do not cover the element set")
     blocks = [(b, sum(1 << e for e in b)) for b in sorted(blocks, key=min)]
-    is_distributive = _distributive_memo(L)
     for b, m in blocks:
         if not is_sublattice_set(L, b):
             clause = "block is not a sublattice"
         elif not is_interval(L, m):  # a sublattice is convex iff it is an interval
             clause = "block is not convex"
-        elif not is_distributive(m):
+        elif not is_distributive_sublattice(L, m):
             clause = "block is not distributive"
         else:
             continue
         return PartitionCheck(False, clause, (tuple(sorted(b)),))
     for (b1, m1), (b2, m2) in itertools.combinations(blocks, 2):
-        if not _pair_ok(L, m1, m2, is_distributive):
+        if not _pair_ok(L, m1, m2):
             return PartitionCheck(
                 False,
                 "union of blocks is a convex sublattice but not distributive",
@@ -99,13 +101,13 @@ def is_distributive_partition(L: FiniteLattice, blocks) -> PartitionCheck:
     return PartitionCheck(True)
 
 
-def _candidate_blocks(L, e, free, is_distributive):
+def _candidate_blocks(L, e, free):
     """The convex distributive sublattices through e inside ``free``, largest
-    first: the intervals through e, each tested by the memoised
-    ``is_distributive`` only when the search reaches it."""
+    first: the intervals through e, each tested for distributivity only when
+    the search reaches it."""
     through = sorted((m for m in intervals(L, free) if m >> e & 1),
                      key=lambda m: (-m.bit_count(), m))
-    return (m for m in through if is_distributive(m))
+    return (m for m in through if is_distributive_sublattice(L, m))
 
 
 def _minimum_partitions(L, budget, keep_ties):
@@ -116,7 +118,6 @@ def _minimum_partitions(L, budget, keep_ties):
     first minimum partition; with ties it keeps every partition of the best
     count so far, clearing the list whenever a smaller count appears."""
     budget = _Budget(budget)
-    is_distributive = _distributive_memo(L)
     best = L.n + 1
     found = []
     full = L.full_mask
@@ -136,8 +137,8 @@ def _minimum_partitions(L, budget, keep_ties):
             return
         free = full & ~assigned
         e = (free & -free).bit_length() - 1
-        for cand in _candidate_blocks(L, e, free, is_distributive):
-            if all(_pair_ok(L, cand, b, is_distributive) for b in blocks):
+        for cand in _candidate_blocks(L, e, free):
+            if all(_pair_ok(L, cand, b) for b in blocks):
                 blocks.append(cand)
                 rec(assigned | cand, blocks)
                 blocks.pop()

@@ -91,10 +91,6 @@ def find_embedding(pattern: FiniteLattice, host: FiniteLattice, budget=None):
     return next(iter_embeddings(pattern, host, budget), None)
 
 
-def embeds(pattern, host, budget=None) -> bool:
-    return find_embedding(pattern, host, budget) is not None
-
-
 @dataclass(frozen=True)
 class ForbiddenProfile:
     """A named set of catalog lattices that must not occur as sublattices."""

@@ -291,6 +291,15 @@ def _subset_is_distributive(L, s):
     return True
 
 
+def distributive_oracle(L: FiniteLattice) -> bool:
+    """Both distributive laws, a v (b ^ c) = (a v b) ^ (a v c) and its dual
+    a ^ (b v c) = (a ^ b) v (a ^ c), over every triple."""
+    n, meet, join = L.n, L.meet, L.join
+    return all(join[a][meet[b][c]] == meet[join[a][b]][join[a][c]]
+               and meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
 def sublattice_masks_oracle(L: FiniteLattice, convex=False):
     """Bitmask of every nonempty (convex) sublattice, ascending, by scanning
     all 2^n subsets."""

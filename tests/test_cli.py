@@ -216,6 +216,13 @@ def test_catalog_emit_all(tmp_path):
         assert are_isomorphic(reloaded, catalog.get(name))
 
 
+def test_catalog_unknown_name_makes_no_directory(tmp_path, capsys):
+    out = tmp_path / "cat"
+    assert cli.main(["catalog", "--name", "BAD", "--emit", str(out)]) == cli.EXIT_INPUT
+    assert "BAD" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_freelat_commands(tmp_path):
     proc = run_cli(["freelat", "leq", "x & y", "x | y"])
     doc = json.loads(proc.stdout)

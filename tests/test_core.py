@@ -158,6 +158,26 @@ def test_product_size_cap():
         direct_product(catalog.chain(30), catalog.chain(30))
 
 
+def test_product_operations_componentwise():
+    """The derived tables of a product agree with the componentwise order,
+    meet and join, on every lattice with n = 6 times every one with n = 5
+    and on catalog, chain and grid pairs."""
+    pairs = list(itertools.product(all_lattices(6), all_lattices(5)))
+    pairs += [(catalog.get(a), catalog.get(b)) for a, b in
+              (("N5", "M3"), ("L15", "N5"), ("B3", "L7"), ("stacked_n5", "chain(3)"))]
+    pairs += [(catalog.chain(3), catalog.grid(4)), (catalog.grid(3), catalog.chain(2))]
+    for A, B in pairs:
+        P = direct_product(A, B)
+        cells = [(i, j) for i in range(A.n) for j in range(B.n)]
+        assert P.labels == tuple(f"{A.labels[i]}.{B.labels[j]}" for i, j in cells)
+        assert cells[P.bottom] == (A.bottom, B.bottom) and cells[P.top] == (A.top, B.top)
+        for x, (i, j) in enumerate(cells):
+            for y, (k, l) in enumerate(cells):
+                assert P.leq(x, y) == (A.leq(i, k) and B.leq(j, l))
+                assert cells[P.meet[x][y]] == (A.meet[i][k], B.meet[j][l])
+                assert cells[P.join[x][y]] == (A.join[i][k], B.join[j][l])
+
+
 def test_product_labels():
     g = direct_product(catalog.chain(2), catalog.chain(2))
     assert "c0.c1" in g.labels

@@ -5,11 +5,12 @@ import hashlib
 import pytest
 
 from latcheck import catalog
-from latcheck.core import direct_product, dual
+from latcheck.core import direct_product, dual, induced, intervals, iter_bits
 from latcheck.decomp import (
     dec,
     gj_classify,
     is_distributive_partition,
+    is_distributive_sublattice,
     minimum_distributive_partitions,
 )
 from latcheck.enumeration import all_lattices
@@ -19,6 +20,7 @@ from latcheck.laws import distributive, is_finite_free_sublattice, whitman
 from oracles import (
     N5_MINIMUM_PARTITIONS,
     dec_oracle,
+    distributive_oracle,
     distributive_partition_oracle,
     set_partitions,
 )
@@ -115,6 +117,19 @@ def test_dec_matches_bell_oracle():
     for name in ("N5", "M3", "L4", "chain(5)", "grid(2,3)", "ninf(2)"):
         L = catalog.get(name)
         assert dec(L)[0] == dec_oracle(L), name
+
+
+def test_distributive_sublattice_matches_induced_oracle():
+    """Distributivity read on L's tables over an interval agrees with the
+    two-law referee on the induced lattice, for every interval of every
+    lattice with n <= 7 and of the catalog, and survives the memo."""
+    lattices = [L for n in range(1, 8) for L in all_lattices(n)]
+    lattices += [catalog.get(name) for name in catalog.FIXED_NAMES]
+    for L in lattices:
+        for m in intervals(L, L.full_mask):
+            expected = distributive_oracle(induced(L, iter_bits(m)))
+            assert is_distributive_sublattice(L, m) == expected, (L.labels, m)
+            assert is_distributive_sublattice(L, m) == expected
 
 
 def test_dec_laws_small():

@@ -19,7 +19,7 @@ from latcheck.laws import (
     whitman,
 )
 
-from oracles import doubly_reducible_oracle
+from oracles import distributive_oracle, doubly_reducible_oracle
 
 
 def hourglass():
@@ -73,6 +73,23 @@ def test_semidistributive_l2_fails():
 
 def test_distributive_cube():
     assert distributive(catalog.get("B3"))
+
+
+def test_distributive_matches_two_law_oracle():
+    """One law decides distributivity: every lattice with n <= 8 and the
+    catalog agree with the referee that tests both, and a failing verdict's
+    witness fails the law it tests."""
+    lattices = [L for n in range(1, 9) for L in all_lattices(n)]
+    lattices += [catalog.get(name) for name in catalog.FIXED_NAMES]
+    verdicts = set()
+    for L in lattices:
+        check = distributive(L)
+        assert bool(check) == distributive_oracle(L), L.labels
+        verdicts.add(bool(check))
+        if not check:
+            a, b, c = check.witness
+            assert L.join[a][L.meet[b][c]] != L.meet[L.join[a][b]][L.join[a][c]]
+    assert verdicts == {True, False}
 
 
 def test_n5_not_modular():
