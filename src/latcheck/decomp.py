@@ -8,6 +8,9 @@ sublattice.  A convex sublattice of a finite lattice is an interval, so both
 tests read off intervals (:func:`core.intervals`).  Dec is the minimum block
 count over such partitions, computed exactly by branch and bound over the
 blocks through the lowest unassigned element, one budget node per step.
+
+The Galvin-Jonsson classifier needs no search: it reads the blocks off the
+components of the incomparability graph in one pass (:func:`gj_classify`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from . import catalog, laws
 from .core import (FiniteLattice, _Budget, _UnionFind, canonical_form, induced, intervals,
                    is_interval, is_sublattice_set, iter_bits)
-from .errors import NotALattice, NotAPartition, NotDistributive
+from .errors import NotAPartition, NotDistributive
 
 
 @dataclass(frozen=True)
@@ -179,80 +182,63 @@ class GJDecomposition:
 
 
 def _shape_tag(L, elems):
-    elems = sorted(elems)
-    if all(not L.incomparable(a, b) for i, a in enumerate(elems) for b in elems[i + 1:]):
-        return "chain"
-    try:
-        block = induced(L, elems)
-    except NotALattice:
+    """The shape of the block ``elems``, an interval [u, v] whose elements
+    other than u and v form one incomparability component: "two_times_chain",
+    "boolean3", or None when it is neither."""
+    k, odd = divmod(len(elems), 2)
+    if odd:
         return None
-    if len(elems) % 2 == 0:
-        k = len(elems) // 2
-        if canonical_form(block) == canonical_form(catalog.grid(k)):
-            return "two_times_chain"
-    if len(elems) == 8 and canonical_form(block) == canonical_form(catalog.get("B3")):
+    form = canonical_form(induced(L, elems))
+    if form == canonical_form(catalog.grid(k)):
+        return "two_times_chain"
+    if k == 4 and form == canonical_form(catalog.get("B3")):
         return "boolean3"
     return None
 
 
 def gj_classify(D: FiniteLattice):
     """A linear-sum decomposition into chain / 2 x chain / Boolean-cube
-    blocks, or None when no such decomposition exists.  Coarsest valid
-    decomposition is returned.  Requires a distributive input."""
+    blocks, or None when no such decomposition exists.  Requires a
+    distributive input.
+
+    The blocks are read off the components of the incomparability graph,
+    which any poset orders linearly (sorted here by height).  A component C
+    with two or more elements has the single components {meet C} below it
+    and {join C} above it, and a 2 x k grid (k >= 2) or the cube is one such
+    component between a bottom and a top, so C's block must be the interval
+    [meet C, join C].  The single-element components left over form maximal
+    runs, one chain block each.  This is the unique decomposition with the
+    fewest blocks."""
     if not laws.distributive(D):
         raise NotDistributive("gj_classify expects a distributive lattice")
-    n = D.n
-    # components of the incomparability graph must be linearly ordered
-    uf = _UnionFind(n)
-    for a in range(n):
-        for b in range(a + 1, n):
+    uf = _UnionFind(D.n)
+    for a in range(D.n):
+        for b in range(a + 1, D.n):
             if D.incomparable(a, b):
                 uf.union(a, b)
     groups = {}
-    for e in range(n):
+    for e in range(D.n):
         groups.setdefault(uf.find(e), []).append(e)
-    comps = list(groups.values())
-    for i, c1 in enumerate(comps):
-        for c2 in comps[i + 1:]:
-            below = sum(D.lt(a, b) for a in c1 for b in c2)
-            above = sum(D.lt(b, a) for a in c1 for b in c2)
-            want = len(c1) * len(c2)
-            if below != want and above != want:
-                return None
-    comps.sort(key=lambda c: D.heights()[c[0]])
-
-    m = len(comps)
-    tag = {}
-
-    def range_tag(i, j):
-        if (i, j) not in tag:
-            elems = [e for c in comps[i:j] for e in c]
-            tag[(i, j)] = _shape_tag(D, elems)
-        return tag[(i, j)]
-
-    # fewest blocks via shortest path over taggable component ranges
-    INF = m + 1
-    best = [INF] * (m + 1)
-    prev = [None] * (m + 1)
-    best[0] = 0
-    for j in range(1, m + 1):
-        for i in range(j):
-            if best[i] + 1 < best[j] and range_tag(i, j) is not None:
-                best[j] = best[i] + 1
-                prev[j] = i
-    if best[m] > m:
-        return None
-    cuts = []
-    j = m
-    while j > 0:
-        i = prev[j]
-        cuts.append((i, j))
-        j = i
-    cuts.reverse()
-    blocks = []
-    shapes = []
-    for i, j in cuts:
-        elems = tuple(sorted(e for c in comps[i:j] for e in c))
+    heights = D.heights()
+    comps = sorted(groups.values(), key=lambda c: heights[c[0]])
+    blocks, shapes = [], []
+    start = 0  # the first component not yet in a block
+    for i, c in enumerate(comps):
+        if len(c) == 1:
+            continue
+        if i - 1 < start:  # its bottom is already the top of the block below
+            return None
+        if i - 1 > start:
+            blocks.append(tuple(sorted(e for (e,) in comps[start:i - 1])))
+            shapes.append("chain")
+        elems = tuple(sorted(comps[i - 1] + c + comps[i + 1]))
+        shape = _shape_tag(D, elems)
+        if shape is None:
+            return None
         blocks.append(elems)
-        shapes.append(range_tag(i, j))
+        shapes.append(shape)
+        start = i + 2
+    if start < len(comps):
+        blocks.append(tuple(sorted(e for (e,) in comps[start:])))
+        shapes.append("chain")
     return GJDecomposition(tuple(blocks), tuple(shapes))

@@ -224,21 +224,6 @@ def canonical_terms(gen_names, max_size, max_depth):
     return pool
 
 
-def minimal_generating_set(L: FiniteLattice):
-    """Smallest (first in size-lex order) subset whose generated sublattice
-    is the whole lattice."""
-    from itertools import combinations
-
-    from .core import generated_sublattice
-
-    full = frozenset(range(L.n))
-    for k in range(1, L.n + 1):
-        for seeds in combinations(range(L.n), k):
-            if generated_sublattice(L, seeds) == full:
-                return list(seeds)
-    raise AssertionError("a finite lattice generates itself")
-
-
 def _derivation_plan(L, gens):
     """Table operations that produce every element from the generators."""
     known = list(gens)
@@ -263,19 +248,27 @@ def _derivation_plan(L, gens):
 def find_free_embedding(L: FiniteLattice, n_gens=3, max_depth=4, max_size=7,
                         budget=None):
     """Bounded search for a free-lattice embedding witness: terms over
-    ``n_gens`` generators are assigned to a minimal generating set of L, the
-    rest derived through the tables, within ``budget`` nodes
-    (``default_budget()`` by default).  Returns element -> term, or None when
-    the bounded search exhausts (inconclusive, not a refutation)."""
-    from .core import _Budget
+    ``n_gens`` generators are assigned to a minimal generating set of L (the
+    first in size-lex order), the rest derived through the tables, within
+    ``budget`` nodes (``default_budget()`` by default), one per seed set
+    tried and one per term tried.  Returns element -> term, or None when the
+    bounded search exhausts (inconclusive, not a refutation)."""
+    from itertools import combinations
+
+    from .core import _Budget, generated_sublattice
 
     names = [chr(ord("x") + i) for i in range(n_gens)] if n_gens <= 3 else [
         f"g{i}" for i in range(n_gens)
     ]
     pool = canonical_terms(names, max_size, max_depth)
-    gens_of_L = minimal_generating_set(L)
-    plan = _derivation_plan(L, gens_of_L)
     budget = _Budget(budget)
+    full = frozenset(range(L.n))
+    for seeds in (s for k in range(1, L.n + 1) for s in combinations(range(L.n), k)):
+        budget.spend("free embedding search")
+        if generated_sublattice(L, seeds) == full:
+            gens_of_L = list(seeds)
+            break
+    plan = _derivation_plan(L, gens_of_L)
 
     def compatible(assigned, g, t):
         for g2, t2 in assigned.items():

@@ -112,14 +112,15 @@ def _gate(report, L, needs, membership):
     return report.skipped
 
 
-def _check(theorem_id, L, name, needs, membership, scan) -> TheoremReport:
-    """The skeleton shared by every check: gate on the hypotheses in
-    ``needs``, let ``scan`` fill the report unless the gate skips, and flag
-    a run with no hypothesis instance as vacuous."""
+def _check(theorem_id, L, name, needs, membership, scan, dual_form=False) -> TheoremReport:
+    """The skeleton shared by every check: name L and gate it on the
+    hypotheses in ``needs``, let ``scan(report, M)`` fill the report unless
+    the gate skips, and flag a run with no hypothesis instance as vacuous.
+    M is the lattice the scan reads: L, or dual(L) for a dual form."""
     t0 = time.perf_counter()
     rep = TheoremReport(theorem_id, _name_of(L, name))
     if not _gate(rep, L, needs, membership):
-        scan(rep)
+        scan(rep, dual(L) if dual_form else L)
     rep.vacuous = (not rep.skipped) and rep.hypothesis_instances == 0
     rep.elapsed = time.perf_counter() - t0
     return rep
@@ -145,7 +146,7 @@ def lemma_l15_check(L: FiniteLattice, name=None, budget=None, membership=None) -
             l15_present = embed.find_embedding(catalog.get("L15"), L, budget) is not None
         return l15_present
 
-    def scan(rep):
+    def scan(rep, L):
         for a2 in range(n):
             for b2 in range(n):
                 if not L.incomparable(a2, b2):
@@ -228,46 +229,44 @@ def lemma_l15_witness(L: FiniteLattice, tup) -> EmbeddingWitness:
 # -- cube theorem -------------------------------------------------------------
 
 
-def _constant_meet_antichains(L, size, table):
+def _constant_meet_antichains(L, size):
     for Y in itertools.combinations(range(L.n), size):
         if any(not L.incomparable(a, b) for a, b in itertools.combinations(Y, 2)):
             continue
-        vals = {table[a][b] for a, b in itertools.combinations(Y, 2)}
+        vals = {L.meet[a][b] for a, b in itertools.combinations(Y, 2)}
         if len(vals) == 1:
             yield Y, vals.pop()
 
 
 def cube_theorem_check(L: FiniteLattice, name=None, budget=None, membership=None,
                        theorem_id="cube", forms=("meet", "join"),
-                       sizes=(3, 4)) -> TheoremReport:
+                       sizes=(3, 4), dual_form=False) -> TheoremReport:
     """Antichains with a constant pairwise meet have at most three elements,
-    of which at most two fail to cover the meet; dually for joins.  With
-    ``forms=("join",)`` (resp. ``("meet",)``) and ``sizes=(3,)`` this is the
-    single-sided cover property kept by the last two corollary profiles."""
-    sides = {
-        "meet": (L.meet, lambda d, a: L.covers(d, a)),
-        "join": (L.join, lambda d, a: L.covers(a, d)),
-    }
+    of which at most two fail to cover the meet; dually for joins, read as
+    the meet form of the dual.  With ``forms=("join",)`` (resp.
+    ``("meet",)``) and ``sizes=(3,)`` this is the single-sided cover property
+    kept by the last two corollary profiles.  The dual form runs the same
+    scan on the dual lattice."""
 
-    def scan(rep):
+    def scan(rep, M):
         for form in forms:
-            table, covers = sides[form]
+            K = M if form == "meet" else dual(M)
             for size in sizes:
-                for Y, d in _constant_meet_antichains(L, size, table):
+                for Y, d in _constant_meet_antichains(K, size):
                     rep.hypothesis_instances += 1
                     if size == 4:
                         rep.conclusion_violations.append(
-                            (f"{form} form: antichain of size 4", _labels(L, Y), L.labels[d])
+                            (f"{form} form: antichain of size 4", _labels(K, Y), K.labels[d])
                         )
                         continue
-                    missing = [a for a in Y if not covers(d, a)]
+                    missing = [a for a in Y if not K.covers(d, a)]
                     if len(missing) > 2:
                         rep.conclusion_violations.append(
                             (f"{form} form: no element adjacent to the bound",
-                             _labels(L, Y), L.labels[d])
+                             _labels(K, Y), K.labels[d])
                         )
 
-    return _check(theorem_id, L, name, ("whitman", "member"), membership, scan)
+    return _check(theorem_id, L, name, ("whitman", "member"), membership, scan, dual_form)
 
 
 def boolean_cube_witness(L: FiniteLattice, triple, d, membership=None) -> EmbeddingWitness:
@@ -334,7 +333,7 @@ def dec_bound_check(L: FiniteLattice, name=None, budget=None, membership=None) -
     is at most the number of join values times the number of meet values of a
     against K.  Each Dec(K) search gets ``budget`` nodes of its own."""
 
-    def scan(rep):
+    def scan(rep, L):
         for elems, loose in _loose_sublattices(L, False, budget):
             dec_k = dec(induced(L, elems), budget)[0]
             for a in loose:
@@ -354,7 +353,7 @@ def degeneracy_lemma_check(L: FiniteLattice, name=None, budget=None, membership=
     least three join values against K, or at least three meet values, or K is
     distributive."""
 
-    def scan(rep):
+    def scan(rep, L):
         for elems, loose in _loose_sublattices(L, True, budget):
             distr = is_distributive_sublattice(L, sum(1 << e for e in elems))
             for a in loose:
@@ -385,7 +384,7 @@ def twelve_element_lemma_check(L: FiniteLattice, name=None, budget=None,
     middle rung and a point strictly inside the rung above, with the exact
     incomparabilities of the twelve-element configuration."""
 
-    def scan(rep):
+    def scan(rep, L):
         grid = catalog.grid(5)
         gidx = {k: grid.index_of(v) for k, v in _GRID_POS.items()}
         for w in embed.iter_embeddings(grid, L, budget):
@@ -431,8 +430,7 @@ def staircase_cover_check(L: FiniteLattice, name=None, budget=None,
     if (a v b4) ^ b5 differs from b4, then (a v b3) ^ b5 is covered by
     a v b3.  The dual form runs the same scan on the dual lattice."""
 
-    def scan(rep):
-        M = dual(L) if dual_form else L
+    def scan(rep, M):
         n = M.n
 
         for a in range(n):
@@ -465,7 +463,7 @@ def staircase_cover_check(L: FiniteLattice, name=None, budget=None,
             extend([], [])
 
     theorem_id = "staircase_dual" if dual_form else "staircase"
-    return _check(theorem_id, L, name, ("no_dr", "member"), membership, scan)
+    return _check(theorem_id, L, name, ("no_dr", "member"), membership, scan, dual_form)
 
 
 # -- corollary profiles -------------------------------------------------------
@@ -488,7 +486,7 @@ PROFILE_CHECKS = {
 _CHECKS = {
     "l15_lemma": lambda L, *a: lemma_l15_check(L, *a),
     "cube": lambda L, *a: cube_theorem_check(L, *a),
-    "cube_dual": lambda L, *a: cube_theorem_check(dual(L), *a, theorem_id="cube_dual"),
+    "cube_dual": lambda L, *a: cube_theorem_check(L, *a, theorem_id="cube_dual", dual_form=True),
     "cube_join_cover": lambda L, *a: cube_theorem_check(
         L, *a, theorem_id="cube_join_cover", forms=("join",), sizes=(3,)),
     "cube_meet_cover": lambda L, *a: cube_theorem_check(

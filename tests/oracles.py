@@ -14,15 +14,20 @@ conditions directly but decides each inequality with the library's ``leq``
 (Whitman's procedure, checked on its own by the word-problem tests); and
 the self-canonicity referee, which runs the library's signature,
 refinement and canonical form on a fresh view, so that it checks what the
-enumeration derives during its walk against what the view derives alone.
+enumeration derives during its walk against what the view derives alone;
+and the Galvin-Jonsson referee, the range search the classifier replaced,
+which tags its ranges with the library's ``induced`` and ``canonical_form``.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from latcheck.core import (FiniteLattice, FiniteOrder, canonical_form, matrix_bytes,
-                           _refined_classes, _seed_signature)
+from latcheck import catalog, laws
+from latcheck.core import (FiniteLattice, FiniteOrder, _UnionFind, canonical_form, induced,
+                           matrix_bytes, _refined_classes, _seed_signature)
+from latcheck.decomp import GJDecomposition
+from latcheck.errors import NotALattice, NotDistributive
 
 
 def brute_isomorphic(A: FiniteLattice, B: FiniteLattice) -> bool:
@@ -425,3 +430,83 @@ def is_canonical_oracle(t) -> bool:
                     for j, b in enumerate(args) if i != j)
         and not any(below(s, t) for a in args if a.kind == inner for s in a.args)
     )
+
+
+def _gj_shape_tag(L, elems):
+    elems = sorted(elems)
+    if all(not L.incomparable(a, b) for i, a in enumerate(elems) for b in elems[i + 1:]):
+        return "chain"
+    try:
+        block = induced(L, elems)
+    except NotALattice:
+        return None
+    if len(elems) % 2 == 0:
+        k = len(elems) // 2
+        if canonical_form(block) == canonical_form(catalog.grid(k)):
+            return "two_times_chain"
+    if len(elems) == 8 and canonical_form(block) == canonical_form(catalog.get("B3")):
+        return "boolean3"
+    return None
+
+
+def gj_classify_oracle(D: FiniteLattice):
+    """The range search that ``decomp.gj_classify`` replaced: the fewest
+    blocks by a shortest path over every range of incomparability
+    components, each range tagged by building its induced lattice."""
+    if not laws.distributive(D):
+        raise NotDistributive("gj_classify expects a distributive lattice")
+    n = D.n
+    # components of the incomparability graph must be linearly ordered
+    uf = _UnionFind(n)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if D.incomparable(a, b):
+                uf.union(a, b)
+    groups = {}
+    for e in range(n):
+        groups.setdefault(uf.find(e), []).append(e)
+    comps = list(groups.values())
+    for i, c1 in enumerate(comps):
+        for c2 in comps[i + 1:]:
+            below = sum(D.lt(a, b) for a in c1 for b in c2)
+            above = sum(D.lt(b, a) for a in c1 for b in c2)
+            want = len(c1) * len(c2)
+            if below != want and above != want:
+                return None
+    comps.sort(key=lambda c: D.heights()[c[0]])
+
+    m = len(comps)
+    tag = {}
+
+    def range_tag(i, j):
+        if (i, j) not in tag:
+            elems = [e for c in comps[i:j] for e in c]
+            tag[(i, j)] = _gj_shape_tag(D, elems)
+        return tag[(i, j)]
+
+    # fewest blocks via shortest path over taggable component ranges
+    INF = m + 1
+    best = [INF] * (m + 1)
+    prev = [None] * (m + 1)
+    best[0] = 0
+    for j in range(1, m + 1):
+        for i in range(j):
+            if best[i] + 1 < best[j] and range_tag(i, j) is not None:
+                best[j] = best[i] + 1
+                prev[j] = i
+    if best[m] > m:
+        return None
+    cuts = []
+    j = m
+    while j > 0:
+        i = prev[j]
+        cuts.append((i, j))
+        j = i
+    cuts.reverse()
+    blocks = []
+    shapes = []
+    for i, j in cuts:
+        elems = tuple(sorted(e for c in comps[i:j] for e in c))
+        blocks.append(elems)
+        shapes.append(range_tag(i, j))
+    return GJDecomposition(tuple(blocks), tuple(shapes))

@@ -1,11 +1,13 @@
 """Distributive partitions, Dec, and the Galvin-Jonsson shape classifier."""
 
 import hashlib
+import itertools
+import random
 
 import pytest
 
-from latcheck import catalog
-from latcheck.core import direct_product, dual, induced, intervals, iter_bits
+from latcheck import catalog, decomp
+from latcheck.core import CoverDiagram, build_lattice, direct_product, dual, induced, intervals, iter_bits
 from latcheck.decomp import (
     dec,
     gj_classify,
@@ -22,6 +24,7 @@ from oracles import (
     dec_oracle,
     distributive_oracle,
     distributive_partition_oracle,
+    gj_classify_oracle,
     set_partitions,
 )
 
@@ -227,3 +230,79 @@ def test_gj_agrees_with_whitman_small():
                 continue
             assert (gj_classify(D) is not None) == bool(whitman(D))
             assert bool(whitman(D)) == is_finite_free_sublattice(D)
+
+
+# Galvin-Jonsson blocks as products of chains: chain(k) is (k,), 2 x k is
+# (2, k) and the cube is (2, 2, 2); 3 x 3, 2 x B3 and 3 x 2 x 2 are
+# distributive but fail Whitman's condition
+GJ_BLOCKS = ((1,), (2,), (3,), (2, 2), (2, 3), (2, 4), (2, 2, 2),
+             (3, 3), (2, 2, 2, 2), (3, 2, 2))
+
+
+def _linear_sum(blocks, rng=None):
+    """The linear sum of products of chains, bottom block first, built from
+    its cover list: each block's top is covered by the next block's bottom.
+    With ``rng`` the element order is shuffled."""
+    elements, covers, below = [], [], None
+    for b, dims in enumerate(blocks):
+        points = list(itertools.product(*(range(d) for d in dims)))
+        name = [f"{b}:" + ".".join(map(str, p)) for p in points]
+        index = {p: i for i, p in enumerate(points)}
+        elements += name
+        covers += [(name[i], name[index[p[:k] + (p[k] + 1,) + p[k + 1:]]])
+                   for i, p in enumerate(points) for k in range(len(dims)) if p[k] + 1 < dims[k]]
+        if below is not None:
+            covers.append((below, name[0]))
+        below = name[-1]
+    if rng is not None:
+        rng.shuffle(elements)
+    return build_lattice(CoverDiagram(elements, covers))
+
+
+def test_gj_matches_range_search_oracle():
+    """The one-pass classifier equals the old range search on every
+    distributive lattice with n <= 9 and on the catalog."""
+    checked = 0
+    for L in [L for n in range(1, 10) for L in all_lattices(n) if distributive(L)]:
+        assert gj_classify(L) == gj_classify_oracle(L), L.labels
+        checked += 1
+    for name in catalog.FIXED_NAMES:
+        L = catalog.get(name)
+        if distributive(L):
+            assert gj_classify(L) == gj_classify_oracle(L), name
+            checked += 1
+        else:
+            with pytest.raises(NotDistributive):
+                gj_classify(L)
+    # 62 distributive lattices with n <= 9 (OEIS A006982), and B3
+    assert checked == 63
+
+
+def test_gj_linear_sums_match_oracle_and_whitman(monkeypatch):
+    """300 seeded linear sums of one to four blocks, half with shuffled
+    labels: the classifier equals the old range search, succeeds iff the sum
+    satisfies Whitman's condition, and tags each block of two or more
+    middle elements at most once."""
+    calls = []
+    real = decomp._shape_tag
+    monkeypatch.setattr(decomp, "_shape_tag", lambda L, elems: calls.append(1) or real(L, elems))
+    rng = random.Random(13)
+    found = 0
+    for k in range(300):
+        blocks = [rng.choice(GJ_BLOCKS) for _ in range(rng.randint(1, 4))]
+        D = _linear_sum(blocks, rng if k % 2 else None)
+        calls.clear()
+        out = gj_classify(D)
+        assert len(calls) <= sum(len(dims) > 1 for dims in blocks)
+        assert out == gj_classify_oracle(D), blocks
+        assert (out is not None) == bool(whitman(D)), blocks
+        found += out is not None
+    assert 100 < found < 200
+
+
+def test_gj_stacked_squares():
+    D = _linear_sum([(2, 2)] * 16)
+    assert D.n == 64
+    out = gj_classify(D)
+    assert out.shapes == ("two_times_chain",) * 16
+    assert [len(b) for b in out.blocks] == [4] * 16

@@ -165,6 +165,15 @@ def test_free_embedding_budget():
     assert str(exc.value) == "free embedding search exceeded node budget 1000"
 
 
+def test_generating_set_scan_spends_the_budget():
+    """The scan for a minimal generating set spends the search's budget, so
+    a long chain (whose only generating set is all of it) exhausts a small
+    budget at once instead of trying every smaller subset first."""
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        find_free_embedding(catalog.chain(22), budget=1000)
+    assert exc.value.budget == 1000
+
+
 def test_free_sublattices_up_to_five_get_witnesses():
     from latcheck.enumeration import all_lattices
     from latcheck.laws import is_finite_free_sublattice

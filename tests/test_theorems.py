@@ -8,7 +8,7 @@ import json
 import pytest
 
 from latcheck import catalog, embed, laws, theorems
-from latcheck.core import dual, are_isomorphic, induced, iter_bits
+from latcheck.core import dual, are_isomorphic, canonical_form, induced, iter_bits
 from latcheck.decomp import dec, minimum_distributive_partitions
 from latcheck.enumeration import all_lattices
 from latcheck.errors import HypothesisViolated, SearchBudgetExceeded, UnknownProfile
@@ -185,6 +185,14 @@ def test_dual_consistency_of_cube_check():
         b = theorems.cube_theorem_check(dual(L))
         assert a.hypothesis_instances == b.hypothesis_instances
         assert a.holds == b.holds
+
+
+def test_unnamed_reports_name_the_input_lattice():
+    """Without a name, every check's report on L7 names L7 itself, the two
+    dual forms included."""
+    L = catalog.get("L7")
+    names = {theorems.run_check(L, cid).lattice for cid in theorems.ALL_CHECK_IDS}
+    assert names == {"sha:" + canonical_form(L).hex()[:16]}
 
 
 def test_run_profile_n_full_stacked():
