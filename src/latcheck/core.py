@@ -3,6 +3,11 @@ primitives everything else is built on: construction from cover data, duals,
 direct products, sublattice closure and enumeration, intervals, canonical
 forms, cover queries and the node budget every search spends.
 
+:class:`FiniteLattice` is the one order type.  The canonical-form
+primitives read plain arrays (seed signature columns, cover lists and
+``up``), so the enumeration tests a candidate order on its own arrays and
+builds a lattice only for one it keeps.
+
 Order relations are stored as per-element bitmasks (``up[a]`` has bit ``b``
 set iff ``a <= b``), which keeps every downstream predicate a matter of
 integer arithmetic.  Lattices are immutable after construction.
@@ -120,20 +125,35 @@ class CoverDiagram:
             pairs.add((a, b))
 
 
-class FiniteOrder:
-    """A finite partial order on ``0..n-1`` held as reflexive ``up`` and
-    ``down`` bitmasks, with the cover, height and depth queries that
-    canonical forms need.  It derives no meet or join table, so it is the
-    cheap view on which candidate orders are tested before a
-    :class:`FiniteLattice` is built."""
+class FiniteLattice:
+    """A finite lattice on elements ``0..n-1`` with precomputed tables, the
+    reflexive ``up`` and ``down`` bitmasks, and memoised cover, height and
+    depth queries.
 
-    __slots__ = ("n", "up", "down", "_cache")
+    Do not call the constructor directly; use :func:`build_lattice`,
+    :func:`dual`, :func:`direct_product` or the catalog.
+    """
 
-    def __init__(self, up, down):
-        self.n = len(up)
+    __slots__ = ("n", "up", "down", "_cache", "labels", "meet", "join", "bottom", "top",
+                 "full_mask")
+
+    def __init__(self, labels, up, meet=None, join=None):
+        n = self.n = len(labels)
+        down = [0] * n
+        for a in range(n):
+            for b in iter_bits(up[a]):
+                down[b] |= 1 << a
         self.up = tuple(up)
         self.down = tuple(down)
         self._cache = {}
+        self.labels = tuple(labels)
+        self.full_mask = (1 << n) - 1
+        if meet is None or join is None:
+            meet, join = self._derive_tables()
+        self.meet = meet
+        self.join = join
+        self.bottom = next(a for a in range(n) if self.up[a] == self.full_mask)
+        self.top = next(a for a in range(n) if self.down[a] == self.full_mask)
 
     def leq(self, a, b):
         return bool((self.up[a] >> b) & 1)
@@ -196,46 +216,6 @@ class FiniteOrder:
                 d[a] = 1 + max((d[b] for b in ups), default=-1)
             self._cache["depths"] = tuple(d)
         return self._cache["depths"]
-
-    def _prime(self, heights, depths, lower):
-        """Cache heights, depths and lower covers (an ascending tuple per
-        element) already known; the upper covers follow from the lower."""
-        cache = self._cache
-        cache["heights"] = tuple(heights)
-        cache["depths"] = tuple(depths)
-        upper = [[] for _ in range(self.n)]
-        for a, lows in enumerate(lower):
-            cache["lcov", a] = lows
-            for b in lows:
-                upper[b].append(a)
-        for a, ups in enumerate(upper):
-            cache["ucov", a] = tuple(ups)
-
-
-class FiniteLattice(FiniteOrder):
-    """A finite lattice on elements ``0..n-1`` with precomputed tables.
-
-    Do not call the constructor directly; use :func:`build_lattice`,
-    :func:`dual`, :func:`direct_product` or the catalog.
-    """
-
-    __slots__ = ("labels", "meet", "join", "bottom", "top", "full_mask")
-
-    def __init__(self, labels, up, meet=None, join=None):
-        n = len(labels)
-        down = [0] * n
-        for a in range(n):
-            for b in iter_bits(up[a]):
-                down[b] |= 1 << a
-        super().__init__(up, down)
-        self.labels = tuple(labels)
-        self.full_mask = (1 << n) - 1
-        if meet is None or join is None:
-            meet, join = self._derive_tables()
-        self.meet = meet
-        self.join = join
-        self.bottom = next(a for a in range(n) if self.up[a] == self.full_mask)
-        self.top = next(a for a in range(n) if self.down[a] == self.full_mask)
 
     def _derive_tables(self):
         # the glb of a and b is the element whose down-set is
@@ -471,23 +451,22 @@ def maximal_antichains(L: FiniteLattice):
 # -- canonical forms and isomorphism ----------------------------------------
 
 
-def _seed_signature(L: FiniteOrder):
+def _seed_signature(heights, depths, up_degrees, down_degrees):
     """Per element (height, depth, up-degree, down-degree): the colours that
     refinement starts from."""
-    h, d = L.heights(), L.depths()
-    return [(h[a], d[a], len(L.upper_covers(a)), len(L.lower_covers(a))) for a in range(L.n)]
+    return list(zip(heights, depths, up_degrees, down_degrees))
 
 
-def _refined_classes(L: FiniteOrder):
+def _refined_classes(sig, upper, lower):
     """Partition elements into colour classes via iterated cover-multiset
-    refinement seeded with :func:`_seed_signature`.
+    refinement of the seed signature ``sig``, given each element's upper
+    and lower covers.
 
     Refinement only splits classes, so colour order extends signature
     order; the seed makes it respect height, so the canonical labelling is
     always a linear extension.
     """
-    n = L.n
-    sig = _seed_signature(L)
+    n = len(sig)
     order = sorted(range(n), key=lambda a: sig[a])
     colour = [0] * n
     rank = 0
@@ -499,8 +478,8 @@ def _refined_classes(L: FiniteOrder):
         ext = [
             (
                 colour[a],
-                tuple(sorted(colour[b] for b in L.upper_covers(a))),
-                tuple(sorted(colour[b] for b in L.lower_covers(a))),
+                tuple(sorted(colour[b] for b in upper[a])),
+                tuple(sorted(colour[b] for b in lower[a])),
             )
             for a in range(n)
         ]
@@ -520,22 +499,27 @@ def _refined_classes(L: FiniteOrder):
     return [classes[c] for c in sorted(classes)]
 
 
-def canonical_form(L: FiniteOrder) -> bytes:
+def canonical_form(L: FiniteLattice) -> bytes:
     """Canonical byte string: equal strings iff lattices are isomorphic.
 
     Elements are bucketed by refined structural invariants; the order matrix
     is then minimised over all colour-respecting permutations with
-    lexicographic prefix pruning.
+    lexicographic prefix pruning.  The form and its permutation are kept in
+    ``L``'s cache.
     """
-    if "canon" in L._cache:
-        return L._cache["canon"]
-    return _canonical_search(L, _refined_classes(L))
+    if "canon" not in L._cache:
+        upper = [L.upper_covers(a) for a in range(L.n)]
+        lower = [L.lower_covers(a) for a in range(L.n)]
+        sig = _seed_signature(L.heights(), L.depths(), map(len, upper), map(len, lower))
+        perm = _canonical_search(L.up, _refined_classes(sig, upper, lower))
+        L._cache.update(canon=matrix_bytes(L.up, perm), canon_perm=perm)
+    return L._cache["canon"]
 
 
-def _canonical_search(L: FiniteOrder, classes) -> bytes:
-    """The search behind :func:`canonical_form`, given ``L``'s refined
-    classes; stores the form and its permutation in ``L``'s cache."""
-    n, up = L.n, L.up
+def _canonical_search(up, classes) -> tuple:
+    """The search behind :func:`canonical_form`: the labelling, respecting
+    the refined ``classes``, whose order matrix on ``up`` is least."""
+    n = len(up)
     # slot i must be filled from slot_class[i]
     slot_class = []
     for cls in classes:
@@ -585,22 +569,18 @@ def _canonical_search(L: FiniteOrder, classes) -> bytes:
             perm.pop()
 
     rec(0, True)
-
-    result = matrix_bytes(L, best_perm)
-    L._cache["canon"] = result
-    L._cache["canon_perm"] = tuple(best_perm)
-    return result
+    return tuple(best_perm)
 
 
-def matrix_bytes(L: FiniteOrder, perm=None) -> bytes:
-    """Size byte plus the row-major order matrix bits under ``perm``
-    (identity by default)."""
-    order = list(perm) if perm is not None else list(range(L.n))
-    packed = bytearray([L.n])
+def matrix_bytes(up, perm=None) -> bytes:
+    """Size byte plus the row-major bits of the order matrix of ``up`` under
+    ``perm`` (identity by default)."""
+    order = list(perm) if perm is not None else list(range(len(up)))
+    packed = bytearray([len(up)])
     acc = 0
     count = 0
     for a in order:
-        upa = L.up[a]
+        upa = up[a]
         for b in order:
             acc = (acc << 1) | (upa >> b & 1)
             count += 1

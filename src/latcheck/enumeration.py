@@ -23,21 +23,19 @@ lower covers are the maximal elements of its down-set, recorded when it is
 placed and never changed by later elements, its height follows from them,
 each element keeps a count of its upper covers, and at a leaf one reverse
 sweep over the lower covers gives the depths.  The tests run in order of
-cost.  The signature must be non-decreasing along 0..n-1 (refinement only
-splits colour classes in signature order); only a leaf that passes gets a
-:class:`FiniteOrder` view, with no meet or join table, whose cache is
-primed with those heights, depths and covers.  Its classes are refined
-once; they must list 0..n-1 in order, and the canonical-form search on
-those same classes must give the identity order matrix.  Tables are
-derived only for accepted lattices, which keep the view's cache (canonical
-form and permutation included).
+cost, on the walk's own arrays.  The signature must be non-decreasing along
+0..n-1 (refinement only splits colour classes in signature order); the
+refined classes must list 0..n-1 in order; and the canonical-form search
+on those same classes must give the identity order matrix.  Only an
+accepted leaf becomes a :class:`FiniteLattice`, with its canonical form
+and permutation in its cache.
 """
 
 from __future__ import annotations
 
 from . import embed, laws, variety
-from .core import (FiniteLattice, FiniteOrder, canonical_form, iter_bits, matrix_bytes,
-                   _canonical_search, _refined_classes)
+from .core import (FiniteLattice, canonical_form, iter_bits, matrix_bytes, _canonical_search,
+                   _refined_classes, _seed_signature)
 from .errors import BadParameter, SizeLimit
 
 ENUM_CAP = 9
@@ -77,16 +75,21 @@ def _generate(n):
             for x in lower[i]:
                 if depths[x] < d:
                     depths[x] = d
-        sig = [(heights[a], depths[a], updeg[a], len(lower[a])) for a in range(n)]
+        sig = _seed_signature(heights, depths, updeg, map(len, lower))
         if any(sig[a] > sig[a + 1] for a in range(n - 1)):
             return
-        view = FiniteOrder(up, down)
-        view._prime(heights, depths, lower)
-        classes = _refined_classes(view)
-        if ([e for cls in classes for e in cls] == list(range(n))
-                and matrix_bytes(view) == _canonical_search(view, classes)):
+        upper = [[] for _ in range(n)]
+        for a, lows in enumerate(lower):
+            for b in lows:
+                upper[b].append(a)
+        classes = _refined_classes(sig, upper, lower)
+        if [e for cls in classes for e in cls] != list(range(n)):
+            return
+        perm = _canonical_search(up, classes)
+        form = matrix_bytes(up, perm)
+        if form == matrix_bytes(up):
             L = FiniteLattice(labels, up)
-            L._cache = view._cache
+            L._cache.update(canon=form, canon_perm=perm)
             results.append(L)
 
     def rec(i):

@@ -201,25 +201,34 @@ def verify_free_embedding(L: FiniteLattice, terms) -> bool:
 # -- canonical term pools and embedding search -------------------------------
 
 
-def canonical_terms(gen_names, max_size, max_depth):
+def canonical_terms(gen_names, max_size, max_depth, budget=None):
     """All canonical terms over the given generators with at most max_size
     generator occurrences and the given depth, sorted small-first: the
     closure of the generators under the canonical meet and join of two
     terms.  It misses none, as a canonical t1 | ... | tk is the canonical
     join of t1 and t2 | ... | tk, which is canonical, smaller and no deeper
-    (dually for meets)."""
+    (dually for meets).  Only pairs within the size bound are visited, each
+    spending a node of ``budget`` (a ``core._Budget``) if one is given."""
     pool = [gen(g) for g in gen_names]
+    by_size = {1: list(range(len(pool)))}  # size -> pool indices, ascending
     seen = set(pool)
     for i, a in enumerate(pool):  # the pool grows as it is scanned
-        for b in pool[: i + 1]:
-            # comparable terms meet and join to themselves
-            if a.size + b.size > max_size or leq(a, b) or leq(b, a):
-                continue
-            for op in (meet, join):
-                t = canonicalize(op(a, b))
-                if t.size <= max_size and t.depth <= max_depth and t not in seen:
-                    seen.add(t)
-                    pool.append(t)
+        for size in range(1, max_size - a.size + 1):
+            for j in by_size.get(size, ()):
+                if j > i:
+                    break
+                if budget is not None:
+                    budget.spend("free embedding search")
+                b = pool[j]
+                # comparable terms meet and join to themselves
+                if leq(a, b) or leq(b, a):
+                    continue
+                for op in (meet, join):
+                    t = canonicalize(op(a, b))
+                    if t.size <= max_size and t.depth <= max_depth and t not in seen:
+                        seen.add(t)
+                        by_size.setdefault(t.size, []).append(len(pool))
+                        pool.append(t)
     pool.sort(key=lambda t: (t.size, term_key(t)))
     return pool
 
@@ -260,8 +269,8 @@ def find_free_embedding(L: FiniteLattice, n_gens=3, max_depth=4, max_size=7,
     names = [chr(ord("x") + i) for i in range(n_gens)] if n_gens <= 3 else [
         f"g{i}" for i in range(n_gens)
     ]
-    pool = canonical_terms(names, max_size, max_depth)
     budget = _Budget(budget)
+    pool = canonical_terms(names, max_size, max_depth, budget)
     full = frozenset(range(L.n))
     for seeds in (s for k in range(1, L.n + 1) for s in combinations(range(L.n), k)):
         budget.spend("free embedding search")

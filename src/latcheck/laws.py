@@ -77,8 +77,12 @@ def _sd_check(n, op, co) -> Check:
 
 def semidistributive(L: FiniteLattice) -> tuple[Check, Check]:
     """The join and meet semidistributive laws, each with the first violating
-    triple (a, b, c) on failure."""
-    return _sd_check(L.n, L.join, L.meet), _sd_check(L.n, L.meet, L.join)
+    triple (a, b, c) on failure.  The pair is kept in the lattice's cache, as
+    Whitman's verdict is."""
+    if "semidistributive" not in L._cache:
+        L._cache["semidistributive"] = (_sd_check(L.n, L.join, L.meet),
+                                        _sd_check(L.n, L.meet, L.join))
+    return L._cache["semidistributive"]
 
 
 def distributive(L: FiniteLattice) -> Check:

@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 
 from latcheck import catalog, laws
-from latcheck.core import (FiniteLattice, FiniteOrder, _UnionFind, canonical_form, induced,
-                           matrix_bytes, _refined_classes, _seed_signature)
+from latcheck.core import (FiniteLattice, _UnionFind, canonical_form, induced, matrix_bytes,
+                           _refined_classes, _seed_signature)
 from latcheck.decomp import GJDecomposition
 from latcheck.errors import NotALattice, NotDistributive
 
@@ -178,16 +178,19 @@ def grown_labelled(n):
 
 def self_canonical_oracle(L: FiniteLattice) -> bool:
     """The enumeration's leaf test as it stood before the walk tracked the
-    seed signature, on a fresh :class:`FiniteOrder` view of ``L``'s order:
-    the signature from the view's own heights, depths and covers is
-    non-decreasing along 0..n-1, refinement lists 0..n-1 in order, and the
-    identity order matrix is the canonical form."""
-    view = FiniteOrder(L.up, L.down)
-    sig = _seed_signature(view)
-    if any(sig[a] > sig[a + 1] for a in range(view.n - 1)):
+    seed signature, on a fresh :class:`FiniteLattice` with ``L``'s order:
+    the signature from its own heights, depths and covers is non-decreasing
+    along 0..n-1, refinement lists 0..n-1 in order, and the identity order
+    matrix is the canonical form."""
+    fresh = FiniteLattice(L.labels, L.up)
+    n = fresh.n
+    upper = [fresh.upper_covers(a) for a in range(n)]
+    lower = [fresh.lower_covers(a) for a in range(n)]
+    sig = _seed_signature(fresh.heights(), fresh.depths(), map(len, upper), map(len, lower))
+    if any(sig[a] > sig[a + 1] for a in range(n - 1)):
         return False
-    flat = [e for cls in _refined_classes(view) for e in cls]
-    return flat == list(range(view.n)) and matrix_bytes(view) == canonical_form(view)
+    flat = [e for cls in _refined_classes(sig, upper, lower) for e in cls]
+    return flat == list(range(n)) and matrix_bytes(fresh.up) == canonical_form(fresh)
 
 
 def set_partitions(elems):

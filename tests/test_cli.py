@@ -277,6 +277,31 @@ def test_freelat_embed_reads_budget_env(tmp_path):
     assert json.loads(proc.stdout)["results"]["found"] is True
 
 
+def test_freelat_embed_five_generators_exits_budget(tmp_path):
+    path = write_catalog_file(tmp_path, "N5")
+    proc = run_cli(["freelat", "embed", path, "--gens", "5", "--budget", "10000"])
+    assert proc.returncode == cli.EXIT_BUDGET
+    assert proc.stderr == "error: free embedding search exceeded node budget 10000\n"
+
+
+def test_check_runs_each_semidistributive_scan_once(tmp_path, monkeypatch, capsys):
+    from latcheck import laws
+
+    path = write_catalog_file(tmp_path, "N5")
+    calls = []
+    real = laws._sd_check
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(laws, "_sd_check", spy)
+    assert cli.main(["check", path]) == cli.EXIT_OK
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["sd_join"] and results["sd_meet"]
+    assert len(calls) == 2
+
+
 def test_dec_survey_script():
     script = os.path.join(os.path.dirname(SRC), "scripts", "dec_survey.py")
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))

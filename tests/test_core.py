@@ -1,5 +1,6 @@
 """Lattice construction, duals, products, closure, canonical forms."""
 
+import hashlib
 import itertools
 import random
 
@@ -128,12 +129,30 @@ def test_dual_chain_self():
 def test_dual_n5_self_and_involution():
     n5 = catalog.get("N5")
     assert are_isomorphic(dual(n5), n5)
-    assert matrix_bytes(dual(dual(n5))) == matrix_bytes(n5)
+    assert matrix_bytes(dual(dual(n5)).up) == matrix_bytes(n5.up)
 
 
 def test_dual_l7_is_l8():
     assert are_isomorphic(dual(catalog.get("L7")), catalog.get("L8"))
     assert are_isomorphic(dual(catalog.get("L8")), catalog.get("L7"))
+
+
+def test_canonical_forms_pinned():
+    # lattices the enumeration never produces (the variety certificate
+    # orders SI factors by these bytes): the catalog, three families and
+    # three products
+    n5, c2, c3 = catalog.get("N5"), catalog.chain(2), catalog.chain(3)
+    lattices = [catalog.get(name) for name in catalog.FIXED_NAMES]
+    lattices += [catalog.chain(7), catalog.grid(6), catalog.ninf(4),
+                 direct_product(n5, n5), direct_product(direct_product(n5, c2), c3)]
+    assert len(lattices) == 25
+    h = hashlib.sha256()
+    for L in lattices:
+        h.update(canonical_form(L))
+        h.update(repr(L._cache["canon_perm"]).encode())
+    # recorded before canonical forms read the order's arrays
+    assert h.hexdigest() == (
+        "ebb36b40c485b4e6005cc59016e6011302cd6d1b5aeb0e31c961854e73671d6a")
 
 
 def test_product_square():

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from latcheck import catalog, core, enumeration
-from latcheck.core import CoverDiagram, FiniteOrder, build_lattice, canonical_form
+from latcheck.core import CoverDiagram, FiniteLattice, build_lattice, canonical_form
 from latcheck.enumeration import all_lattices, filtered
 from latcheck.errors import BadParameter, SizeLimit
 
@@ -68,11 +68,14 @@ def test_output_pinned():
 
 
 def test_every_output_passes_the_referee():
-    # the walk's signature and its primed view must agree with a fresh view
+    # the canonical form and permutation the walk stored from its own
+    # arrays must agree with a fresh lattice's, computed from its own covers
     for n in range(1, 10):
         for L in all_lattices(n):
             assert self_canonical_oracle(L)
-            fresh = FiniteOrder(L.up, L.down)
+            fresh = FiniteLattice(L.labels, L.up)
+            assert L._cache["canon"] == canonical_form(fresh)
+            assert L._cache["canon_perm"] == fresh._cache["canon_perm"]
             assert L.heights() == fresh.heights()
             assert L.depths() == fresh.depths()
             for a in range(n):
@@ -89,19 +92,28 @@ def test_referee_keeps_one_labelling_per_class():
 
 
 def test_each_view_refined_once(monkeypatch):
+    # every leaf signature that is non-decreasing is refined exactly once,
+    # and no other signature is refined
+    passing = []  # held so that no id is reused
     refined = Counter()
-    views = []  # held so that no id is reused
-    real = core._refined_classes
+    real_sig, real_refine = core._seed_signature, core._refined_classes
 
-    def counting(view):
-        refined[id(view)] += 1
-        views.append(view)
-        return real(view)
+    def spying_sig(*arrays):
+        sig = real_sig(*arrays)
+        if all(sig[a] <= sig[a + 1] for a in range(len(sig) - 1)):
+            passing.append(sig)
+        return sig
 
+    def counting(sig, upper, lower):
+        refined[id(sig)] += 1
+        return real_refine(sig, upper, lower)
+
+    monkeypatch.setattr(enumeration, "_seed_signature", spying_sig)
     monkeypatch.setattr(core, "_refined_classes", counting)
     monkeypatch.setattr(enumeration, "_refined_classes", counting)
     assert len(enumeration._generate(8)) == 222
-    assert len(refined) >= 222
+    assert len(passing) >= 222
+    assert set(refined) == {id(sig) for sig in passing}
     assert max(refined.values()) == 1
 
 

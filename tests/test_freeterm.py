@@ -165,6 +165,28 @@ def test_free_embedding_budget():
     assert str(exc.value) == "free embedding search exceeded node budget 1000"
 
 
+def test_term_pool_spends_the_budget():
+    """The term pool is built under the search's budget, one node per pair
+    within the size bound, so five generators exhaust a small budget
+    instead of building the pool unbounded."""
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        find_free_embedding(catalog.get("N5"), n_gens=5, budget=10_000)
+    assert str(exc.value) == "free embedding search exceeded node budget 10000"
+
+
+def test_term_pool_visits_only_pairs_within_the_size_bound():
+    from latcheck.core import _Budget
+
+    budget = _Budget(10_000)
+    pool = canonical_terms(["x", "y", "z"], 7, 4, budget)
+    assert len(pool) == 127
+    # one node per unordered pair (self-pairs included) with sizes summing
+    # to at most 7, over the 127 terms of the pool
+    sizes = sorted(t.size for t in pool)
+    pairs = sum(1 for i, s in enumerate(sizes) for r in sizes[: i + 1] if s + r <= 7)
+    assert budget.total - budget.left == pairs == 717
+
+
 def test_generating_set_scan_spends_the_budget():
     """The scan for a minimal generating set spends the search's budget, so
     a long chain (whose only generating set is all of it) exhausts a small

@@ -1,6 +1,7 @@
 """Import footprint: `import latcheck` loads no submodule, public names
 resolve on first access, and each CLI command loads only what it runs."""
 
+import ast
 import importlib
 import json
 import os
@@ -111,3 +112,25 @@ def test_unknown_attribute_raises():
         latcheck.no_such_name
     with pytest.raises(ImportError):
         from latcheck import no_such_name  # noqa: F401
+
+
+def test_no_unused_imports():
+    # every name an import binds, at module level or in a function, is read
+    # somewhere in the same module (__future__ imports excepted)
+    package = os.path.join(SRC, "latcheck")
+    unused = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename)) as f:
+            tree = ast.parse(f.read(), filename)
+        bound = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [(a.asname or a.name, node.lineno) for a in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{filename}:{line} {name}" for name, line in bound if name not in read]
+    assert not unused
