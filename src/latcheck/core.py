@@ -55,8 +55,8 @@ class _Budget:
     def __init__(self, nodes=None):
         self.left = self.total = default_budget() if nodes is None else nodes
 
-    def spend(self, what):
-        self.left -= 1
+    def spend(self, what, nodes=1):
+        self.left -= nodes
         if self.left < 0:
             raise SearchBudgetExceeded(self.total, what)
 
@@ -163,12 +163,6 @@ class FiniteLattice:
 
     def incomparable(self, a, b):
         return not (self.leq(a, b) or self.leq(b, a))
-
-    def elements(self):
-        return range(self.n)
-
-    def __len__(self):
-        return self.n
 
     # -- covers and chains ----------------------------------------------
 

@@ -2,8 +2,12 @@
 a meet/join-closed subset, and forbidden-pattern profiles built from that.
 
 "Sublattice" always means closed under the host's operations, never a mere
-order-embedded subposet.  The search checks partial maps against facts
-listed per search level before it starts (see :func:`iter_embeddings`).
+order-embedded subposet.  The pattern side of the search (element order,
+feasibility statistics, and the facts listed per search level) depends on
+the pattern only and is built once per pattern (:func:`_plan`).  Each level
+then computes its candidate images as one host bitmask, and spends the
+budget in bulk, one node per feasible image as the search always has (see
+:func:`iter_embeddings`).
 """
 
 from __future__ import annotations
@@ -16,72 +20,119 @@ from .core import EmbeddingWitness, FiniteLattice, _Budget
 from .errors import UnknownProfile
 
 
+def _plan(pattern: FiniteLattice):
+    """The pattern side of the search, built once per pattern and kept in its
+    cache: each element's (height, depth, |up-set|, |down-set|), and per
+    level, in the search's element order (most-constrained cover degree
+    first), the element placed there and the facts whose last element it
+    is.  Tables are named 0 = meet and 1 = join, so one plan serves every
+    host."""
+    if "embed_plan" in pattern._cache:
+        return pattern._cache["embed_plan"]
+    n, ph, pd = pattern.n, pattern.heights(), pattern.depths()
+    order = sorted(
+        range(n),
+        key=lambda a: (-(len(pattern.upper_covers(a)) + len(pattern.lower_covers(a))),
+                       ph[a], a),
+    )
+    stats = [(ph[a], pd[a], pattern.up[a].bit_count(), pattern.down[a].bit_count())
+             for a in range(n)]
+    level = {a: k for k, a in enumerate(order)}
+    # per level: the element, earlier elements above, below and incomparable
+    # to it, each (table, x, y) whose value it must be, each z = x op y with
+    # z placed earlier as (table, x, y, z), and each x op y whose z is still
+    # unplaced as (table, x, y)
+    levels = [(a, [b for b in order[:k] if pattern.leq(a, b)],
+               [b for b in order[:k] if pattern.leq(b, a)],
+               [c for c in order[:k] if pattern.incomparable(a, c)], [], [], [])
+              for k, a in enumerate(order)]
+    for x, y in itertools.combinations(range(n), 2):
+        for t, pt in enumerate((pattern.meet, pattern.join)):
+            z = pt[x][y]
+            if z != x and z != y:
+                last = max(level[x], level[y])
+                if level[z] > last:
+                    levels[level[z]][4].append((t, x, y))
+                    levels[last][6].append((t, x, y))
+                else:
+                    levels[last][5].append((t, x, y, z))
+    pattern._cache["embed_plan"] = stats, levels
+    return pattern._cache["embed_plan"]
+
+
+def _at_least(values):
+    """``ge[v]``: the mask of the positions whose value is at least v, for
+    v = 0..len(values)."""
+    ge = [0] * (len(values) + 1)
+    for h, v in enumerate(values):
+        ge[v] |= 1 << h
+    for v in range(len(values) - 1, -1, -1):
+        ge[v] |= ge[v + 1]
+    return ge
+
+
 def iter_embeddings(pattern: FiniteLattice, host: FiniteLattice, budget=None):
     """Yield every sublattice embedding of ``pattern`` into ``host``.
 
-    Backtracking over pattern elements in a fixed order (most-constrained
-    cover degree first), pruning with height/degree feasibility and with
-    facts listed per level before the search starts.  Level k holds the
-    facts whose last element is order[k]: the earlier elements above and
-    below it (the rest are incomparable to it), each z = x op y with x, y, z
-    all placed, and, while z is unplaced, that the host value of x op y is
-    not yet in the image.  (z = x op y with z one of x, y is an order fact.)
-    A candidate passing its level's lists extends an order embedding that
-    keeps every meet and join among placed elements, which is the pruning
-    the search has always done.  Each candidate spends one node; raises
-    SearchBudgetExceeded when the budget runs out before completion.
+    Backtracking over pattern elements in the plan's order (see
+    :func:`_plan`).  Each level computes its candidates as one host bitmask:
+    the element's feasible images (height, depth and up- and down-set sizes
+    at least its own) outside the image, below the images of the placed
+    elements above it, above those below it, and comparable to none of the
+    placed elements incomparable to it; when it is x op y with x and y
+    placed, its image is forced to the host's x op y.  Each candidate, in
+    ascending order, is then checked against the level's remaining meet and
+    join facts and against every pending x op y, whose host value must not
+    yet be in the image.  A candidate passing them extends an order
+    embedding that keeps every meet and join among placed elements.
+
+    The budget counts one node per feasible image of each level's element,
+    tried or not: before a candidate the search spends it and the feasible
+    images below it that the mask skipped, and at the end of the level
+    those left.  Raises SearchBudgetExceeded when the budget runs out
+    before completion.
     """
     if pattern.n > host.n:
         return
     budget = _Budget(budget)
-    ph, pd = pattern.heights(), pattern.depths()
-    hh, hd = host.heights(), host.depths()
-    order = sorted(
-        range(pattern.n),
-        key=lambda a: (-(len(pattern.upper_covers(a)) + len(pattern.lower_covers(a))),
-                       ph[a], a),
-    )
-    feasible = [
-        [
-            h
-            for h in range(host.n)
-            if hh[h] >= ph[a] and hd[h] >= pd[a]
-            and host.up[h].bit_count() >= pattern.up[a].bit_count()
-            and host.down[h].bit_count() >= pattern.down[a].bit_count()
-        ]
-        for a in range(pattern.n)
-    ]
-    level = {a: k for k, a in enumerate(order)}
-    # per level: earlier elements above and below, each z = x op y as
-    # (host table, x, y, z), each pending x op y as (host table, x, y)
-    facts = [([b for b in order[:k] if pattern.leq(a, b)],
-              [b for b in order[:k] if pattern.leq(b, a)], [], [])
-             for k, a in enumerate(order)]
-    for x, y in itertools.combinations(range(pattern.n), 2):
-        for pt, ht in ((pattern.meet, host.meet), (pattern.join, host.join)):
-            z = pt[x][y]
-            if z != x and z != y:
-                last = max(level[x], level[y])
-                facts[max(last, level[z])][2].append((ht, x, y, z))
-                if level[z] > last:
-                    facts[last][3].append((ht, x, y))
-    f, ups, downs = [0] * pattern.n, host.up, host.down
+    stats, levels = _plan(pattern)
+    # every statistic of a pattern element is at most pattern.n <= host.n
+    ge_h, ge_d = _at_least(host.heights()), _at_least(host.depths())
+    ge_u = _at_least([u.bit_count() for u in host.up])
+    ge_w = _at_least([w.bit_count() for w in host.down])
+    feasible = [ge_h[h] & ge_d[d] & ge_u[u] & ge_w[w] for h, d, u, w in stats]
+    f, ups, downs, tables = [0] * pattern.n, host.up, host.down, (host.meet, host.join)
+    spend = budget.spend
 
     def rec(k, image):
         if k == pattern.n:
             yield EmbeddingWitness(pattern, host, tuple(f))
             return
-        a, (above, below, ops, pending) = order[k], facts[k]
-        up = sum(1 << f[b] for b in above)
-        down = sum(1 << f[b] for b in below)
-        for h in feasible[a]:
-            budget.spend("embedding search")
-            if (image >> h) & 1 or ups[h] & image != up or downs[h] & image != down:
+        a, above, below, apart, forced, ops, pending = levels[k]
+        rest = feasible[a]
+        cand = rest & ~image
+        for b in above:
+            cand &= downs[f[b]]
+        for b in below:
+            cand &= ups[f[b]]
+        for c in apart:
+            cand &= ~(ups[f[c]] | downs[f[c]])
+        for t, x, y in forced:
+            cand &= 1 << tables[t][f[x]][f[y]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            skipped = rest & ((low << 1) - 1)
+            rest ^= skipped
+            spend("embedding search", skipped.bit_count())
+            f[a] = low.bit_length() - 1
+            if ops and not all(tables[t][f[x]][f[y]] == f[z] for t, x, y, z in ops):
                 continue
-            f[a] = h
-            if (all(t[f[x]][f[y]] == f[z] for t, x, y, z in ops)
-                    and not any((image >> t[f[x]][f[y]]) & 1 for t, x, y in pending)):
-                yield from rec(k + 1, image | 1 << h)
+            if pending and any((image >> tables[t][f[x]][f[y]]) & 1 for t, x, y in pending):
+                continue
+            yield from rec(k + 1, image | low)
+        if rest:
+            spend("embedding search", rest.bit_count())
 
     yield from rec(0, 0)
 

@@ -219,7 +219,15 @@ def _si_forms() -> frozenset:
 
 def in_n5_variety(L: FiniteLattice) -> VarietyDecision:
     """Exact membership in the variety generated by the pentagon, with the
-    subdirectly irreducible factor list as certificate."""
+    subdirectly irreducible factor list as certificate.  The decision is
+    kept in the lattice's cache, so the factors are computed once per
+    lattice."""
+    if "n5_variety" not in L._cache:
+        L._cache["n5_variety"] = _decide_n5_variety(L)
+    return L._cache["n5_variety"]
+
+
+def _decide_n5_variety(L: FiniteLattice) -> VarietyDecision:
     allowed = _si_forms()
     factors = tuple(si_factors(L))
     for q in factors:

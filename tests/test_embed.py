@@ -126,9 +126,9 @@ def spent(monkeypatch):
     count = [0]
 
     class CountingBudget(core._Budget):
-        def spend(self, what):
-            count[0] += 1
-            super().spend(what)
+        def spend(self, what, nodes=1):
+            count[0] += nodes
+            super().spend(what, nodes)
 
     monkeypatch.setattr(embed, "_Budget", CountingBudget)
     return count
@@ -154,6 +154,42 @@ def test_embedding_search_pinned(spent):
     assert (digest.hexdigest(), pairs, nodes, maps) == EMBEDDING_SEARCH_PIN
 
 
+def _raises_at(budget, sizes):
+    """Index of the spend that raises, and its message."""
+    for i, k in enumerate(sizes):
+        try:
+            budget.spend("embedding search", k)
+        except SearchBudgetExceeded as e:
+            return i, str(e)
+    return None, None
+
+
+def test_bulk_spend_raises_where_single_spends_do():
+    """Spending k nodes at once raises in the spend whose nodes include the
+    one at which single spends raise, with the same message."""
+    for total in (0, 1, 6, 7, 14):
+        for sizes in ([1] * 15, [3] * 5, [2, 5, 1, 7], [15], [7, 0, 8]):
+            single, single_msg = _raises_at(core._Budget(total), [1] * sum(sizes))
+            assert single == total
+            bulk, bulk_msg = _raises_at(core._Budget(total), sizes)
+            assert sum(sizes[:bulk]) <= single < sum(sizes[:bulk + 1])
+            assert bulk_msg == single_msg == f"embedding search exceeded node budget {total}"
+
+
+@pytest.mark.parametrize("pattern, host", [("N5", "stacked_n5"), ("L11", "stacked_n5"),
+                                           ("L15", "L15")])
+def test_budget_of_exactly_the_nodes_spent_suffices(spent, pattern, host):
+    """A search completes on a budget equal to the nodes it spends, and
+    raises one node short of it."""
+    p, h = catalog.get(pattern), catalog.get(host)
+    spent[0] = 0
+    found = [w.map for w in embed.iter_embeddings(p, h)]
+    nodes = spent[0]
+    assert [w.map for w in embed.iter_embeddings(p, h, budget=nodes)] == found
+    with pytest.raises(SearchBudgetExceeded, match="embedding search"):
+        list(embed.iter_embeddings(p, h, budget=nodes - 1))
+
+
 def test_pending_join_refutes_before_it_is_placed(spent):
     """In the pattern, 6 = 2 v 3 lies strictly below the top 7, which is
     placed first; in the host, every two incomparable elements below the
@@ -173,11 +209,14 @@ def test_pending_join_refutes_before_it_is_placed(spent):
 
 
 def test_every_embedding_yielded_exactly_once():
-    pats = [catalog.chain(1), catalog.chain(2), catalog.chain(3), catalog.chain(4),
-            catalog.grid(2), catalog.get("N5"), catalog.get("M3"), catalog.get("L4"),
-            catalog.get("L5")]
+    """Against the subset oracle on every lattice with n <= 7.  L1-L4 each
+    place an element that is the meet or join of two placed ones, so their
+    searches take the forced-image path; the larger patterns find nothing."""
+    pats = ([catalog.chain(1), catalog.chain(2), catalog.chain(3), catalog.chain(4),
+             catalog.grid(2), catalog.get("N5"), catalog.get("M3")]
+            + [catalog.get(f"L{i}") for i in range(1, 16)] + [catalog.grid(5)])
     total = 0
-    for host in [L for n in range(1, 7) for L in all_lattices(n)]:
+    for host in [L for n in range(1, 8) for L in all_lattices(n)]:
         for p in pats:
             got = [w.map for w in embed.iter_embeddings(p, host)]
             assert len(got) == len(set(got))

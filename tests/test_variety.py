@@ -3,7 +3,7 @@ membership."""
 
 import pytest
 
-from latcheck import catalog, embed
+from latcheck import catalog, embed, theorems, variety
 from latcheck.core import are_isomorphic, canonical_form, direct_product, dual, is_sublattice_set
 from latcheck.enumeration import all_lattices
 from latcheck.errors import SizeLimit
@@ -166,6 +166,20 @@ def test_membership_product_multiplicative():
     assert in_n5_variety(direct_product(n5, c2))
     assert in_n5_variety(direct_product(c2, c2))
     assert not in_n5_variety(direct_product(m3, c2))
+
+
+def test_membership_decided_once_per_lattice(monkeypatch):
+    """The decision is kept in the lattice's cache: a direct call and then
+    the N-full gate on the same lattice compute its SI factors once."""
+    calls = []
+    real = variety.si_factors
+    monkeypatch.setattr(variety, "si_factors", lambda L: calls.append(L) or real(L))
+    L = direct_product(catalog.get("N5"), catalog.chain(2))
+    decision = in_n5_variety(L)
+    reports = theorems.run_profile(L, "N-full")
+    assert decision.member and not any(r.skipped for r in reports)
+    assert in_n5_variety(L) is decision
+    assert calls == [L]
 
 
 def test_size_cap():
