@@ -2,12 +2,13 @@
 a meet/join-closed subset, and forbidden-pattern profiles built from that.
 
 "Sublattice" always means closed under the host's operations, never a mere
-order-embedded subposet.  The pattern side of the search (element order,
-feasibility statistics, and the facts listed per search level) depends on
-the pattern only and is built once per pattern (:func:`_plan`).  Each level
-then computes its candidate images as one host bitmask, and spends the
-budget in bulk, one node per feasible image as the search always has (see
-:func:`iter_embeddings`).
+order-embedded subposet.  One search (:func:`iter_matches`) places the
+elements of a plan: a pattern's (element order, feasibility statistics, and
+the facts listed per search level), built once per pattern
+(:func:`_plan`), or a *configuration*'s, named elements with given order,
+incomparability and meet/join facts, such as a theorem's hypothesis
+(:func:`configuration`).  Each level computes its candidate images as one
+host bitmask, and spends the budget in bulk, one node per feasible image.
 """
 
 from __future__ import annotations
@@ -20,13 +21,33 @@ from .core import EmbeddingWitness, FiniteLattice, _Budget
 from .errors import UnknownProfile
 
 
+def _levels(order, leq, apart, facts):
+    """Per level, in ``order``: the element placed there, the earlier
+    elements above, below and incomparable to it (by the predicates ``leq``
+    and ``apart``), each (table, x, y) whose value it must be, each
+    z = x op y with z placed earlier as (table, x, y, z), and each x op y
+    whose z is still unplaced as (table, x, y), from the (table, x, y, z)
+    ``facts``.  Tables are named 0 = meet and 1 = join, so one plan serves
+    every host."""
+    level = {a: k for k, a in enumerate(order)}
+    levels = [(a, [b for b in order[:k] if leq(a, b)], [b for b in order[:k] if leq(b, a)],
+               [c for c in order[:k] if apart(a, c)], [], [], [])
+              for k, a in enumerate(order)]
+    for t, x, y, z in facts:
+        last = max(level[x], level[y])
+        if level[z] > last:
+            levels[level[z]][4].append((t, x, y))
+            levels[last][6].append((t, x, y))
+        else:
+            levels[last][5].append((t, x, y, z))
+    return levels
+
+
 def _plan(pattern: FiniteLattice):
     """The pattern side of the search, built once per pattern and kept in its
-    cache: each element's (height, depth, |up-set|, |down-set|), and per
-    level, in the search's element order (most-constrained cover degree
-    first), the element placed there and the facts whose last element it
-    is.  Tables are named 0 = meet and 1 = join, so one plan serves every
-    host."""
+    cache: each element's (height, depth, |up-set|, |down-set|), and the
+    :func:`_levels` of its order, meet and join facts in the search's
+    element order (most-constrained cover degree first)."""
     if "embed_plan" in pattern._cache:
         return pattern._cache["embed_plan"]
     n, ph, pd = pattern.n, pattern.heights(), pattern.depths()
@@ -37,27 +58,29 @@ def _plan(pattern: FiniteLattice):
     )
     stats = [(ph[a], pd[a], pattern.up[a].bit_count(), pattern.down[a].bit_count())
              for a in range(n)]
-    level = {a: k for k, a in enumerate(order)}
-    # per level: the element, earlier elements above, below and incomparable
-    # to it, each (table, x, y) whose value it must be, each z = x op y with
-    # z placed earlier as (table, x, y, z), and each x op y whose z is still
-    # unplaced as (table, x, y)
-    levels = [(a, [b for b in order[:k] if pattern.leq(a, b)],
-               [b for b in order[:k] if pattern.leq(b, a)],
-               [c for c in order[:k] if pattern.incomparable(a, c)], [], [], [])
-              for k, a in enumerate(order)]
-    for x, y in itertools.combinations(range(n), 2):
-        for t, pt in enumerate((pattern.meet, pattern.join)):
-            z = pt[x][y]
-            if z != x and z != y:
-                last = max(level[x], level[y])
-                if level[z] > last:
-                    levels[level[z]][4].append((t, x, y))
-                    levels[last][6].append((t, x, y))
-                else:
-                    levels[last][5].append((t, x, y, z))
-    pattern._cache["embed_plan"] = stats, levels
+    facts = [(t, x, y, pt[x][y]) for x, y in itertools.combinations(range(n), 2)
+             for t, pt in enumerate((pattern.meet, pattern.join)) if pt[x][y] not in (x, y)]
+    pattern._cache["embed_plan"] = stats, _levels(order, pattern.leq, pattern.incomparable, facts)
     return pattern._cache["embed_plan"]
+
+
+def configuration(names, leq=(), apart=(), facts=(), pattern=None):
+    """The plan of the elements ``names``, placed in that order on distinct
+    host elements with x <= y for each (x, y) in ``leq``, x incomparable to
+    y for each pair in ``apart``, and x op y = z for each (op, x, y, z) in
+    ``facts``, op "meet" or "join"; every host element is feasible for
+    each.  With a ``pattern``, the first pattern.n names are its elements,
+    placed first as by its own plan, and each pair and fact involves a later
+    name."""
+    stats, levels = _plan(pattern) if pattern is not None else ([], [])
+    p, index = len(stats), {x: i for i, x in enumerate(names)}
+    le = {(index[x], index[y]) for x, y in leq}
+    ap = {(index[x], index[y]) for x, y in apart}
+    ap |= {(y, x) for x, y in ap}
+    facts = [(("meet", "join").index(t), index[x], index[y], index[z]) for t, x, y, z in facts]
+    order = [lv[0] for lv in levels] + list(range(p, len(names)))
+    rest = _levels(order, lambda a, b: (a, b) in le, lambda a, b: (a, b) in ap, facts)[p:]
+    return stats + [(0, 0, 0, 0)] * (len(names) - p), levels + rest
 
 
 def _at_least(values):
@@ -71,20 +94,20 @@ def _at_least(values):
     return ge
 
 
-def iter_embeddings(pattern: FiniteLattice, host: FiniteLattice, budget=None):
-    """Yield every sublattice embedding of ``pattern`` into ``host``.
+def iter_matches(plan, host: FiniteLattice, budget=None):
+    """Yield every placement of a plan's elements on distinct host elements
+    that keeps its facts, as the tuple of their images.
 
-    Backtracking over pattern elements in the plan's order (see
-    :func:`_plan`).  Each level computes its candidates as one host bitmask:
-    the element's feasible images (height, depth and up- and down-set sizes
-    at least its own) outside the image, below the images of the placed
-    elements above it, above those below it, and comparable to none of the
-    placed elements incomparable to it; when it is x op y with x and y
-    placed, its image is forced to the host's x op y.  Each candidate, in
-    ascending order, is then checked against the level's remaining meet and
-    join facts and against every pending x op y, whose host value must not
-    yet be in the image.  A candidate passing them extends an order
-    embedding that keeps every meet and join among placed elements.
+    Backtracking over the plan's levels (see :func:`_levels`).  Each level
+    computes its candidates as one host bitmask: the element's feasible
+    images (height, depth and up- and down-set sizes at least its own)
+    outside the image, below the images of the placed elements above it,
+    above those below it, and comparable to none of the placed elements
+    incomparable to it; when it is x op y with x and y placed, its image is
+    forced to the host's x op y.  Each candidate, in ascending order, is
+    then checked against the level's remaining meet and join facts and
+    against every pending x op y, whose host value must not yet be in the
+    image: its z is placed later, on an element outside the image.
 
     The budget counts one node per feasible image of each level's element,
     tried or not: before a candidate the search spends it and the feasible
@@ -92,21 +115,22 @@ def iter_embeddings(pattern: FiniteLattice, host: FiniteLattice, budget=None):
     those left.  Raises SearchBudgetExceeded when the budget runs out
     before completion.
     """
-    if pattern.n > host.n:
+    stats, levels = plan
+    m = len(levels)
+    if m > host.n:
         return
     budget = _Budget(budget)
-    stats, levels = _plan(pattern)
-    # every statistic of a pattern element is at most pattern.n <= host.n
+    # every statistic of a plan element is at most m <= host.n
     ge_h, ge_d = _at_least(host.heights()), _at_least(host.depths())
     ge_u = _at_least([u.bit_count() for u in host.up])
     ge_w = _at_least([w.bit_count() for w in host.down])
     feasible = [ge_h[h] & ge_d[d] & ge_u[u] & ge_w[w] for h, d, u, w in stats]
-    f, ups, downs, tables = [0] * pattern.n, host.up, host.down, (host.meet, host.join)
+    f, ups, downs, tables = [0] * m, host.up, host.down, (host.meet, host.join)
     spend = budget.spend
 
     def rec(k, image):
-        if k == pattern.n:
-            yield EmbeddingWitness(pattern, host, tuple(f))
+        if k == m:
+            yield tuple(f)
             return
         a, above, below, apart, forced, ops, pending = levels[k]
         rest = feasible[a]
@@ -135,6 +159,13 @@ def iter_embeddings(pattern: FiniteLattice, host: FiniteLattice, budget=None):
             spend("embedding search", rest.bit_count())
 
     yield from rec(0, 0)
+
+
+def iter_embeddings(pattern: FiniteLattice, host: FiniteLattice, budget=None):
+    """Yield every sublattice embedding of ``pattern`` into ``host``: the
+    matches of its plan, which keep its order, meets and joins."""
+    for f in iter_matches(_plan(pattern), host, budget):
+        yield EmbeddingWitness(pattern, host, f)
 
 
 def find_embedding(pattern: FiniteLattice, host: FiniteLattice, budget=None):

@@ -8,6 +8,14 @@ the variety hypothesis for forbidden-sublattice conditions.
 Hypothesis gating is explicit: a lattice failing a check's hypotheses gets a
 skipped report, never a silent pass, and vacuous runs are flagged as such.
 
+The L15 lemma, the twelve-element lemma and the staircase theorem (and so
+its dual) state their hypotheses as configurations
+(:func:`embed.configuration`): named elements on distinct lattice elements
+with x <= y, incomparability and x op y = z facts.  The embedding search
+finds every instance of one, so each of these checks keeps only its
+conclusion test, and its scan spends the check's node budget.  The cube
+theorem's antichain scan spends one node per subset it tests.
+
 The Dec bound finds its sublattices by closure (:func:`core.sublattices`),
 so no size cap applies: the scan spends the check's node budget and raises
 SearchBudgetExceeded when it runs out, and so does each Dec search.  The
@@ -18,6 +26,7 @@ degeneracy lemma's convex sublattices are intervals, listed directly by
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -133,46 +142,30 @@ def _labels(L, elems):
 # -- L15 lemma ----------------------------------------------------------------
 
 
+# two interleaved chains a1 < a2 < a3 and b1 < b2 < b3 with a1 < b3, b1 < a3,
+# a2 incomparable to b1, b2, b3 and b2 to a1, a3, whose middle pair's join
+# and meet are a3 v b3 and a1 ^ b1; placed middle pair first, so that
+# matches come in the order (a2, b2, a3, b3, a1, b1)
+_L15_HYPOTHESIS = embed.configuration(
+    ("a2", "b2", "top", "bot", "a3", "b3", "a1", "b1"),
+    leq=(("a1", "a2"), ("a2", "a3"), ("b1", "b2"), ("b2", "b3"), ("a1", "b3"), ("b1", "a3")),
+    apart=(("a2", "b1"), ("a2", "b2"), ("a2", "b3"), ("a1", "b2"), ("a3", "b2")),
+    facts=(("join", "a2", "b2", "top"), ("meet", "a2", "b2", "bot"),
+           ("join", "a3", "b3", "top"), ("meet", "a1", "b1", "bot")),
+)
+
+
 def lemma_l15_check(L: FiniteLattice, name=None, budget=None, membership=None) -> TheoremReport:
     """Every six-tuple satisfying the two-interleaved-chains hypotheses forces
     a sublattice isomorphic to L15.  Only the no-doubly-reducible hypothesis
     is gated; ``membership`` is accepted for a uniform signature and ignored."""
-    n = L.n
-    l15_present = None  # computed lazily, once
-
-    def conclusion_holds():
-        nonlocal l15_present
-        if l15_present is None:
-            l15_present = embed.find_embedding(catalog.get("L15"), L, budget) is not None
-        return l15_present
 
     def scan(rep, L):
-        for a2 in range(n):
-            for b2 in range(n):
-                if not L.incomparable(a2, b2):
-                    continue
-                top, bot = L.join[a2][b2], L.meet[a2][b2]
-                a3s = [x for x in range(n) if L.lt(a2, x) and L.incomparable(x, b2)]
-                b3s = [y for y in range(n) if L.lt(b2, y) and L.incomparable(y, a2)]
-                a1s = [x for x in range(n) if L.lt(x, a2) and L.incomparable(x, b2)]
-                b1s = [y for y in range(n) if L.lt(y, b2) and L.incomparable(y, a2)]
-                for a3 in a3s:
-                    for b3 in b3s:
-                        if L.join[a3][b3] != top:
-                            continue
-                        for a1 in a1s:
-                            if not L.lt(a1, b3):
-                                continue
-                            for b1 in b1s:
-                                if not L.lt(b1, a3):
-                                    continue
-                                if L.meet[a1][b1] != bot:
-                                    continue
-                                rep.hypothesis_instances += 1
-                                if not conclusion_holds():
-                                    rep.conclusion_violations.append(
-                                        _labels(L, (a1, a2, a3, b1, b2, b3))
-                                    )
+        matches = list(embed.iter_matches(_L15_HYPOTHESIS, L, budget))
+        rep.hypothesis_instances = len(matches)
+        if matches and embed.find_embedding(catalog.get("L15"), L, budget) is None:
+            rep.conclusion_violations = [_labels(L, (a1, a2, a3, b1, b2, b3))
+                                         for a2, b2, _, _, a3, b3, a1, b1 in matches]
 
     return _check("l15_lemma", L, name, ("no_dr",), membership, scan)
 
@@ -199,8 +192,8 @@ def lemma_l15_witness(L: FiniteLattice, tup) -> EmbeddingWitness:
     (a1, a2, a3, b1, b2, b3): derived corners a1' = a2 ^ b3, b1' = a3 ^ b2,
     a3'' = a2 v b1', b3'' = a1' v b2, their join/meet, the bounding join and
     meet, and a2, b2 themselves form a sublattice isomorphic to L15."""
-    if len(tup) != 6 or len(set(tup)) != 6:
-        raise HypothesisViolated("six distinct elements required", tup)
+    if len(tup) != 6 or len(set(tup)) != 6 or not all(x in range(L.n) for x in tup):
+        raise HypothesisViolated("six distinct elements of the lattice required", tup)
     a1, a2, a3, b1, b2, b3 = tup
     for clause, pred in _L15_CLAUSES:
         if not pred(L, a1, a2, a3, b1, b2, b3):
@@ -229,7 +222,10 @@ def lemma_l15_witness(L: FiniteLattice, tup) -> EmbeddingWitness:
 # -- cube theorem -------------------------------------------------------------
 
 
-def _constant_meet_antichains(L, size):
+def _constant_meet_antichains(L, size, budget):
+    """Every size-subset of L that is an antichain with one pairwise meet,
+    with that meet; the scan first spends one node per subset."""
+    budget.spend("antichain scan", math.comb(L.n, size))
     for Y in itertools.combinations(range(L.n), size):
         if any(not L.incomparable(a, b) for a, b in itertools.combinations(Y, 2)):
             continue
@@ -246,13 +242,14 @@ def cube_theorem_check(L: FiniteLattice, name=None, budget=None, membership=None
     the meet form of the dual.  With ``forms=("join",)`` (resp.
     ``("meet",)``) and ``sizes=(3,)`` this is the single-sided cover property
     kept by the last two corollary profiles.  The dual form runs the same
-    scan on the dual lattice."""
+    scan on the dual lattice.  The forms and sizes share one node budget."""
 
     def scan(rep, M):
+        nodes = _Budget(budget)
         for form in forms:
             K = M if form == "meet" else dual(M)
             for size in sizes:
-                for Y, d in _constant_meet_antichains(K, size):
+                for Y, d in _constant_meet_antichains(K, size, nodes):
                     rep.hypothesis_instances += 1
                     if size == 4:
                         rep.conclusion_violations.append(
@@ -273,6 +270,8 @@ def boolean_cube_witness(L: FiniteLattice, triple, d, membership=None) -> Embedd
     """For a 3-antichain with constant pairwise meets d and pairwise distinct
     joins, the elements (a v b) ^ (c v a) and their joins form a sublattice
     isomorphic to the Boolean cube."""
+    if len(triple) != 3 or not all(x in range(L.n) for x in (*triple, d)):
+        raise HypothesisViolated("three elements and d of the lattice required", tuple(triple))
     if membership is None:
         membership = variety_membership
     if not laws.whitman(L):
@@ -372,56 +371,48 @@ def degeneracy_lemma_check(L: FiniteLattice, name=None, budget=None, membership=
 
 # -- twelve-element lemma -----------------------------------------------------
 
-_GRID_POS = {
-    "w'": "0.0", "w": "0.1", "a": "0.2", "y": "0.3", "y'": "0.4",
-    "x'": "1.0", "x": "1.1", "b": "1.2", "z": "1.3", "z'": "1.4",
-}
+# the 2 x 5 grid, its elements named in index order: the rows
+# w' < w < a < y < y' ("0.0" .. "0.4") and x' < x < b < z < z' ("1.0" ..
+# "1.4"); and c strictly inside its middle rung a < b
+_TWELVE_ELEMENT_HYPOTHESIS = embed.configuration(
+    ("w'", "w", "a", "y", "y'", "x'", "x", "b", "z", "z'", "c"), pattern=catalog.grid(5),
+    leq=(("w'", "c"), ("w", "c"), ("a", "c"), ("c", "b"), ("c", "z"), ("c", "z'")),
+    apart=(("c", "x'"), ("c", "x"), ("c", "y"), ("c", "y'")),
+)
 
 
 def twelve_element_lemma_check(L: FiniteLattice, name=None, budget=None,
                                membership=None) -> TheoremReport:
-    """No 2 x 5 grid sublattice admits both a point strictly inside its
-    middle rung and a point strictly inside the rung above, with the exact
+    """No 2 x 5 grid sublattice admits both a point c strictly inside its
+    middle rung and a point s strictly inside the rung above, with the exact
     incomparabilities of the twelve-element configuration."""
 
     def scan(rep, L):
-        grid = catalog.grid(5)
-        gidx = {k: grid.index_of(v) for k, v in _GRID_POS.items()}
-        for w in embed.iter_embeddings(grid, L, budget):
-            pos = {k: w.map[i] for k, i in gidx.items()}
-            image = set(w.map)
-            below_c = [pos[k] for k in ("w'", "w", "a")]
-            above_c = [pos[k] for k in ("b", "z", "z'")]
-            incomp_c = [pos[k] for k in ("x'", "x", "y", "y'")]
-            cs = [
-                c for c in range(L.n)
-                if c not in image
-                and all(L.lt(x, c) for x in below_c)
-                and all(L.lt(c, x) for x in above_c)
-                and all(L.incomparable(c, x) for x in incomp_c)
-            ]
-            above_s = [pos[k] for k in ("y", "y'", "z", "z'")]
-            incomp_s = [pos[k] for k in ("x'", "x", "b")]
-            for c in cs:
-                rep.hypothesis_instances += 1
-                for s in range(L.n):
-                    if s in image or s == c:
-                        continue
-                    if (
-                        all(L.lt(x, s) for x in below_c)
-                        and all(L.lt(s, x) for x in above_s)
-                        and all(L.incomparable(s, x) for x in incomp_s)
-                        and L.incomparable(s, c)
-                    ):
-                        rep.conclusion_violations.append(
-                            ("grid with interior points",
-                             _labels(L, w.map), L.labels[c], L.labels[s])
-                        )
+        for *grid, c in embed.iter_matches(_TWELVE_ELEMENT_HYPOTHESIS, L, budget):
+            rep.hypothesis_instances += 1
+            w_, w, a, y, y_, x_, x, b, z, z_ = grid
+            # these strict relations keep s off the grid and off c
+            for s in range(L.n):
+                if (all(L.lt(v, s) for v in (w_, w, a))
+                        and all(L.lt(s, v) for v in (y, y_, z, z_))
+                        and all(L.incomparable(s, v) for v in (x_, x, b, c))):
+                    rep.conclusion_violations.append(
+                        ("grid with interior points", _labels(L, grid), L.labels[c], L.labels[s]))
 
     return _check("twelve_element", L, name, ("no_dr", "member"), membership, scan)
 
 
 # -- staircase cover theorem ----------------------------------------------------
+
+
+# a, and a five-chain b1 < ... < b5 incomparable to a whose joins
+# j_i = a v b_i increase strictly; each j_i is placed right after b_i
+_STAIRCASE_HYPOTHESIS = embed.configuration(
+    ("a",) + tuple(f"{x}{i}" for i in range(1, 6) for x in "bj"),
+    leq=tuple((f"{x}{i}", f"{x}{i + 1}") for x in "bj" for i in range(1, 5)),
+    apart=tuple(("a", f"b{i}") for i in range(1, 6)),
+    facts=tuple(("join", "a", f"b{i}", f"j{i}") for i in range(1, 6)),
+)
 
 
 def staircase_cover_check(L: FiniteLattice, name=None, budget=None,
@@ -431,36 +422,11 @@ def staircase_cover_check(L: FiniteLattice, name=None, budget=None,
     a v b3.  The dual form runs the same scan on the dual lattice."""
 
     def scan(rep, M):
-        n = M.n
-
-        for a in range(n):
-            pool = [b for b in range(n) if M.incomparable(a, b)]
-
-            def extend(chain, joins):
-                if len(chain) == 5:
-                    rep.hypothesis_instances += 1
-                    b4, b5 = chain[3], chain[4]
-                    j3, j4 = joins[2], joins[3]
-                    if M.meet[j4][b5] != b4:
-                        low = M.meet[j3][b5]
-                        if not M.covers(low, j3):
-                            rep.conclusion_violations.append(
-                                (M.labels[a], _labels(M, chain))
-                            )
-                    return
-                for b in pool:
-                    if chain and not M.lt(chain[-1], b):
-                        continue
-                    j = M.join[a][b]
-                    if joins and not M.lt(joins[-1], j):
-                        continue
-                    chain.append(b)
-                    joins.append(j)
-                    extend(chain, joins)
-                    chain.pop()
-                    joins.pop()
-
-            extend([], [])
+        for a, b1, _, b2, _, b3, j3, b4, j4, b5, _ in embed.iter_matches(
+                _STAIRCASE_HYPOTHESIS, M, budget):
+            rep.hypothesis_instances += 1
+            if M.meet[j4][b5] != b4 and not M.covers(M.meet[j3][b5], j3):
+                rep.conclusion_violations.append((M.labels[a], _labels(M, (b1, b2, b3, b4, b5))))
 
     theorem_id = "staircase_dual" if dual_form else "staircase"
     return _check(theorem_id, L, name, ("no_dr", "member"), membership, scan, dual_form)

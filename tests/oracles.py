@@ -16,7 +16,11 @@ the self-canonicity referee, which runs the library's signature,
 refinement and canonical form on a fresh view, so that it checks what the
 enumeration derives during its walk against what the view derives alone;
 and the Galvin-Jonsson referee, the range search the classifier replaced,
-which tags its ranges with the library's ``induced`` and ``canonical_form``.
+which tags its ranges with the library's ``induced`` and ``canonical_form``;
+and the hand-written hypothesis scans that the L15, twelve-element and
+staircase checks replaced with configurations, which decide the L15
+lemma's conclusion with the library's ``find_embedding`` and find the
+twelve-element grid with its ``iter_embeddings``.
 """
 
 from __future__ import annotations
@@ -513,3 +517,129 @@ def gj_classify_oracle(D: FiniteLattice):
         blocks.append(elems)
         shapes.append(range_tag(i, j))
     return GJDecomposition(tuple(blocks), tuple(shapes))
+
+
+# -- the hand-written hypothesis scans that the theorem checks' configurations
+# replaced, each returning (hypothesis instances, conclusion violations) in
+# the order the check reports them
+
+
+def _labels(L, elems):
+    return tuple(L.labels[e] for e in elems)
+
+
+def l15_lemma_oracle(L: FiniteLattice):
+    """The L15 lemma's nested loops over (a2, b2, a3, b3, a1, b1)."""
+    from latcheck import embed
+
+    n = L.n
+    instances, violations = 0, []
+    l15_present = None  # computed lazily, once
+    for a2 in range(n):
+        for b2 in range(n):
+            if not L.incomparable(a2, b2):
+                continue
+            top, bot = L.join[a2][b2], L.meet[a2][b2]
+            a3s = [x for x in range(n) if L.lt(a2, x) and L.incomparable(x, b2)]
+            b3s = [y for y in range(n) if L.lt(b2, y) and L.incomparable(y, a2)]
+            a1s = [x for x in range(n) if L.lt(x, a2) and L.incomparable(x, b2)]
+            b1s = [y for y in range(n) if L.lt(y, b2) and L.incomparable(y, a2)]
+            for a3 in a3s:
+                for b3 in b3s:
+                    if L.join[a3][b3] != top:
+                        continue
+                    for a1 in a1s:
+                        if not L.lt(a1, b3):
+                            continue
+                        for b1 in b1s:
+                            if not L.lt(b1, a3):
+                                continue
+                            if L.meet[a1][b1] != bot:
+                                continue
+                            instances += 1
+                            if l15_present is None:
+                                l15_present = embed.find_embedding(catalog.get("L15"), L) is not None
+                            if not l15_present:
+                                violations.append(_labels(L, (a1, a2, a3, b1, b2, b3)))
+    return instances, violations
+
+
+_GRID_POS = {
+    "w'": "0.0", "w": "0.1", "a": "0.2", "y": "0.3", "y'": "0.4",
+    "x'": "1.0", "x": "1.1", "b": "1.2", "z": "1.3", "z'": "1.4",
+}
+
+
+def twelve_element_oracle(L: FiniteLattice):
+    """For each 2 x 5 grid sublattice, in the library's embedding order
+    (``embed.iter_embeddings``, itself checked against the subset oracle),
+    every point c inside its middle rung by a scan of the host."""
+    from latcheck import embed
+
+    instances, violations = 0, []
+    grid = catalog.grid(5)
+    gidx = {k: grid.index_of(v) for k, v in _GRID_POS.items()}
+    for w in embed.iter_embeddings(grid, L):
+        pos = {k: w.map[i] for k, i in gidx.items()}
+        image = set(w.map)
+        below_c = [pos[k] for k in ("w'", "w", "a")]
+        above_c = [pos[k] for k in ("b", "z", "z'")]
+        incomp_c = [pos[k] for k in ("x'", "x", "y", "y'")]
+        cs = [
+            c for c in range(L.n)
+            if c not in image
+            and all(L.lt(x, c) for x in below_c)
+            and all(L.lt(c, x) for x in above_c)
+            and all(L.incomparable(c, x) for x in incomp_c)
+        ]
+        above_s = [pos[k] for k in ("y", "y'", "z", "z'")]
+        incomp_s = [pos[k] for k in ("x'", "x", "b")]
+        for c in cs:
+            instances += 1
+            for s in range(L.n):
+                if s in image or s == c:
+                    continue
+                if (
+                    all(L.lt(x, s) for x in below_c)
+                    and all(L.lt(s, x) for x in above_s)
+                    and all(L.incomparable(s, x) for x in incomp_s)
+                    and L.incomparable(s, c)
+                ):
+                    violations.append(("grid with interior points",
+                                       _labels(L, w.map), L.labels[c], L.labels[s]))
+    return instances, violations
+
+
+def staircase_oracle(M: FiniteLattice):
+    """The staircase's chain extension: for each a, every five-chain of
+    elements incomparable to a with strictly increasing joins with a."""
+    n = M.n
+    instances, violations = 0, []
+    for a in range(n):
+        pool = [b for b in range(n) if M.incomparable(a, b)]
+
+        def extend(chain, joins):
+            nonlocal instances
+            if len(chain) == 5:
+                instances += 1
+                b4, b5 = chain[3], chain[4]
+                j3, j4 = joins[2], joins[3]
+                if M.meet[j4][b5] != b4:
+                    low = M.meet[j3][b5]
+                    if not M.covers(low, j3):
+                        violations.append((M.labels[a], _labels(M, chain)))
+                return
+            for b in pool:
+                if chain and not M.lt(chain[-1], b):
+                    continue
+                j = M.join[a][b]
+                if joins and not M.lt(joins[-1], j):
+                    continue
+                chain.append(b)
+                joins.append(j)
+                extend(chain, joins)
+                chain.pop()
+                joins.pop()
+
+        extend([], [])
+    return instances, violations

@@ -253,6 +253,14 @@ def test_budget_exit_code(tmp_path):
     assert proc.returncode == cli.EXIT_BUDGET
 
 
+def test_verify_theorems_hypothesis_search_spends_budget():
+    """The L15 lemma finds its hypothesis with the embedding search, which
+    spends the budget."""
+    proc = run_cli(["--budget", "1", "verify-theorems", "--size", "8", "--theorem", "l15_lemma"])
+    assert proc.returncode == cli.EXIT_BUDGET
+    assert proc.stderr == "error: embedding search exceeded node budget 1\n"
+
+
 def test_dec_has_no_size_cap_and_spends_budget(tmp_path):
     path = tmp_path / "chain17.json"
     cli.write_lattice_file(str(path), cli.diagram_of(catalog.chain(17), name="chain(17)"))

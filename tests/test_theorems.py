@@ -3,6 +3,7 @@ reporting, dual consistency, profile gating; reports, Dec searches and
 semidistributivity witnesses pinned against digests and oracles."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -13,7 +14,9 @@ from latcheck.decomp import dec, minimum_distributive_partitions
 from latcheck.enumeration import all_lattices
 from latcheck.errors import HypothesisViolated, SearchBudgetExceeded, UnknownProfile
 
-from oracles import dec_oracle, minimum_distributive_partitions_oracle, sublattice_masks_oracle
+from oracles import (dec_oracle, l15_lemma_oracle, minimum_distributive_partitions_oracle,
+                     staircase_oracle, sublattice_masks_oracle, twelve_element_oracle)
+from test_negative_controls import ALWAYS, grid_plus_times_2, interleaved_chains
 
 
 def l15_self_tuple():
@@ -37,6 +40,23 @@ def test_l15_witness_rejects_bad_tuple():
         theorems.lemma_l15_witness(l15, bad)
     with pytest.raises(HypothesisViolated):
         theorems.lemma_l15_witness(l15, (tup[0],) * 6)
+    for bad in (tup[:5], tup + (0,), (99,) + tup[1:], (-1,) + tup[1:]):
+        with pytest.raises(HypothesisViolated):
+            theorems.lemma_l15_witness(l15, bad)
+
+
+def test_l15_configuration_is_the_witness_hypothesis():
+    """The L15 check's configuration and the clauses lemma_l15_witness
+    validates state one hypothesis: on two hosts where it holds, the
+    configuration's matches are exactly the distinct six-tuples that pass
+    every clause."""
+    for L in (interleaved_chains(), catalog.get("L15")):
+        matches = {(a1, a2, a3, b1, b2, b3) for a2, b2, _, _, a3, b3, a1, b1
+                   in embed.iter_matches(theorems._L15_HYPOTHESIS, L)}
+        passing = {t for t in itertools.permutations(range(L.n), 6)
+                   if all(pred(L, *t) for _, pred in theorems._L15_CLAUSES)}
+        assert matches == passing
+        assert matches
 
 
 def test_l15_check_vacuous_on_pentagon_and_cube():
@@ -95,6 +115,11 @@ def test_cube_witness_hypothesis_violations():
     m3 = catalog.get("M3")
     with pytest.raises(HypothesisViolated):
         theorems.boolean_cube_witness(m3, (1, 2, 3), m3.bottom)
+    a, b, c, d = i("a"), i("b"), i("c"), i("0")
+    for triple, bound in (((a, b), d), ((a, b, c, i("ab")), d), ((a, b, 99), d),
+                          ((a, b, -1), d), ((a, b, c), 99), ((a, b, c), -1)):
+        with pytest.raises(HypothesisViolated):
+            theorems.boolean_cube_witness(b3, triple, bound)
 
 
 def test_dec_bound_pentagon_side():
@@ -129,10 +154,45 @@ def test_sublattice_checks_past_twelve_elements():
             assert rep.holds
 
 
-def test_sublattice_check_budget():
+# each check id with a host its gates let through; degeneracy is absent: it
+# lists intervals directly and runs no search
+BUDGET_CASES = [("l15_lemma", "L15"), ("cube", "B3"), ("cube_dual", "B3"),
+                ("cube_join_cover", "grid(2,7)"), ("cube_meet_cover", "grid(2,7)"),
+                ("dec_bound", "ninf(6)"), ("twelve_element", "grid(2,6)"),
+                ("staircase", "grid(2,7)"), ("staircase_dual", "grid(2,7)")]
+
+
+@pytest.mark.parametrize("cid, host", BUDGET_CASES, ids=[c[0] for c in BUDGET_CASES])
+def test_sublattice_check_budget(cid, host):
+    L = catalog.get(host)
+    assert not theorems.run_check(L, cid, name=host).skipped
     with pytest.raises(SearchBudgetExceeded) as exc:
-        theorems.run_check(catalog.ninf(6), "dec_bound", budget=100)
+        theorems.run_check(L, cid, name=host, budget=100)
     assert exc.value.budget == 100
+
+
+def test_hypothesis_configurations_match_oracles(monkeypatch):
+    """With the doubly reducible, Whitman and membership gates lifted, each
+    check that finds its hypothesis with a configuration reports the
+    instances and violations of the loop it replaced, in the same order, on
+    every lattice with n <= 8, the catalog, the 2 x k grids for k = 5..10,
+    shape_2x5_plus x 2, and their duals."""
+    monkeypatch.setattr(theorems.laws, "doubly_reducible_elements", lambda L: ())
+    monkeypatch.setattr(theorems.laws, "whitman", lambda L: True)
+    hosts = [L for n in range(1, 9) for L in all_lattices(n)]
+    hosts += [catalog.get(name) for name in catalog.FIXED_NAMES]
+    hosts += [catalog.grid(k) for k in range(5, 11)] + [grid_plus_times_2()]
+    hosts += [dual(L) for L in hosts]
+    referees = {"l15_lemma": l15_lemma_oracle, "twelve_element": twelve_element_oracle,
+                "staircase": staircase_oracle,
+                "staircase_dual": lambda L: staircase_oracle(dual(L))}
+    instances = dict.fromkeys(referees, 0)
+    for L in hosts:
+        for cid, oracle in referees.items():
+            rep = theorems.run_check(L, cid, name="host", membership=ALWAYS)
+            assert (rep.hypothesis_instances, rep.conclusion_violations) == oracle(L), cid
+            instances[cid] += rep.hypothesis_instances
+    assert all(instances.values()), instances
 
 
 def test_twelve_element_grid_itself():
