@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import (
+    BadParameter,
     CyclicCovers,
     DuplicateLabel,
     EmptySeeds,
@@ -35,15 +36,17 @@ PRODUCT_SIZE_CAP = 400
 DEFAULT_BUDGET = 20_000_000
 
 
+def _node_count(value, what):
+    """``value`` as a node count; BadParameter unless a non-negative integer."""
+    if not str(value).strip().isdecimal():
+        raise BadParameter(f"{what} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def default_budget():
-    """``LATCHECK_BUDGET`` when it is an integer, else DEFAULT_BUDGET."""
+    """``LATCHECK_BUDGET`` when it is set, else DEFAULT_BUDGET."""
     env = os.environ.get("LATCHECK_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
+    return _node_count(env, "LATCHECK_BUDGET") if env else DEFAULT_BUDGET
 
 
 class _Budget:
@@ -53,7 +56,8 @@ class _Budget:
     __slots__ = ("left", "total")
 
     def __init__(self, nodes=None):
-        self.left = self.total = default_budget() if nodes is None else nodes
+        self.left = self.total = (default_budget() if nodes is None
+                                  else _node_count(nodes, "search node budget"))
 
     def spend(self, what, nodes=1):
         self.left -= nodes

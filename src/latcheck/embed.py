@@ -6,9 +6,10 @@ order-embedded subposet.  One search (:func:`iter_matches`) places the
 elements of a plan: a pattern's (element order, feasibility statistics, and
 the facts listed per search level), built once per pattern
 (:func:`_plan`), or a *configuration*'s, named elements with given order,
-incomparability and meet/join facts, such as a theorem's hypothesis
-(:func:`configuration`).  Each level computes its candidate images as one
-host bitmask, and spends the budget in bulk, one node per feasible image.
+incomparability, meet/join and ascending-index facts, such as a theorem's
+hypothesis (:func:`configuration`).  Each level computes its candidate
+images as one host bitmask, and spends the budget in bulk, one node per
+feasible image.
 """
 
 from __future__ import annotations
@@ -21,25 +22,27 @@ from .core import EmbeddingWitness, FiniteLattice, _Budget
 from .errors import UnknownProfile
 
 
-def _levels(order, leq, apart, facts):
-    """Per level, in ``order``: the element placed there, the earlier
-    elements above, below and incomparable to it (by the predicates ``leq``
-    and ``apart``), each (table, x, y) whose value it must be, each
+def _levels(order, leq, apart, facts, ascending=()):
+    """Per level, in ``order``: the element placed there; the earlier
+    elements above, below and incomparable to it, and those it must follow
+    in host index (by the predicates ``leq`` and ``apart`` and the pairs
+    ``ascending``); each (table, x, y) whose value it must be, each
     z = x op y with z placed earlier as (table, x, y, z), and each x op y
     whose z is still unplaced as (table, x, y), from the (table, x, y, z)
     ``facts``.  Tables are named 0 = meet and 1 = join, so one plan serves
     every host."""
     level = {a: k for k, a in enumerate(order)}
     levels = [(a, [b for b in order[:k] if leq(a, b)], [b for b in order[:k] if leq(b, a)],
-               [c for c in order[:k] if apart(a, c)], [], [], [])
+               [c for c in order[:k] if apart(a, c)],
+               [b for b in order[:k] if (b, a) in ascending], [], [], [])
               for k, a in enumerate(order)]
     for t, x, y, z in facts:
         last = max(level[x], level[y])
         if level[z] > last:
-            levels[level[z]][4].append((t, x, y))
-            levels[last][6].append((t, x, y))
+            levels[level[z]][5].append((t, x, y))
+            levels[last][7].append((t, x, y))
         else:
-            levels[last][5].append((t, x, y, z))
+            levels[last][6].append((t, x, y, z))
     return levels
 
 
@@ -64,52 +67,65 @@ def _plan(pattern: FiniteLattice):
     return pattern._cache["embed_plan"]
 
 
-def configuration(names, leq=(), apart=(), facts=(), pattern=None):
+def configuration(names, leq=(), apart=(), facts=(), ascending=(), pattern=None):
     """The plan of the elements ``names``, placed in that order on distinct
     host elements with x <= y for each (x, y) in ``leq``, x incomparable to
-    y for each pair in ``apart``, and x op y = z for each (op, x, y, z) in
-    ``facts``, op "meet" or "join"; every host element is feasible for
-    each.  With a ``pattern``, the first pattern.n names are its elements,
-    placed first as by its own plan, and each pair and fact involves a later
+    y for each pair in ``apart``, x op y = z for each (op, x, y, z) in
+    ``facts``, op "meet" or "join", and x on a lower host index than y for
+    each (x, y) in ``ascending``, x placed before y, which lists each set of
+    interchangeable elements once; every host element is feasible for each.
+    With a ``pattern``, the first pattern.n names are its elements, placed
+    first as by its own plan, and each pair and fact involves a later
     name."""
     stats, levels = _plan(pattern) if pattern is not None else ([], [])
     p, index = len(stats), {x: i for i, x in enumerate(names)}
     le = {(index[x], index[y]) for x, y in leq}
     ap = {(index[x], index[y]) for x, y in apart}
     ap |= {(y, x) for x, y in ap}
+    asc = {(index[x], index[y]) for x, y in ascending}
     facts = [(("meet", "join").index(t), index[x], index[y], index[z]) for t, x, y, z in facts]
     order = [lv[0] for lv in levels] + list(range(p, len(names)))
-    rest = _levels(order, lambda a, b: (a, b) in le, lambda a, b: (a, b) in ap, facts)[p:]
+    rest = _levels(order, lambda a, b: (a, b) in le, lambda a, b: (a, b) in ap, facts, asc)[p:]
     return stats + [(0, 0, 0, 0)] * (len(names) - p), levels + rest
 
 
-def _at_least(values):
-    """``ge[v]``: the mask of the positions whose value is at least v, for
-    v = 0..len(values)."""
-    ge = [0] * (len(values) + 1)
-    for h, v in enumerate(values):
-        ge[v] |= 1 << h
-    for v in range(len(values) - 1, -1, -1):
-        ge[v] |= ge[v + 1]
-    return ge
+def _host_tables(host: FiniteLattice):
+    """For the host's heights, depths, and up- and down-set sizes, each
+    ``ge``: ``ge[v]`` is the mask of the elements whose value is at least v,
+    for v = 0..n.  Built once per host and kept in its cache."""
+    if "embed_tables" not in host._cache:
+        tables = []
+        for values in (host.heights(), host.depths(), [u.bit_count() for u in host.up],
+                       [w.bit_count() for w in host.down]):
+            ge = [0] * (host.n + 1)
+            for h, v in enumerate(values):
+                ge[v] |= 1 << h
+            for v in range(host.n - 1, -1, -1):
+                ge[v] |= ge[v + 1]
+            tables.append(ge)
+        host._cache["embed_tables"] = tables
+    return host._cache["embed_tables"]
 
 
-def iter_matches(plan, host: FiniteLattice, budget=None):
+def iter_matches(plan, host: FiniteLattice, budget=None, images=None):
     """Yield every placement of a plan's elements on distinct host elements
-    that keeps its facts, as the tuple of their images.
+    that keeps its facts, as the tuple of their images; with ``images``, one
+    host element per plan element, only that placement, if it keeps them.
 
     Backtracking over the plan's levels (see :func:`_levels`).  Each level
     computes its candidates as one host bitmask: the element's feasible
     images (height, depth and up- and down-set sizes at least its own)
     outside the image, below the images of the placed elements above it,
-    above those below it, and comparable to none of the placed elements
-    incomparable to it; when it is x op y with x and y placed, its image is
-    forced to the host's x op y.  Each candidate, in ascending order, is
-    then checked against the level's remaining meet and join facts and
-    against every pending x op y, whose host value must not yet be in the
-    image: its z is placed later, on an element outside the image.
+    above those below it, comparable to none of the placed elements
+    incomparable to it, and past those it must follow in host index; when
+    it is x op y with x and y placed, its image is forced to the host's
+    x op y.  Each candidate, in ascending order, is then checked against
+    the level's remaining meet and join facts and against every pending
+    x op y, whose host value must not yet be in the image: its z is placed
+    later, on an element outside the image.
 
-    The budget counts one node per feasible image of each level's element,
+    The budget, a node count or a :class:`core._Budget` shared with other
+    searches, counts one node per feasible image of each level's element,
     tried or not: before a candidate the search spends it and the feasible
     images below it that the mask skipped, and at the end of the level
     those left.  Raises SearchBudgetExceeded when the budget runs out
@@ -119,12 +135,12 @@ def iter_matches(plan, host: FiniteLattice, budget=None):
     m = len(levels)
     if m > host.n:
         return
-    budget = _Budget(budget)
+    budget = budget if isinstance(budget, _Budget) else _Budget(budget)
     # every statistic of a plan element is at most m <= host.n
-    ge_h, ge_d = _at_least(host.heights()), _at_least(host.depths())
-    ge_u = _at_least([u.bit_count() for u in host.up])
-    ge_w = _at_least([w.bit_count() for w in host.down])
+    ge_h, ge_d, ge_u, ge_w = _host_tables(host)
     feasible = [ge_h[h] & ge_d[d] & ge_u[u] & ge_w[w] for h, d, u, w in stats]
+    if images is not None:
+        feasible = [mask & (1 << x) for mask, x in zip(feasible, images)]
     f, ups, downs, tables = [0] * m, host.up, host.down, (host.meet, host.join)
     spend = budget.spend
 
@@ -132,7 +148,7 @@ def iter_matches(plan, host: FiniteLattice, budget=None):
         if k == m:
             yield tuple(f)
             return
-        a, above, below, apart, forced, ops, pending = levels[k]
+        a, above, below, apart, after, forced, ops, pending = levels[k]
         rest = feasible[a]
         cand = rest & ~image
         for b in above:
@@ -141,6 +157,8 @@ def iter_matches(plan, host: FiniteLattice, budget=None):
             cand &= ups[f[b]]
         for c in apart:
             cand &= ~(ups[f[c]] | downs[f[c]])
+        for b in after:
+            cand &= -(2 << f[b])
         for t, x, y in forced:
             cand &= 1 << tables[t][f[x]][f[y]]
         while cand:

@@ -8,13 +8,12 @@ the variety hypothesis for forbidden-sublattice conditions.
 Hypothesis gating is explicit: a lattice failing a check's hypotheses gets a
 skipped report, never a silent pass, and vacuous runs are flagged as such.
 
-The L15 lemma, the twelve-element lemma and the staircase theorem (and so
-its dual) state their hypotheses as configurations
+Every hypothesis on elements is stated once, as a configuration
 (:func:`embed.configuration`): named elements on distinct lattice elements
-with x <= y, incomparability and x op y = z facts.  The embedding search
-finds every instance of one, so each of these checks keeps only its
-conclusion test, and its scan spends the check's node budget.  The cube
-theorem's antichain scan spends one node per subset it tests.
+with x <= y, incomparability, x op y = z and ascending-index facts.  The
+embedding search finds every instance of one, so each check keeps only its
+conclusion test and spends its node budget, and each witness construction
+checks the tuple it is handed as the search's one placement of it.
 
 The Dec bound finds its sublattices by closure (:func:`core.sublattices`),
 so no size cap applies: the scan spends the check's node budget and raises
@@ -26,7 +25,6 @@ degeneracy lemma's convex sublattices are intervals, listed directly by
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -170,34 +168,17 @@ def lemma_l15_check(L: FiniteLattice, name=None, budget=None, membership=None) -
     return _check("l15_lemma", L, name, ("no_dr",), membership, scan)
 
 
-_L15_CLAUSES = (
-    ("a1 < a2", lambda L, a1, a2, a3, b1, b2, b3: L.lt(a1, a2)),
-    ("a2 < a3", lambda L, a1, a2, a3, b1, b2, b3: L.lt(a2, a3)),
-    ("b1 < b2", lambda L, a1, a2, a3, b1, b2, b3: L.lt(b1, b2)),
-    ("b2 < b3", lambda L, a1, a2, a3, b1, b2, b3: L.lt(b2, b3)),
-    ("a1 < b3", lambda L, a1, a2, a3, b1, b2, b3: L.lt(a1, b3)),
-    ("b1 < a3", lambda L, a1, a2, a3, b1, b2, b3: L.lt(b1, a3)),
-    ("a2 incomparable to b1", lambda L, a1, a2, a3, b1, b2, b3: L.incomparable(a2, b1)),
-    ("a2 incomparable to b2", lambda L, a1, a2, a3, b1, b2, b3: L.incomparable(a2, b2)),
-    ("a2 incomparable to b3", lambda L, a1, a2, a3, b1, b2, b3: L.incomparable(a2, b3)),
-    ("a1 incomparable to b2", lambda L, a1, a2, a3, b1, b2, b3: L.incomparable(a1, b2)),
-    ("a3 incomparable to b2", lambda L, a1, a2, a3, b1, b2, b3: L.incomparable(a3, b2)),
-    ("a2 v b2 = a3 v b3", lambda L, a1, a2, a3, b1, b2, b3: L.join[a2][b2] == L.join[a3][b3]),
-    ("a2 ^ b2 = a1 ^ b1", lambda L, a1, a2, a3, b1, b2, b3: L.meet[a2][b2] == L.meet[a1][b1]),
-)
-
-
 def lemma_l15_witness(L: FiniteLattice, tup) -> EmbeddingWitness:
     """The explicit ten-element construction from a hypothesis tuple
     (a1, a2, a3, b1, b2, b3): derived corners a1' = a2 ^ b3, b1' = a3 ^ b2,
     a3'' = a2 v b1', b3'' = a1' v b2, their join/meet, the bounding join and
     meet, and a2, b2 themselves form a sublattice isomorphic to L15."""
-    if len(tup) != 6 or len(set(tup)) != 6 or not all(x in range(L.n) for x in tup):
-        raise HypothesisViolated("six distinct elements of the lattice required", tup)
+    if len(tup) != 6 or not all(x in range(L.n) for x in tup):
+        raise HypothesisViolated("six elements of the lattice required", tup)
     a1, a2, a3, b1, b2, b3 = tup
-    for clause, pred in _L15_CLAUSES:
-        if not pred(L, a1, a2, a3, b1, b2, b3):
-            raise HypothesisViolated(clause, tup)
+    images = (a2, b2, L.join[a2][b2], L.meet[a2][b2], a3, b3, a1, b1)
+    if next(embed.iter_matches(_L15_HYPOTHESIS, L, images=images), None) is None:
+        raise HypothesisViolated("not two interleaved chains of the L15 lemma", tup)
     a1p = L.meet[a2][b3]
     b1p = L.meet[a3][b2]
     a3pp = L.join[a2][b1p]
@@ -222,16 +203,16 @@ def lemma_l15_witness(L: FiniteLattice, tup) -> EmbeddingWitness:
 # -- cube theorem -------------------------------------------------------------
 
 
-def _constant_meet_antichains(L, size, budget):
-    """Every size-subset of L that is an antichain with one pairwise meet,
-    with that meet; the scan first spends one node per subset."""
-    budget.spend("antichain scan", math.comb(L.n, size))
-    for Y in itertools.combinations(range(L.n), size):
-        if any(not L.incomparable(a, b) for a, b in itertools.combinations(Y, 2)):
-            continue
-        vals = {L.meet[a][b] for a, b in itertools.combinations(Y, 2)}
-        if len(vals) == 1:
-            yield Y, vals.pop()
+# y0, y1, d, y2[, y3]: an antichain whose pairwise meets all equal d, in
+# ascending order, so that each antichain is found once and matches come in
+# the order of itertools.combinations; d = y0 ^ y1 is placed right after y1
+_YS = ("y0", "y1", "y2", "y3")
+_CUBE_HYPOTHESES = {size: embed.configuration(
+    _YS[:2] + ("d",) + _YS[2:size],
+    apart=itertools.combinations(_YS[:size], 2),
+    facts=(("meet", x, y, "d") for x, y in itertools.combinations(_YS[:size], 2)),
+    ascending=zip(_YS[:size], _YS[1:size]),
+) for size in (3, 4)}
 
 
 def cube_theorem_check(L: FiniteLattice, name=None, budget=None, membership=None,
@@ -249,19 +230,17 @@ def cube_theorem_check(L: FiniteLattice, name=None, budget=None, membership=None
         for form in forms:
             K = M if form == "meet" else dual(M)
             for size in sizes:
-                for Y, d in _constant_meet_antichains(K, size, nodes):
+                for y0, y1, d, *ys in embed.iter_matches(_CUBE_HYPOTHESES[size], K, nodes):
+                    Y = (y0, y1, *ys)
                     rep.hypothesis_instances += 1
                     if size == 4:
-                        rep.conclusion_violations.append(
-                            (f"{form} form: antichain of size 4", _labels(K, Y), K.labels[d])
-                        )
+                        failure = "antichain of size 4"
+                    elif sum(not K.covers(d, a) for a in Y) > 2:
+                        failure = "no element adjacent to the bound"
+                    else:
                         continue
-                    missing = [a for a in Y if not K.covers(d, a)]
-                    if len(missing) > 2:
-                        rep.conclusion_violations.append(
-                            (f"{form} form: no element adjacent to the bound",
-                             _labels(K, Y), K.labels[d])
-                        )
+                    rep.conclusion_violations.append(
+                        (f"{form} form: {failure}", _labels(K, Y), K.labels[d]))
 
     return _check(theorem_id, L, name, ("whitman", "member"), membership, scan, dual_form)
 
@@ -272,20 +251,13 @@ def boolean_cube_witness(L: FiniteLattice, triple, d, membership=None) -> Embedd
     isomorphic to the Boolean cube."""
     if len(triple) != 3 or not all(x in range(L.n) for x in (*triple, d)):
         raise HypothesisViolated("three elements and d of the lattice required", tuple(triple))
-    if membership is None:
-        membership = variety_membership
-    if not laws.whitman(L):
-        raise HypothesisViolated("host fails Whitman's condition")
-    ok, reason = membership(L)
-    if not ok:
-        raise HypothesisViolated(reason or "membership hypothesis fails")
+    gate = TheoremReport("cube", "")
+    if _gate(gate, L, ("whitman", "member"), membership):
+        raise HypothesisViolated(gate.skip_reason or "membership hypothesis fails")
+    y0, y1, y2 = sorted(triple)
+    if next(embed.iter_matches(_CUBE_HYPOTHESES[3], L, images=(y0, y1, d, y2)), None) is None:
+        raise HypothesisViolated("not a 3-antichain with pairwise meets d", tuple(triple))
     a, b, c = triple
-    if len({a, b, c}) != 3 or not all(
-        L.incomparable(x, y) for x, y in itertools.combinations(triple, 2)
-    ):
-        raise HypothesisViolated("not a 3-antichain", tuple(triple))
-    if not (L.meet[a][b] == L.meet[b][c] == L.meet[a][c] == d):
-        raise HypothesisViolated("pairwise meets are not constantly d", tuple(triple))
     ab, bc, ca = L.join[a][b], L.join[b][c], L.join[c][a]
     if len({ab, bc, ca}) != 3:
         raise HypothesisViolated("pairwise joins are not distinct", tuple(triple))
@@ -391,13 +363,18 @@ def twelve_element_lemma_check(L: FiniteLattice, name=None, budget=None,
         for *grid, c in embed.iter_matches(_TWELVE_ELEMENT_HYPOTHESIS, L, budget):
             rep.hypothesis_instances += 1
             w_, w, a, y, y_, x_, x, b, z, z_ = grid
-            # these strict relations keep s off the grid and off c
-            for s in range(L.n):
-                if (all(L.lt(v, s) for v in (w_, w, a))
-                        and all(L.lt(s, v) for v in (y, y_, z, z_))
-                        and all(L.incomparable(s, v) for v in (x_, x, b, c))):
-                    rep.conclusion_violations.append(
-                        ("grid with interior points", _labels(L, grid), L.labels[c], L.labels[s]))
+            # s strictly above w', w, a, strictly below y, y', z, z' and
+            # incomparable to x', x, b, c, which keeps it off the grid and c
+            inside = L.full_mask
+            for v in (w_, w, a):
+                inside &= L.up[v] ^ (1 << v)
+            for v in (y, y_, z, z_):
+                inside &= L.down[v] ^ (1 << v)
+            for v in (x_, x, b, c):
+                inside &= ~(L.up[v] | L.down[v])
+            for s in iter_bits(inside):
+                rep.conclusion_violations.append(
+                    ("grid with interior points", _labels(L, grid), L.labels[c], L.labels[s]))
 
     return _check("twelve_element", L, name, ("no_dr", "member"), membership, scan)
 

@@ -17,10 +17,11 @@ refinement and canonical form on a fresh view, so that it checks what the
 enumeration derives during its walk against what the view derives alone;
 and the Galvin-Jonsson referee, the range search the classifier replaced,
 which tags its ranges with the library's ``induced`` and ``canonical_form``;
-and the hand-written hypothesis scans that the L15, twelve-element and
-staircase checks replaced with configurations, which decide the L15
-lemma's conclusion with the library's ``find_embedding`` and find the
-twelve-element grid with its ``iter_embeddings``.
+and the hand-written hypothesis scans that the L15, twelve-element,
+staircase and cube checks replaced with configurations, which decide the
+L15 lemma's conclusion with the library's ``find_embedding``, find the
+twelve-element grid with its ``iter_embeddings`` and read the cube's join
+form off the library's ``dual``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import itertools
 
 from latcheck import catalog, laws
-from latcheck.core import (FiniteLattice, _UnionFind, canonical_form, induced, matrix_bytes,
+from latcheck.core import (FiniteLattice, _UnionFind, canonical_form, dual, induced, matrix_bytes,
                            _refined_classes, _seed_signature)
 from latcheck.decomp import GJDecomposition
 from latcheck.errors import NotALattice, NotDistributive
@@ -642,4 +643,37 @@ def staircase_oracle(M: FiniteLattice):
                 joins.pop()
 
         extend([], [])
+    return instances, violations
+
+
+def _constant_meet_antichains(L, size):
+    """Every size-subset of L that is an antichain with one pairwise meet,
+    with that meet."""
+    for Y in itertools.combinations(range(L.n), size):
+        if any(not L.incomparable(a, b) for a, b in itertools.combinations(Y, 2)):
+            continue
+        vals = {L.meet[a][b] for a, b in itertools.combinations(Y, 2)}
+        if len(vals) == 1:
+            yield Y, vals.pop()
+
+
+def cube_oracle(M: FiniteLattice, forms=("meet", "join"), sizes=(3, 4)):
+    """The cube theorem's scan of every 3- and 4-subset, per form."""
+    instances, violations = 0, []
+    for form in forms:
+        K = M if form == "meet" else dual(M)
+        for size in sizes:
+            for Y, d in _constant_meet_antichains(K, size):
+                instances += 1
+                if size == 4:
+                    violations.append(
+                        (f"{form} form: antichain of size 4", _labels(K, Y), K.labels[d])
+                    )
+                    continue
+                missing = [a for a in Y if not K.covers(d, a)]
+                if len(missing) > 2:
+                    violations.append(
+                        (f"{form} form: no element adjacent to the bound",
+                         _labels(K, Y), K.labels[d])
+                    )
     return instances, violations

@@ -254,11 +254,26 @@ def test_budget_exit_code(tmp_path):
 
 
 def test_verify_theorems_hypothesis_search_spends_budget():
-    """The L15 lemma finds its hypothesis with the embedding search, which
-    spends the budget."""
-    proc = run_cli(["--budget", "1", "verify-theorems", "--size", "8", "--theorem", "l15_lemma"])
-    assert proc.returncode == cli.EXIT_BUDGET
-    assert proc.stderr == "error: embedding search exceeded node budget 1\n"
+    """The L15 lemma and the cube theorem find their hypotheses with the
+    embedding search, which spends the budget."""
+    for theorem in ("l15_lemma", "cube"):
+        proc = run_cli(["--budget", "1", "verify-theorems", "--size", "8", "--theorem", theorem])
+        assert proc.returncode == cli.EXIT_BUDGET
+        assert proc.stderr == "error: embedding search exceeded node budget 1\n"
+
+
+@pytest.mark.parametrize("args, env, message", [
+    (["--budget", "-1"], {}, "search node budget must be a non-negative integer, got -1"),
+    ([], {"LATCHECK_BUDGET": "-5"}, "LATCHECK_BUDGET must be a non-negative integer, got '-5'"),
+    ([], {"LATCHECK_BUDGET": "1e6"}, "LATCHECK_BUDGET must be a non-negative integer, got '1e6'"),
+], ids=["negative-flag", "negative-env", "float-env"])
+def test_bad_budget_is_an_input_error(args, env, message):
+    """A budget that is not a non-negative integer exits 2 and names the
+    value, where a negative one exited 3 on the first node and a
+    non-integer LATCHECK_BUDGET fell back to the default."""
+    proc = run_cli([*args, "verify-theorems", "--size", "4", "--theorem", "cube"], **env)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_dec_has_no_size_cap_and_spends_budget(tmp_path):

@@ -8,14 +8,16 @@ import json
 
 import pytest
 
-from latcheck import catalog, embed, laws, theorems
+from latcheck import catalog, core, embed, laws, theorems
 from latcheck.core import dual, are_isomorphic, canonical_form, induced, iter_bits
 from latcheck.decomp import dec, minimum_distributive_partitions
 from latcheck.enumeration import all_lattices
-from latcheck.errors import HypothesisViolated, SearchBudgetExceeded, UnknownProfile
+from latcheck.errors import (HypothesisViolated, LatcheckError, SearchBudgetExceeded,
+                             UnknownProfile)
 
-from oracles import (dec_oracle, l15_lemma_oracle, minimum_distributive_partitions_oracle,
-                     staircase_oracle, sublattice_masks_oracle, twelve_element_oracle)
+from oracles import (cube_oracle, dec_oracle, l15_lemma_oracle,
+                     minimum_distributive_partitions_oracle, staircase_oracle,
+                     sublattice_masks_oracle, twelve_element_oracle)
 from test_negative_controls import ALWAYS, grid_plus_times_2, interleaved_chains
 
 
@@ -45,18 +47,43 @@ def test_l15_witness_rejects_bad_tuple():
             theorems.lemma_l15_witness(l15, bad)
 
 
-def test_l15_configuration_is_the_witness_hypothesis():
-    """The L15 check's configuration and the clauses lemma_l15_witness
-    validates state one hypothesis: on two hosts where it holds, the
-    configuration's matches are exactly the distinct six-tuples that pass
-    every clause."""
+def _rejects(witness, *args):
+    """Whether ``witness(*args)`` raises HypothesisViolated; any other
+    LatcheckError is a failed construction on a tuple that met the
+    hypothesis."""
+    try:
+        witness(*args)
+    except HypothesisViolated:
+        return True
+    except LatcheckError:
+        pass
+    return False
+
+
+def test_l15_witness_checks_the_configuration():
+    """lemma_l15_witness rejects exactly the six-tuples of distinct elements
+    that are not matches of the L15 check's configuration, by brute force
+    on two hosts where the hypothesis holds."""
     for L in (interleaved_chains(), catalog.get("L15")):
         matches = {(a1, a2, a3, b1, b2, b3) for a2, b2, _, _, a3, b3, a1, b1
                    in embed.iter_matches(theorems._L15_HYPOTHESIS, L)}
-        passing = {t for t in itertools.permutations(range(L.n), 6)
-                   if all(pred(L, *t) for _, pred in theorems._L15_CLAUSES)}
-        assert matches == passing
+        accepted = {t for t in itertools.permutations(range(L.n), 6)
+                    if not _rejects(theorems.lemma_l15_witness, L, t)}
+        assert accepted == matches
         assert matches
+
+
+def test_cube_witness_checks_the_configuration():
+    """boolean_cube_witness rejects exactly the (triple, d) of B3 whose
+    sorted triple and d are not a match of the cube check's size-3
+    configuration (B3's constant-meet triples have distinct joins)."""
+    b3 = catalog.get("B3")
+    matches = {((y0, y1, y2), d)
+               for y0, y1, d, y2 in embed.iter_matches(theorems._CUBE_HYPOTHESES[3], b3)}
+    accepted = {(tuple(sorted(t)), d) for *t, d in itertools.product(range(b3.n), repeat=4)
+                if not _rejects(theorems.boolean_cube_witness, b3, t, d)}
+    assert accepted == matches
+    assert matches
 
 
 def test_l15_check_vacuous_on_pentagon_and_cube():
@@ -171,6 +198,23 @@ def test_sublattice_check_budget(cid, host):
     assert exc.value.budget == 100
 
 
+def test_cube_forms_and_sizes_share_one_budget():
+    """A budget that covers each of the cube check's four searches alone
+    does not cover their sum."""
+    L = catalog.grid(7)
+    searches = [(K, theorems._CUBE_HYPOTHESES[size]) for K in (L, dual(L)) for size in (3, 4)]
+    spent = []
+    for K, plan in searches:
+        nodes = core._Budget(10**9)
+        list(embed.iter_matches(plan, K, nodes))
+        spent.append(nodes.total - nodes.left)
+    for K, plan in searches:
+        list(embed.iter_matches(plan, K, max(spent)))
+    assert not theorems.cube_theorem_check(L, budget=sum(spent)).skipped
+    with pytest.raises(SearchBudgetExceeded):
+        theorems.cube_theorem_check(L, budget=max(spent))
+
+
 def test_hypothesis_configurations_match_oracles(monkeypatch):
     """With the doubly reducible, Whitman and membership gates lifted, each
     check that finds its hypothesis with a configuration reports the
@@ -185,7 +229,10 @@ def test_hypothesis_configurations_match_oracles(monkeypatch):
     hosts += [dual(L) for L in hosts]
     referees = {"l15_lemma": l15_lemma_oracle, "twelve_element": twelve_element_oracle,
                 "staircase": staircase_oracle,
-                "staircase_dual": lambda L: staircase_oracle(dual(L))}
+                "staircase_dual": lambda L: staircase_oracle(dual(L)),
+                "cube": cube_oracle, "cube_dual": lambda L: cube_oracle(dual(L)),
+                "cube_join_cover": lambda L: cube_oracle(L, ("join",), (3,)),
+                "cube_meet_cover": lambda L: cube_oracle(L, ("meet",), (3,))}
     instances = dict.fromkeys(referees, 0)
     for L in hosts:
         for cid, oracle in referees.items():
