@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import catalog
+from . import catalog, laws
 from .core import EmbeddingWitness, FiniteLattice, _Budget
 from .errors import UnknownProfile
 
@@ -204,6 +204,10 @@ class ForbiddenProfile:
 
 _MCKENZIE = [f"L{i}" for i in range(1, 16)]
 
+# laws decided by :func:`laws.holds` that prune the forbidden-pattern search;
+# never membership in V(N5), which the variety command cross-checks against it
+_PRUNING_LAWS = ("sd_join", "sd_meet", "modular")
+
 # per-profile forbidden sets; the corollary profiles keep exactly the
 # patterns whose absence each reduction argument uses
 PROFILES = {
@@ -225,9 +229,16 @@ def profile(name: str) -> ForbiddenProfile:
 
 def contains_forbidden(host: FiniteLattice, prof: ForbiddenProfile, budget=None):
     """All profile patterns that embed into the host, each with one witness.
-    An empty list means the host passes the profile's necessary condition."""
+    An empty list means the host passes the profile's necessary condition.
+
+    A sublattice satisfies every law its host does, so a pattern that fails
+    SD-join, SD-meet or modularity is skipped, and spends no budget, on a
+    host that satisfies that law; the host's verdicts are read only for
+    the laws some pattern fails."""
     hits = []
     for name, pat in prof.lattices():
+        if any(laws.holds(host, law) for law in _PRUNING_LAWS if not laws.holds(pat, law)):
+            continue
         w = find_embedding(pat, host, budget)
         if w is not None:
             hits.append((name, w))

@@ -33,7 +33,6 @@ and permutation in its cache.
 
 from __future__ import annotations
 
-from . import embed, laws, variety
 from .core import (FiniteLattice, canonical_form, iter_bits, matrix_bytes, _canonical_search,
                    _refined_classes, _seed_signature)
 from .errors import BadParameter, SizeLimit
@@ -142,6 +141,10 @@ def all_lattices(n: int):
 
 
 def _parse_predicates(names):
+    if not names:
+        return []
+    from . import embed, laws, variety
+
     preds = []
     for name in names:
         if name == "sd":

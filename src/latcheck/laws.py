@@ -2,8 +2,14 @@
 semidistributive laws, distributivity, modularity, doubly reducible elements,
 chain length and the finite free-sublattice test.
 
-The equational laws are exhaustive tuple loops with early exit;
-counterexamples are the lexicographically first in index order.  Doubly
+Whitman's condition and distributivity are exhaustive tuple loops with
+early exit.  The semidistributive laws and modularity are decided from
+structure in O(n^2) by :func:`holds`: SD-meet iff kappa(j) exists for every
+join-irreducible j, SD-join dually (Freese, Jezek & Nation, *Free Lattices*,
+Ch. II), and modularity iff the height h has h(a) + h(b) = h(a ^ b) +
+h(a v b) for every pair (Birkhoff, *Lattice Theory*, Ch. II).
+Their tuple loops run only when a law fails, to name the counterexample.
+Counterexamples are the lexicographically first in index order.  Doubly
 reducible elements are read off the cached covers.
 """
 
@@ -11,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteLattice
+from .core import FiniteLattice, iter_bits
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,51 @@ def _whitman_scan(L: FiniteLattice) -> Check:
     return Check(True)
 
 
+def _kappa_holds(n, covers, up, op) -> bool:
+    """Every j with one cover c in ``covers`` has a largest element above c
+    and not above j: the ``op`` of those elements is not above j.  The meet
+    law reads (lower covers, up-sets, join), its kappa; the join law (upper
+    covers, down-sets, meet)."""
+    for j in range(n):
+        cs = covers(j)
+        if len(cs) != 1:
+            continue
+        s = c = cs[0]
+        for x in iter_bits(up[c] & ~up[j]):
+            s = op[s][x]
+        if (up[j] >> s) & 1:
+            return False
+    return True
+
+
+def _rank_holds(L: FiniteLattice) -> bool:
+    """h(a) + h(b) = h(a ^ b) + h(a v b) for every pair, h the height.  A
+    modular lattice is graded and its rank satisfies this.  A non-modular
+    one has a pentagon a < c, b with a ^ b = c ^ b and a v b = c v b
+    (Dedekind), where the equation for (a, b) and (c, b) would force
+    h(a) = h(c), although a < c."""
+    n, meet, join, h = L.n, L.meet, L.join, L.heights()
+    return all(h[a] + h[b] == h[ma[b]] + h[ja[b]]
+               for a, ma, ja in zip(range(n), meet, join) for b in range(a + 1, n))
+
+
+_VERDICTS = {
+    "sd_join": lambda L: _kappa_holds(L.n, L.upper_covers, L.down, L.meet),
+    "sd_meet": lambda L: _kappa_holds(L.n, L.lower_covers, L.up, L.join),
+    "modular": lambda L: _rank_holds(L),
+}
+
+
+def holds(L: FiniteLattice, law: str) -> bool:
+    """Whether L satisfies ``law``, "sd_join", "sd_meet" or "modular",
+    decided from structure without naming a witness.  The verdict is kept
+    in the lattice's cache."""
+    key = ("holds", law)
+    if key not in L._cache:
+        L._cache[key] = _VERDICTS[law](L)
+    return L._cache[key]
+
+
 def _sd_check(n, op, co) -> Check:
     """a op c = a op b implies a op (b co c) = a op b; the join law takes
     (join, meet) and the meet law (meet, join)."""
@@ -77,11 +128,13 @@ def _sd_check(n, op, co) -> Check:
 
 def semidistributive(L: FiniteLattice) -> tuple[Check, Check]:
     """The join and meet semidistributive laws, each with the first violating
-    triple (a, b, c) on failure.  The pair is kept in the lattice's cache, as
-    Whitman's verdict is."""
+    triple (a, b, c) on failure.  Each verdict comes from :func:`holds`, and
+    the triple scan runs only for a law that fails.  The pair is kept in the
+    lattice's cache, as Whitman's verdict is."""
     if "semidistributive" not in L._cache:
-        L._cache["semidistributive"] = (_sd_check(L.n, L.join, L.meet),
-                                        _sd_check(L.n, L.meet, L.join))
+        L._cache["semidistributive"] = tuple(
+            Check(True) if holds(L, law) else _sd_check(L.n, op, co)
+            for law, op, co in (("sd_join", L.join, L.meet), ("sd_meet", L.meet, L.join)))
     return L._cache["semidistributive"]
 
 
@@ -105,7 +158,15 @@ def _distributive_on(L: FiniteLattice, elems) -> Check:
 
 
 def modular(L: FiniteLattice) -> Check:
-    """(a v b) ^ c = a v (b ^ c) whenever a <= c."""
+    """(a v b) ^ c = a v (b ^ c) whenever a <= c.  The verdict comes from
+    :func:`holds`, and the scan for the first violating triple runs only
+    when the law fails; the check is kept in the lattice's cache."""
+    if "modular" not in L._cache:
+        L._cache["modular"] = Check(True) if holds(L, "modular") else _modular_scan(L)
+    return L._cache["modular"]
+
+
+def _modular_scan(L: FiniteLattice) -> Check:
     n, meet, join, leq = L.n, L.meet, L.join, L.leq
     for a in range(n):
         for c in range(n):

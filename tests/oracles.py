@@ -21,14 +21,16 @@ and the hand-written hypothesis scans that the L15, twelve-element,
 staircase and cube checks replaced with configurations, which decide the
 L15 lemma's conclusion with the library's ``find_embedding``, find the
 twelve-element grid with its ``iter_embeddings`` and read the cube's join
-form off the library's ``dual``.
+form off the library's ``dual``; and the forbidden-pattern loop that the
+law-pruned search replaced, which searches every pattern of a profile with
+the library's ``find_embedding``.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from latcheck import catalog, laws
+from latcheck import catalog, embed, laws
 from latcheck.core import (FiniteLattice, _UnionFind, canonical_form, dual, induced, matrix_bytes,
                            _refined_classes, _seed_signature)
 from latcheck.decomp import GJDecomposition
@@ -403,6 +405,17 @@ def sublattice_embeddings_oracle(pattern: FiniteLattice, host: FiniteLattice):
 def sublattice_embeds_oracle(pattern: FiniteLattice, host: FiniteLattice) -> bool:
     """A meet/join-closed subset isomorphic to the pattern."""
     return next(sublattice_embeddings_oracle(pattern, host), None) is not None
+
+
+def contains_forbidden_oracle(host: FiniteLattice, prof, budget=None):
+    """Every profile pattern that embeds into the host, each with one
+    witness, searching every pattern whatever laws the host satisfies."""
+    hits = []
+    for name, pat in prof.lattices():
+        w = embed.find_embedding(pat, host, budget)
+        if w is not None:
+            hits.append((name, w))
+    return hits
 
 
 def quotient_order_oracle(L: FiniteLattice, c) -> tuple:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from latcheck import catalog, cli
-from latcheck.core import are_isomorphic, build_lattice
+from latcheck.core import are_isomorphic, build_lattice, direct_product
 from latcheck.errors import ParseError
 
 
@@ -123,14 +123,16 @@ def test_variety_command(tmp_path):
 
 
 def test_variety_size_cap_exits_budget(tmp_path):
-    """variety has no size cap: chain(17) is decided, and only running out
-    of search budget exits 3."""
-    path = tmp_path / "chain17.json"
-    cli.write_lattice_file(str(path), cli.diagram_of(catalog.chain(17), name="chain(17)"))
+    """variety has no size cap: N5 x chain(4) (n = 20) is decided, and only
+    running out of search budget exits 3.  The host is semidistributive but
+    not modular, so the searches for L6-L15 run and spend the budget."""
+    path = tmp_path / "n5x4.json"
+    L = direct_product(catalog.get("N5"), catalog.chain(4))
+    cli.write_lattice_file(str(path), cli.diagram_of(L, name="N5 x chain(4)"))
     proc = run_cli(["variety", str(path)])
     assert proc.returncode == cli.EXIT_OK
     results = json.loads(proc.stdout)["results"]
-    assert results["member"] is True and results["si_factor_sizes"] == [2]
+    assert results["member"] is True and results["si_factor_sizes"] == [2, 5]
     proc = run_cli(["--budget", "3", "variety", str(path)])
     assert proc.returncode == cli.EXIT_BUDGET
     assert proc.stderr == "error: embedding search exceeded node budget 3\n"
@@ -308,21 +310,34 @@ def test_freelat_embed_five_generators_exits_budget(tmp_path):
 
 
 def test_check_runs_each_semidistributive_scan_once(tmp_path, monkeypatch, capsys):
+    """check computes each structural verdict once per lattice, and runs a
+    law's witness scan only when that law fails: never on N5, where both
+    semidistributive laws hold, and once per law on M3, where both fail."""
     from latcheck import laws
 
-    path = write_catalog_file(tmp_path, "N5")
-    calls = []
-    real = laws._sd_check
+    verdicts, sd_scans, modular_scans = [], [], []
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(calls, real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(laws, "_sd_check", spy)
-    assert cli.main(["check", path]) == cli.EXIT_OK
-    results = json.loads(capsys.readouterr().out)["results"]
-    assert results["sd_join"] and results["sd_meet"]
-    assert len(calls) == 2
+    monkeypatch.setattr(laws, "_kappa_holds", spy(verdicts, laws._kappa_holds))
+    monkeypatch.setattr(laws, "_rank_holds", spy(verdicts, laws._rank_holds))
+    monkeypatch.setattr(laws, "_sd_check", spy(sd_scans, laws._sd_check))
+    monkeypatch.setattr(laws, "_modular_scan", spy(modular_scans, laws._modular_scan))
+    for name, sd, modular in (("N5", True, False), ("M3", False, True)):
+        for calls in (verdicts, sd_scans, modular_scans):
+            calls.clear()
+        assert cli.main(["check", write_catalog_file(tmp_path, name)]) == cli.EXIT_OK
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["sd_join"] == results["sd_meet"] == sd
+        assert results["modular"] == modular
+        # the join law reads upper covers, the meet law lower covers
+        assert len(verdicts) == 3 and verdicts[0][1] != verdicts[1][1]
+        assert len(sd_scans) == (0 if sd else 2)
+        assert len(modular_scans) == (0 if modular else 1)
 
 
 def test_dec_survey_script():

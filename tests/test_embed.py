@@ -5,11 +5,11 @@ import hashlib
 import pytest
 
 from latcheck import catalog, core, embed
-from latcheck.core import CoverDiagram, are_isomorphic, build_lattice, dual, induced
+from latcheck.core import CoverDiagram, are_isomorphic, build_lattice, direct_product, dual, induced
 from latcheck.enumeration import all_lattices
 from latcheck.errors import SearchBudgetExceeded
 
-from oracles import sublattice_embeddings_oracle, sublattice_embeds_oracle
+from oracles import contains_forbidden_oracle, sublattice_embeddings_oracle, sublattice_embeds_oracle
 
 
 def test_pentagon_in_nested_pentagons():
@@ -60,6 +60,35 @@ def test_forbidden_profile_self_hits():
     hits = embed.contains_forbidden(catalog.get("L15"), embed.ForbiddenProfile("only15", ("L15",)))
     assert hits[0][0] == "L15"
     assert hits[0][1].map == tuple(range(10))
+
+
+def test_contains_forbidden_matches_unpruned_oracle():
+    """Skipping the patterns a host's laws rule out keeps the hits and their
+    witness maps: every profile, on every lattice with n <= 8 and every fixed
+    catalog lattice and its dual."""
+    hosts = [L for n in range(1, 9) for L in all_lattices(n)]
+    for name in catalog.FIXED_NAMES:
+        hosts += [catalog.get(name), dual(catalog.get(name))]
+    for prof in embed.PROFILES.values():
+        for host in hosts:
+            got = [(name, w.map) for name, w in embed.contains_forbidden(host, prof)]
+            assert got == [(name, w.map) for name, w in contains_forbidden_oracle(host, prof)]
+
+
+def test_skipped_patterns_spend_no_budget(spent):
+    # distributive, so every pattern is skipped: no node is spent, where the
+    # unpruned loop runs out of the default budget
+    assert embed.contains_forbidden(direct_product(catalog.chain(2), catalog.chain(40)),
+                                    embed.profile("N")) == []
+    assert spent[0] == 0
+    # semidistributive but not modular: M3 and L1-L5 are skipped, and only
+    # the searches for L6-L15 spend nodes
+    host = catalog.get("stacked_n5")
+    assert embed.contains_forbidden(host, embed.profile("N")) == []
+    pruned, spent[0] = spent[0], 0
+    for i in range(6, 16):
+        assert embed.find_embedding(catalog.get(f"L{i}"), host) is None
+    assert pruned == spent[0] > 0
 
 
 def test_profile_pattern_sets():

@@ -88,6 +88,13 @@ def test_check_loads_only_what_it_runs(tmp_path):
                          "latcheck.enumeration"}
 
 
+def test_enumerate_without_filters_loads_no_predicate_module():
+    loaded = loaded_modules("enumerate", "--size", "4")
+    assert "latcheck.enumeration" in loaded
+    assert not loaded & {"latcheck.catalog", "latcheck.embed", "latcheck.laws",
+                         "latcheck.variety"}
+
+
 def test_exports_resolve_to_module_attributes():
     assert len(EXPORTS) == 55
     assert sorted(latcheck.__all__) == sorted(EXPORTS)

@@ -102,6 +102,35 @@ def test_m3_modular_not_distributive():
     assert not distributive(m3)
 
 
+def test_structural_verdicts_match_scans():
+    """The kappa verdicts equal the triple scans of the two semidistributive
+    laws, and the rank verdict the modular scan, on every lattice with
+    n <= 9 and the catalog; each law both holds and fails there."""
+    lattices = [L for n in range(1, 10) for L in all_lattices(n)]
+    lattices += [catalog.get(name) for name in catalog.FIXED_NAMES]
+    seen = set()
+    for L in lattices:
+        scans = (laws._sd_check(L.n, L.join, L.meet), laws._sd_check(L.n, L.meet, L.join),
+                 laws._modular_scan(L))
+        verdicts = tuple(laws.holds(L, law) for law in ("sd_join", "sd_meet", "modular"))
+        assert verdicts == tuple(map(bool, scans)), L.labels
+        seen |= set(enumerate(verdicts))
+    assert len(seen) == 6
+
+
+def test_large_host_decided_without_scans(monkeypatch):
+    """chain(200) x chain(2), n = 400: both semidistributive laws and
+    modularity are decided by the verdicts alone, and no scan runs."""
+    def scan(*args):
+        raise AssertionError("a witness scan ran")
+
+    monkeypatch.setattr(laws, "_sd_check", scan)
+    monkeypatch.setattr(laws, "_modular_scan", scan)
+    L = direct_product(catalog.chain(200), catalog.chain(2))
+    sd_join, sd_meet = semidistributive(L)
+    assert sd_join and sd_meet and modular(L)
+
+
 def test_doubly_reducible_n5_chain_empty():
     assert doubly_reducible_elements(catalog.get("N5")) == ()
     assert doubly_reducible_elements(catalog.chain(6)) == ()
