@@ -199,14 +199,14 @@ def cmd_variety(args):
 
     L, name = load_lattice(args.file)
     decision = variety.in_n5_variety(L)
-    sd_join, sd_meet = laws.semidistributive(L)
+    sd = laws.holds(L, "sd_join") and laws.holds(L, "sd_meet")
     hits = embed.contains_forbidden(L, embed.profile("N"), args.budget)
     violations = []
-    if decision.member and (not (sd_join and sd_meet) or hits):
+    if decision.member and (not sd or hits):
         # membership implies the necessary conditions; a disagreement is a bug
         violations.append({
             "disagreement": "member accepted but necessary condition fails",
-            "semidistributive": bool(sd_join and sd_meet),
+            "semidistributive": sd,
             "forbidden_hits": [h[0] for h in hits],
         })
     results = {
@@ -219,7 +219,7 @@ def cmd_variety(args):
             else {"offending_factor_labels": list(decision.offending.labels)}
         ),
         "cross_check": {
-            "semidistributive": bool(sd_join and sd_meet),
+            "semidistributive": sd,
             "forbidden_profile_hits": [h[0] for h in hits],
         },
     }

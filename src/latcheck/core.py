@@ -50,7 +50,8 @@ def default_budget():
 
 
 class _Budget:
-    """Nodes left for one search (``default_budget()`` unless given);
+    """Nodes left for one public call (``default_budget()`` unless given),
+    shared by every search it makes; each search node spends one, and
     spending past zero raises SearchBudgetExceeded."""
 
     __slots__ = ("left", "total")
@@ -59,8 +60,13 @@ class _Budget:
         self.left = self.total = (default_budget() if nodes is None
                                   else _node_count(nodes, "search node budget"))
 
-    def spend(self, what, nodes=1):
-        self.left -= nodes
+    @classmethod
+    def of(cls, budget):
+        """``budget`` itself if it is a _Budget, to share, else a new one."""
+        return budget if isinstance(budget, _Budget) else cls(budget)
+
+    def spend(self, what):
+        self.left -= 1
         if self.left < 0:
             raise SearchBudgetExceeded(self.total, what)
 
@@ -330,20 +336,18 @@ def closure(L: FiniteLattice, closed, extra, allowed=None):
     return mask
 
 
-def sublattices(L: FiniteLattice, allowed=None, budget=None):
+def sublattices(L: FiniteLattice, allowed, budget):
     """Yield once each, in no fixed order, the nonempty sublattices inside
-    ``allowed`` as bitmasks.  Depth-first search adding one element at a
-    time by :func:`closure`; each closure spends a node of ``budget`` (a
-    :class:`_Budget`) if one is given."""
-    allowed = L.full_mask if allowed is None else allowed
+    the mask ``allowed`` as bitmasks.  Depth-first search adding one element
+    at a time by :func:`closure`; each closure spends a node of ``budget``
+    (a :class:`_Budget`)."""
     seen, stack = {0}, [0]
     while stack:
         mask = stack.pop()
         if mask:
             yield mask
         for x in iter_bits(allowed & ~mask):
-            if budget is not None:
-                budget.spend("sublattice enumeration")
+            budget.spend("sublattice enumeration")
             bigger = closure(L, mask, 1 << x, allowed)
             if bigger is not None and bigger not in seen:
                 seen.add(bigger)

@@ -120,7 +120,7 @@ def _minimum_partitions(L, budget, keep_ties):
     kept: without ties the search prunes on strict improvement and keeps the
     first minimum partition; with ties it keeps every partition of the best
     count so far, clearing the list whenever a smaller count appears."""
-    budget = _Budget(budget)
+    budget = _Budget.of(budget)
     best = L.n + 1
     found = []
     full = L.full_mask
@@ -156,7 +156,8 @@ def _minimum_partitions(L, budget, keep_ties):
 def dec(L: FiniteLattice, budget=None):
     """Exact minimum cardinality of a distributive partition, with one
     minimizing witness (the first found in the deterministic search order).
-    The search spends ``budget`` nodes (``default_budget()`` by default)."""
+    The search spends ``budget`` nodes (``default_budget()`` by default),
+    or a :class:`core._Budget` it shares with other searches."""
     best, (witness,) = _minimum_partitions(L, budget, keep_ties=False)
     return best, witness
 

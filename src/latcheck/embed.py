@@ -8,8 +8,8 @@ the facts listed per search level), built once per pattern
 (:func:`_plan`), or a *configuration*'s, named elements with given order,
 incomparability, meet/join and ascending-index facts, such as a theorem's
 hypothesis (:func:`configuration`).  Each level computes its candidate
-images as one host bitmask, and spends the budget in bulk, one node per
-feasible image.
+images as one host bitmask, and each candidate tried, one node of the
+search tree, spends one node of the budget.
 """
 
 from __future__ import annotations
@@ -125,17 +125,15 @@ def iter_matches(plan, host: FiniteLattice, budget=None, images=None):
     later, on an element outside the image.
 
     The budget, a node count or a :class:`core._Budget` shared with other
-    searches, counts one node per feasible image of each level's element,
-    tried or not: before a candidate the search spends it and the feasible
-    images below it that the mask skipped, and at the end of the level
-    those left.  Raises SearchBudgetExceeded when the budget runs out
+    searches, counts one node per candidate tried; the feasibility masks
+    only prune.  Raises SearchBudgetExceeded when the budget runs out
     before completion.
     """
     stats, levels = plan
     m = len(levels)
     if m > host.n:
         return
-    budget = budget if isinstance(budget, _Budget) else _Budget(budget)
+    budget = _Budget.of(budget)
     # every statistic of a plan element is at most m <= host.n
     ge_h, ge_d, ge_u, ge_w = _host_tables(host)
     feasible = [ge_h[h] & ge_d[d] & ge_u[u] & ge_w[w] for h, d, u, w in stats]
@@ -149,8 +147,7 @@ def iter_matches(plan, host: FiniteLattice, budget=None, images=None):
             yield tuple(f)
             return
         a, above, below, apart, after, forced, ops, pending = levels[k]
-        rest = feasible[a]
-        cand = rest & ~image
+        cand = feasible[a] & ~image
         for b in above:
             cand &= downs[f[b]]
         for b in below:
@@ -164,17 +161,13 @@ def iter_matches(plan, host: FiniteLattice, budget=None, images=None):
         while cand:
             low = cand & -cand
             cand ^= low
-            skipped = rest & ((low << 1) - 1)
-            rest ^= skipped
-            spend("embedding search", skipped.bit_count())
+            spend("embedding search")
             f[a] = low.bit_length() - 1
             if ops and not all(tables[t][f[x]][f[y]] == f[z] for t, x, y, z in ops):
                 continue
             if pending and any((image >> tables[t][f[x]][f[y]]) & 1 for t, x, y in pending):
                 continue
             yield from rec(k + 1, image | low)
-        if rest:
-            spend("embedding search", rest.bit_count())
 
     yield from rec(0, 0)
 
@@ -234,8 +227,8 @@ def contains_forbidden(host: FiniteLattice, prof: ForbiddenProfile, budget=None)
     A sublattice satisfies every law its host does, so a pattern that fails
     SD-join, SD-meet or modularity is skipped, and spends no budget, on a
     host that satisfies that law; the host's verdicts are read only for
-    the laws some pattern fails."""
-    hits = []
+    the laws some pattern fails.  The searches share one budget."""
+    budget, hits = _Budget.of(budget), []
     for name, pat in prof.lattices():
         if any(laws.holds(host, law) for law in _PRUNING_LAWS if not laws.holds(pat, law)):
             continue

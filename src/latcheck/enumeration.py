@@ -148,7 +148,7 @@ def _parse_predicates(names):
     preds = []
     for name in names:
         if name == "sd":
-            preds.append(lambda L: all(laws.semidistributive(L)))
+            preds.append(lambda L: laws.holds(L, "sd_join") and laws.holds(L, "sd_meet"))
         elif name == "whitman":
             preds.append(lambda L: bool(laws.whitman(L)))
         elif name == "distributive":

@@ -201,24 +201,24 @@ def verify_free_embedding(L: FiniteLattice, terms) -> bool:
 # -- canonical term pools and embedding search -------------------------------
 
 
-def canonical_terms(gen_names, max_size, max_depth, budget=None):
+def canonical_terms(gen_names, max_size, max_depth, budget):
     """All canonical terms over the given generators with at most max_size
     generator occurrences and the given depth, sorted small-first: the
     closure of the generators under the canonical meet and join of two
     terms.  It misses none, as a canonical t1 | ... | tk is the canonical
     join of t1 and t2 | ... | tk, which is canonical, smaller and no deeper
-    (dually for meets).  Only pairs within the size bound are visited, each
-    spending a node of ``budget`` (a ``core._Budget``) if one is given."""
+    (dually for meets).  Only the pool's sizes and pairs within the size
+    bound are visited, each pair spending a node of ``budget``."""
     pool = [gen(g) for g in gen_names]
     by_size = {1: list(range(len(pool)))}  # size -> pool indices, ascending
     seen = set(pool)
     for i, a in enumerate(pool):  # the pool grows as it is scanned
-        for size in range(1, max_size - a.size + 1):
-            for j in by_size.get(size, ()):
+        # a size first reached while a is scanned holds only terms after a
+        for size in sorted(s for s in by_size if s <= max_size - a.size):
+            for j in by_size[size]:
                 if j > i:
                     break
-                if budget is not None:
-                    budget.spend("free embedding search")
+                budget.spend("free embedding search")
                 b = pool[j]
                 # comparable terms meet and join to themselves
                 if leq(a, b) or leq(b, a):
@@ -259,9 +259,10 @@ def find_free_embedding(L: FiniteLattice, n_gens=3, max_depth=4, max_size=7,
     """Bounded search for a free-lattice embedding witness: terms over
     ``n_gens`` generators are assigned to a minimal generating set of L (the
     first in size-lex order), the rest derived through the tables, within
-    ``budget`` nodes (``default_budget()`` by default), one per seed set
-    tried and one per term tried.  Returns element -> term, or None when the
-    bounded search exhausts (inconclusive, not a refutation)."""
+    ``budget`` nodes (``default_budget()`` by default, or a shared budget),
+    one per pair in the term pool, per seed set tried and per term tried.
+    Returns element -> term, or None when the bounded search exhausts
+    (inconclusive, not a refutation)."""
     from itertools import combinations
 
     from .core import _Budget, generated_sublattice
@@ -269,7 +270,7 @@ def find_free_embedding(L: FiniteLattice, n_gens=3, max_depth=4, max_size=7,
     names = [chr(ord("x") + i) for i in range(n_gens)] if n_gens <= 3 else [
         f"g{i}" for i in range(n_gens)
     ]
-    budget = _Budget(budget)
+    budget = _Budget.of(budget)
     pool = canonical_terms(names, max_size, max_depth, budget)
     full = frozenset(range(L.n))
     for seeds in (s for k in range(1, L.n + 1) for s in combinations(range(L.n), k)):

@@ -192,8 +192,7 @@ def length(L: FiniteLattice) -> int:
 
 def dilworth_bound_holds(L: FiniteLattice) -> bool:
     """Semidistributive lattices of length n+1 have at most 2^n elements."""
-    sd_join, sd_meet = semidistributive(L)
-    if not (sd_join and sd_meet):
+    if not (holds(L, "sd_join") and holds(L, "sd_meet")):
         return True
     return L.n <= 2 ** (length(L) - 1)
 
@@ -201,20 +200,18 @@ def dilworth_bound_holds(L: FiniteLattice) -> bool:
 def is_finite_free_sublattice(L: FiniteLattice) -> bool:
     """A finite lattice embeds in a free lattice iff it satisfies both
     semidistributive laws and Whitman's condition."""
-    sd_join, sd_meet = semidistributive(L)
-    return bool(sd_join and sd_meet and whitman(L))
+    return holds(L, "sd_join") and holds(L, "sd_meet") and bool(whitman(L))
 
 
 def law_profile(L: FiniteLattice) -> LawProfile:
-    sd_join, sd_meet = semidistributive(L)
-    w = whitman(L)
+    sd_join, sd_meet, w = holds(L, "sd_join"), holds(L, "sd_meet"), bool(whitman(L))
     return LawProfile(
-        whitman=bool(w),
-        sd_join=bool(sd_join),
-        sd_meet=bool(sd_meet),
+        whitman=w,
+        sd_join=sd_join,
+        sd_meet=sd_meet,
         distributive=bool(distributive(L)),
-        modular=bool(modular(L)),
+        modular=holds(L, "modular"),
         doubly_reducible=doubly_reducible_elements(L),
         length=length(L),
-        free_sublattice_finite=bool(w and sd_join and sd_meet),
+        free_sublattice_finite=w and sd_join and sd_meet,
     )

@@ -12,12 +12,12 @@ Every hypothesis on elements is stated once, as a configuration
 (:func:`embed.configuration`): named elements on distinct lattice elements
 with x <= y, incomparability, x op y = z and ascending-index facts.  The
 embedding search finds every instance of one, so each check keeps only its
-conclusion test and spends its node budget, and each witness construction
-checks the tuple it is handed as the search's one placement of it.
+conclusion test, and each witness construction checks the tuple it is
+handed as the search's one placement of it.
 
-The Dec bound finds its sublattices by closure (:func:`core.sublattices`),
-so no size cap applies: the scan spends the check's node budget and raises
-SearchBudgetExceeded when it runs out, and so does each Dec search.  The
+Each check spends one node budget on every search it runs, the Dec bound's
+closure scan (:func:`core.sublattices`, so no size cap applies) and Dec
+searches included, and raises SearchBudgetExceeded when it runs out.  The
 degeneracy lemma's convex sublattices are intervals, listed directly by
 :func:`core.intervals` in O(n^2) per element, with no search.
 """
@@ -119,15 +119,16 @@ def _gate(report, L, needs, membership):
     return report.skipped
 
 
-def _check(theorem_id, L, name, needs, membership, scan, dual_form=False) -> TheoremReport:
+def _check(theorem_id, L, name, needs, membership, scan, budget, dual_form=False):
     """The skeleton shared by every check: name L and gate it on the
-    hypotheses in ``needs``, let ``scan(report, M)`` fill the report unless
-    the gate skips, and flag a run with no hypothesis instance as vacuous.
-    M is the lattice the scan reads: L, or dual(L) for a dual form."""
+    hypotheses in ``needs``, let ``scan(report, M, nodes)`` fill the report
+    unless the gate skips, and flag a run with no hypothesis instance as
+    vacuous.  M is the lattice the scan reads: L, or dual(L) for a dual
+    form, and ``nodes`` the check's one budget, made from ``budget``."""
     t0 = time.perf_counter()
     rep = TheoremReport(theorem_id, _name_of(L, name))
     if not _gate(rep, L, needs, membership):
-        scan(rep, dual(L) if dual_form else L)
+        scan(rep, dual(L) if dual_form else L, _Budget.of(budget))
     rep.vacuous = (not rep.skipped) and rep.hypothesis_instances == 0
     rep.elapsed = time.perf_counter() - t0
     return rep
@@ -158,14 +159,14 @@ def lemma_l15_check(L: FiniteLattice, name=None, budget=None, membership=None) -
     a sublattice isomorphic to L15.  Only the no-doubly-reducible hypothesis
     is gated; ``membership`` is accepted for a uniform signature and ignored."""
 
-    def scan(rep, L):
-        matches = list(embed.iter_matches(_L15_HYPOTHESIS, L, budget))
+    def scan(rep, L, nodes):
+        matches = list(embed.iter_matches(_L15_HYPOTHESIS, L, nodes))
         rep.hypothesis_instances = len(matches)
-        if matches and embed.find_embedding(catalog.get("L15"), L, budget) is None:
+        if matches and embed.find_embedding(catalog.get("L15"), L, nodes) is None:
             rep.conclusion_violations = [_labels(L, (a1, a2, a3, b1, b2, b3))
                                          for a2, b2, _, _, a3, b3, a1, b1 in matches]
 
-    return _check("l15_lemma", L, name, ("no_dr",), membership, scan)
+    return _check("l15_lemma", L, name, ("no_dr",), membership, scan, budget)
 
 
 def lemma_l15_witness(L: FiniteLattice, tup) -> EmbeddingWitness:
@@ -223,10 +224,9 @@ def cube_theorem_check(L: FiniteLattice, name=None, budget=None, membership=None
     the meet form of the dual.  With ``forms=("join",)`` (resp.
     ``("meet",)``) and ``sizes=(3,)`` this is the single-sided cover property
     kept by the last two corollary profiles.  The dual form runs the same
-    scan on the dual lattice.  The forms and sizes share one node budget."""
+    scan on the dual lattice."""
 
-    def scan(rep, M):
-        nodes = _Budget(budget)
+    def scan(rep, M, nodes):
         for form in forms:
             K = M if form == "meet" else dual(M)
             for size in sizes:
@@ -242,7 +242,7 @@ def cube_theorem_check(L: FiniteLattice, name=None, budget=None, membership=None
                     rep.conclusion_violations.append(
                         (f"{form} form: {failure}", _labels(K, Y), K.labels[d]))
 
-    return _check(theorem_id, L, name, ("whitman", "member"), membership, scan, dual_form)
+    return _check(theorem_id, L, name, ("whitman", "member"), membership, scan, budget, dual_form)
 
 
 def boolean_cube_witness(L: FiniteLattice, triple, d, membership=None) -> EmbeddingWitness:
@@ -289,8 +289,8 @@ def _loose_sublattices(L, convex, budget):
     incomparable to all of K, as (K's elements, every such a), in ascending
     order of K's mask.  Such K are exactly those inside a's incomparable
     set, so each a lists only those: the intervals directly, the
-    sublattices by a closure search that spends one node budget."""
-    budget, loose = _Budget(budget), {}
+    sublattices by a closure search that spends ``budget``."""
+    loose = {}
     for a in range(L.n):
         incomparable = L.full_mask & ~(L.up[a] | L.down[a])
         found = intervals(L, incomparable) if convex else sublattices(L, incomparable, budget)
@@ -302,11 +302,11 @@ def _loose_sublattices(L, convex, budget):
 def dec_bound_check(L: FiniteLattice, name=None, budget=None, membership=None) -> TheoremReport:
     """For every sublattice K and element a incomparable to all of K, Dec(K)
     is at most the number of join values times the number of meet values of a
-    against K.  Each Dec(K) search gets ``budget`` nodes of its own."""
+    against K.  The closure scan and every Dec(K) search share one budget."""
 
-    def scan(rep, L):
-        for elems, loose in _loose_sublattices(L, False, budget):
-            dec_k = dec(induced(L, elems), budget)[0]
+    def scan(rep, L, nodes):
+        for elems, loose in _loose_sublattices(L, False, nodes):
+            dec_k = dec(induced(L, elems), nodes)[0]
             for a in loose:
                 rep.hypothesis_instances += 1
                 joins = {L.join[a][b] for b in elems}
@@ -316,7 +316,7 @@ def dec_bound_check(L: FiniteLattice, name=None, budget=None, membership=None) -
                         (L.labels[a], _labels(L, elems), dec_k, len(joins) * len(meets))
                     )
 
-    return _check("dec_bound", L, name, ("whitman", "member"), membership, scan)
+    return _check("dec_bound", L, name, ("whitman", "member"), membership, scan, budget)
 
 
 def degeneracy_lemma_check(L: FiniteLattice, name=None, budget=None, membership=None) -> TheoremReport:
@@ -324,8 +324,8 @@ def degeneracy_lemma_check(L: FiniteLattice, name=None, budget=None, membership=
     least three join values against K, or at least three meet values, or K is
     distributive."""
 
-    def scan(rep, L):
-        for elems, loose in _loose_sublattices(L, True, budget):
+    def scan(rep, L, nodes):
+        for elems, loose in _loose_sublattices(L, True, nodes):
             distr = is_distributive_sublattice(L, sum(1 << e for e in elems))
             for a in loose:
                 rep.hypothesis_instances += 1
@@ -338,7 +338,7 @@ def degeneracy_lemma_check(L: FiniteLattice, name=None, budget=None, membership=
                         (L.labels[a], _labels(L, elems), len(joins), len(meets))
                     )
 
-    return _check("degeneracy", L, name, ("whitman", "member"), membership, scan)
+    return _check("degeneracy", L, name, ("whitman", "member"), membership, scan, budget)
 
 
 # -- twelve-element lemma -----------------------------------------------------
@@ -359,8 +359,8 @@ def twelve_element_lemma_check(L: FiniteLattice, name=None, budget=None,
     middle rung and a point s strictly inside the rung above, with the exact
     incomparabilities of the twelve-element configuration."""
 
-    def scan(rep, L):
-        for *grid, c in embed.iter_matches(_TWELVE_ELEMENT_HYPOTHESIS, L, budget):
+    def scan(rep, L, nodes):
+        for *grid, c in embed.iter_matches(_TWELVE_ELEMENT_HYPOTHESIS, L, nodes):
             rep.hypothesis_instances += 1
             w_, w, a, y, y_, x_, x, b, z, z_ = grid
             # s strictly above w', w, a, strictly below y, y', z, z' and
@@ -376,7 +376,7 @@ def twelve_element_lemma_check(L: FiniteLattice, name=None, budget=None,
                 rep.conclusion_violations.append(
                     ("grid with interior points", _labels(L, grid), L.labels[c], L.labels[s]))
 
-    return _check("twelve_element", L, name, ("no_dr", "member"), membership, scan)
+    return _check("twelve_element", L, name, ("no_dr", "member"), membership, scan, budget)
 
 
 # -- staircase cover theorem ----------------------------------------------------
@@ -398,15 +398,15 @@ def staircase_cover_check(L: FiniteLattice, name=None, budget=None,
     if (a v b4) ^ b5 differs from b4, then (a v b3) ^ b5 is covered by
     a v b3.  The dual form runs the same scan on the dual lattice."""
 
-    def scan(rep, M):
+    def scan(rep, M, nodes):
         for a, b1, _, b2, _, b3, j3, b4, j4, b5, _ in embed.iter_matches(
-                _STAIRCASE_HYPOTHESIS, M, budget):
+                _STAIRCASE_HYPOTHESIS, M, nodes):
             rep.hypothesis_instances += 1
             if M.meet[j4][b5] != b4 and not M.covers(M.meet[j3][b5], j3):
                 rep.conclusion_violations.append((M.labels[a], _labels(M, (b1, b2, b3, b4, b5))))
 
     theorem_id = "staircase_dual" if dual_form else "staircase"
-    return _check(theorem_id, L, name, ("no_dr", "member"), membership, scan, dual_form)
+    return _check(theorem_id, L, name, ("no_dr", "member"), membership, scan, budget, dual_form)
 
 
 # -- corollary profiles -------------------------------------------------------

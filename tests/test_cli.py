@@ -310,9 +310,9 @@ def test_freelat_embed_five_generators_exits_budget(tmp_path):
 
 
 def test_check_runs_each_semidistributive_scan_once(tmp_path, monkeypatch, capsys):
-    """check computes each structural verdict once per lattice, and runs a
-    law's witness scan only when that law fails: never on N5, where both
-    semidistributive laws hold, and once per law on M3, where both fail."""
+    """check computes each structural verdict once per lattice and reads
+    only the verdicts, so no law's witness scan runs: not on N5, where both
+    semidistributive laws hold, nor on M3, where both fail."""
     from latcheck import laws
 
     verdicts, sd_scans, modular_scans = [], [], []
@@ -336,8 +336,7 @@ def test_check_runs_each_semidistributive_scan_once(tmp_path, monkeypatch, capsy
         assert results["modular"] == modular
         # the join law reads upper covers, the meet law lower covers
         assert len(verdicts) == 3 and verdicts[0][1] != verdicts[1][1]
-        assert len(sd_scans) == (0 if sd else 2)
-        assert len(modular_scans) == (0 if modular else 1)
+        assert sd_scans == modular_scans == []
 
 
 def test_dec_survey_script():

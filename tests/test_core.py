@@ -11,6 +11,7 @@ from latcheck import catalog
 from latcheck.core import (
     CoverDiagram,
     EmbeddingWitness,
+    _Budget,
     atoms,
     are_isomorphic,
     build_lattice,
@@ -240,7 +241,8 @@ def test_sublattices_match_subset_scan():
         for L in all_lattices(n):
             masks = [L.full_mask] + [L.full_mask & ~(L.up[a] | L.down[a]) for a in range(n)]
             every = {c: sublattice_masks_oracle(L, c) for c in (False, True)}
-            for convex, listing in ((False, sublattices), (True, intervals)):
+            for convex, listing in ((False, lambda L, m: sublattices(L, m, _Budget())),
+                                    (True, intervals)):
                 for allowed in masks:
                     found = list(listing(L, allowed))
                     assert len(found) == len(set(found))

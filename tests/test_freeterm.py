@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcheck import catalog
+from latcheck.core import _Budget
 from latcheck.errors import ParseError, SearchBudgetExceeded, UnassignedGenerator
 from latcheck.freeterm import (
     canonical_terms,
@@ -175,8 +176,6 @@ def test_term_pool_spends_the_budget():
 
 
 def test_term_pool_visits_only_pairs_within_the_size_bound():
-    from latcheck.core import _Budget
-
     budget = _Budget(10_000)
     pool = canonical_terms(["x", "y", "z"], 7, 4, budget)
     assert len(pool) == 127
@@ -185,6 +184,17 @@ def test_term_pool_visits_only_pairs_within_the_size_bound():
     sizes = sorted(t.size for t in pool)
     pairs = sum(1 for i, s in enumerate(sizes) for r in sizes[: i + 1] if s + r <= 7)
     assert budget.total - budget.left == pairs == 717
+
+
+def test_term_pool_cost_does_not_grow_with_the_size_bound():
+    """The pool scans only the sizes it has, so a size bound far above every
+    term's size costs one node per pair of terms and nothing more: the 25
+    terms of depth at most 2 over three generators, whose largest has size
+    6, and their 325 unordered pairs, self-pairs included."""
+    budget = _Budget(1000)
+    pool = canonical_terms(["x", "y", "z"], 10**12, 2, budget)
+    assert pool == canonical_terms(["x", "y", "z"], 6, 2, _Budget())
+    assert len(pool) == 25 and budget.total - budget.left == 25 * 26 // 2
 
 
 def test_generating_set_scan_spends_the_budget():
@@ -260,7 +270,7 @@ def test_parse_deep_parentheses():
 
 
 def test_canonical_pool_is_canonical_and_sorted():
-    pool = canonical_terms(["x", "y"], 4, 4)
+    pool = canonical_terms(["x", "y"], 4, 4, _Budget())
     assert all(canonicalize(t) is t for t in pool)
     sizes = [t.size for t in pool]
     assert sizes == sorted(sizes)
@@ -339,7 +349,7 @@ def test_canonical_forms_and_order_pinned():
     ("xyz", 8, 5, 337, "89c6a591bdbcd9c76376ded3e492889657163c4032cfa7b70cf2a346dd3fb2ab"),
 ])
 def test_canonical_pools_pinned(names, max_size, max_depth, count, pin):
-    pool = canonical_terms(list(names), max_size, max_depth)
+    pool = canonical_terms(list(names), max_size, max_depth, _Budget())
     assert len(pool) == count
     for t in pool:
         assert_canonical(t, t)

@@ -189,30 +189,72 @@ BUDGET_CASES = [("l15_lemma", "L15"), ("cube", "B3"), ("cube_dual", "B3"),
                 ("staircase", "grid(2,7)"), ("staircase_dual", "grid(2,7)")]
 
 
+def _spent(call):
+    """Nodes that ``call(budget)`` spends."""
+    nodes = core._Budget(10**9)
+    call(nodes)
+    return nodes.total - nodes.left
+
+
 @pytest.mark.parametrize("cid, host", BUDGET_CASES, ids=[c[0] for c in BUDGET_CASES])
 def test_sublattice_check_budget(cid, host):
+    """A check that its gates let through raises one node short of the
+    nodes it spends."""
     L = catalog.get(host)
-    assert not theorems.run_check(L, cid, name=host).skipped
+    reports = []
+    nodes = _spent(lambda b: reports.append(theorems.run_check(L, cid, name=host, budget=b)))
+    assert not reports[0].skipped
     with pytest.raises(SearchBudgetExceeded) as exc:
-        theorems.run_check(L, cid, name=host, budget=100)
-    assert exc.value.budget == 100
+        theorems.run_check(L, cid, name=host, budget=nodes - 1)
+    assert exc.value.budget == nodes - 1
 
 
-def test_cube_forms_and_sizes_share_one_budget():
-    """A budget that covers each of the cube check's four searches alone
-    does not cover their sum."""
-    L = catalog.grid(7)
-    searches = [(K, theorems._CUBE_HYPOTHESES[size]) for K in (L, dual(L)) for size in (3, 4)]
-    spent = []
-    for K, plan in searches:
-        nodes = core._Budget(10**9)
-        list(embed.iter_matches(plan, K, nodes))
-        spent.append(nodes.total - nodes.left)
-    for K, plan in searches:
-        list(embed.iter_matches(plan, K, max(spent)))
-    assert not theorems.cube_theorem_check(L, budget=sum(spent)).skipped
+def test_hypothesis_searches_spend_one_node_per_candidate():
+    """Pinned node counts of two hypothesis searches: the staircase on the
+    2 x 15 grid, with 5,005 instances, and the cube check on B3, whose four
+    searches charged 880 nodes when every feasible image was charged."""
+    for check, L, nodes in ((theorems.staircase_cover_check, catalog.grid(15), 20_561),
+                            (theorems.cube_theorem_check, catalog.get("B3"), 112)):
+        assert _spent(lambda b: check(L, budget=b)) == nodes
+
+
+def _shared_budget_cases():
+    """Per public call, a callable of a budget and each search it runs, as a
+    callable of a budget: the cube check's four forms and sizes, the L15
+    lemma's hypothesis and L15 searches, the Dec bound's closure scan and
+    each Dec(K), and profile N on stacked_n5, which skips M3 and L1-L5."""
+    grid, l15, ninf, stacked = (catalog.grid(7), catalog.get("L15"), catalog.ninf(2),
+                                catalog.get("stacked_n5"))
+    loose = theorems._loose_sublattices(ninf, False, core._Budget())
+    return {
+        "cube": (lambda b: theorems.cube_theorem_check(grid, budget=b),
+                 [lambda b, K=K, size=size: list(embed.iter_matches(
+                     theorems._CUBE_HYPOTHESES[size], K, b))
+                  for K in (grid, dual(grid)) for size in (3, 4)]),
+        "l15_lemma": (lambda b: theorems.lemma_l15_check(l15, budget=b),
+                      [lambda b: list(embed.iter_matches(theorems._L15_HYPOTHESIS, l15, b)),
+                       lambda b: embed.find_embedding(l15, l15, b)]),
+        "dec_bound": (lambda b: theorems.dec_bound_check(ninf, budget=b),
+                      [lambda b: theorems._loose_sublattices(ninf, False, b)]
+                      + [lambda b, K=K: dec(induced(ninf, K), b) for K, _ in loose]),
+        "contains_forbidden": (
+            lambda b: embed.contains_forbidden(stacked, embed.profile("N"), b),
+            [lambda b, i=i: embed.find_embedding(catalog.get(f"L{i}"), stacked, b)
+             for i in range(6, 16)]),
+    }
+
+
+@pytest.mark.parametrize("case", ["cube", "l15_lemma", "dec_bound", "contains_forbidden"])
+def test_searches_of_one_call_share_one_budget(case):
+    """One public call spends one budget on all its searches: it spends
+    their sum, so a budget that covers the largest of them alone raises,
+    and the sum completes."""
+    call, searches = _shared_budget_cases()[case]
+    spent = [_spent(search) for search in searches]
+    assert len(spent) >= 2 and _spent(call) == sum(spent)
+    call(sum(spent))
     with pytest.raises(SearchBudgetExceeded):
-        theorems.cube_theorem_check(L, budget=max(spent))
+        call(max(spent))
 
 
 def test_hypothesis_configurations_match_oracles(monkeypatch):
