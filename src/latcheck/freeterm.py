@@ -2,15 +2,21 @@
 procedure for the word problem, canonical forms, evaluation into finite
 lattices, and bounded search for free-lattice embeddings of finite lattices.
 
-Terms are hash-consed, so canonical terms compare by identity; the order
-decision is memoised on pairs.  `canonicalize` alone says what a canonical
-term is (Freese, Jezek & Nation's characterisation, tested pairwise), and
-the embedding search's term pool is the closure of the generators under it.
+Terms are hash-consed, so canonical terms compare by identity.  Each term
+carries a 64-bit sketch, its values under 64 fixed maps of the generators
+into the two-element lattice; as those maps extend to homomorphisms, a bit
+set in s's sketch and clear in t's proves s is not below t, and `leq`
+refutes such pairs without recursing.  The pairs Whitman's recursion
+decides are memoised.  `canonicalize` alone says what a canonical term is
+(Freese, Jezek & Nation's characterisation, tested pairwise), and the
+embedding search's term pool is the closure of the generators under it.
 The word problem needs no finite lattice, so `core` is imported only by the
 embedding search.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import BadParameter, ParseError, UnassignedGenerator
 
@@ -22,7 +28,7 @@ class FreeTerm:
     """Generator, or join/meet of at least two subterms.  Instances are
     interned: structurally equal terms are the same object."""
 
-    __slots__ = ("kind", "name", "args", "size", "depth", "_enc")
+    __slots__ = ("kind", "name", "args", "size", "depth", "sketch", "_enc")
 
     def __repr__(self):
         return f"FreeTerm({format_term(self)!r})"
@@ -43,6 +49,19 @@ class FreeTerm:
 
 _INTERN = {}
 
+_MASK64 = (1 << 64) - 1
+
+
+def _gen_sketch(name):
+    """64 pseudo-random bits fixed by the bytes of ``name`` (FNV-1a, then
+    the splitmix64 finaliser), the same in every process."""
+    h = 0xCBF29CE484222325
+    for byte in name.encode("utf-8", "surrogatepass"):
+        h = ((h ^ byte) * 0x100000001B3) & _MASK64
+    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return h ^ (h >> 31)
+
 
 def _make(kind, name, args):
     key = (kind, name) if kind == "gen" else (kind, args)
@@ -52,8 +71,21 @@ def _make(kind, name, args):
         t.kind = kind
         t.name = name
         t.args = args
-        t.size = 1 if kind == "gen" else sum(a.size for a in args)
-        t.depth = 0 if kind == "gen" else 1 + max(a.depth for a in args)
+        if kind == "gen":
+            t.size, t.depth, t.sketch = 1, 0, _gen_sketch(name)
+        else:
+            t.size = sum(a.size for a in args)
+            t.depth = 1 + max(a.depth for a in args)
+            # bit k is the value under the k-th two-valued map: meet is AND,
+            # join is OR
+            sketch = args[0].sketch
+            if kind == "meet":
+                for a in args[1:]:
+                    sketch &= a.sketch
+            else:
+                for a in args[1:]:
+                    sketch |= a.sketch
+            t.sketch = sketch
         t._enc = None
         _INTERN[key] = t
     return t
@@ -93,9 +125,13 @@ _LEQ = {}
 
 
 def leq(s: FreeTerm, t: FreeTerm) -> bool:
-    """Whitman's recursion deciding s <= t in the free lattice."""
+    """Whitman's recursion deciding s <= t in the free lattice.  A pair whose
+    sketches show a two-valued map with s at 1 and t at 0 is refuted at
+    once and not memoised; the sketch never proves s <= t."""
     if s is t:
         return True
+    if s.sketch & ~t.sketch:
+        return False
     key = (s, t)
     hit = _LEQ.get(key)
     if hit is not None:
@@ -320,64 +356,75 @@ def find_free_embedding(L: FiniteLattice, n_gens=3, max_depth=4, max_size=7,
 # -- surface syntax -----------------------------------------------------------
 
 
+# an operator or parenthesis, an identifier (its first character is checked
+# in the parser: [^\W\d] also takes numerics such as "²"), or any other
+# non-space character, which is always an error
+_TOKEN = re.compile(r"[&|()]|[^\W\d][\w']*|\S")
+
+
+def _parse_error(text, message, at, scan_from):
+    """The ParseError for ``message`` at the offset of token ``at`` (the end
+    of the text if there is no such token), unless a token from
+    ``scan_from`` on is a bad character: that is reported first, as the
+    whole text is one tokenisation."""
+    offset = len(text)
+    for i, m in enumerate(_TOKEN.finditer(text)):
+        if i == at:
+            offset = m.start()
+        ch = m.group()[0]
+        if i >= scan_from and ch not in "&|()" and not (ch.isalpha() or ch == "_"):
+            return ParseError(f"unexpected character {ch!r}", offset=m.start())
+    return ParseError(message, offset=offset)
+
+
 def parse_term(text: str) -> FreeTerm:
-    """Parse ``x & (y | z)`` style syntax; & binds tighter than |."""
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "&|()":
-            tokens.append((ch, i))
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            tokens.append(("ident", i, text[i:j]))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", offset=i)
-    # expr := meets ("|" meets)*, meets := factor ("&" factor)*,
-    # factor := ident | "(" expr ")"; one frame per open parenthesis holds
-    # [finished meets of its expr, factors of the current meets, "(" token]
-    frames = [[[], [], None]]
-    pos = 0
-    while True:
-        tok = tokens[pos] if pos < len(tokens) else None
-        if tok is None:
-            raise ParseError("unexpected end of term", offset=len(text))
-        pos += 1
-        if tok[0] == "(":
-            frames.append([[], [], tok])
-            continue
-        if tok[0] != "ident":
-            raise ParseError(f"unexpected token {tok[0]!r}", offset=tok[1])
-        t = gen(tok[2])
-        while True:  # t completes a factor; close what it completes
-            frame = frames[-1]
-            frame[1].append(t)
-            tok = tokens[pos] if pos < len(tokens) else None
-            if tok is not None and tok[0] == "&":
-                break
-            frame[0].append(meet(*frame[1]))
-            frame[1] = []
-            if tok is not None and tok[0] == "|":
-                break
-            t = join(*frame[0])
-            opening = frame[2]
-            if opening is None:
-                if pos != len(tokens):
-                    raise ParseError("trailing input", offset=tok[1])
-                return t
-            if tok is None or tok[0] != ")":
-                raise ParseError("missing closing parenthesis", offset=opening[1])
-            pos += 1
-            frames.pop()
-        pos += 1
+    """Parse ``x & (y | z)`` style syntax; & binds tighter than |.
+
+    expr := meets ("|" meets)*, meets := factor ("&" factor)*,
+    factor := ident | "(" expr ")"; an identifier starts with a letter or
+    "_" and goes on with letters, digits and other numerics, "_" and "'";
+    whitespace separates tokens.  A ParseError reports the first character
+    that can start no token, if the text has one, else the first grammar
+    error (a missing ")" at its "(").  The text is tokenised in one regular
+    expression pass and the tokens parsed in a loop, so nesting depth is
+    unbounded."""
+    tokens = _TOKEN.findall(text)
+    # one frame per open parenthesis: (finished meets of its expr, factors
+    # of the current meets, token index of its "("), the innermost unpacked
+    stack = []
+    joinands, meetands, opened = [], [], None
+    want_factor = True
+    for pos, tok in enumerate(tokens):
+        if want_factor:
+            if tok == "(":
+                stack.append((joinands, meetands, opened))
+                joinands, meetands, opened = [], [], pos
+                continue
+            if not (tok[0].isalpha() or tok[0] == "_"):
+                raise _parse_error(text, f"unexpected token {tok!r}", pos, pos)
+            meetands.append(gen(tok))
+            want_factor = False
+        elif tok == "&":
+            want_factor = True
+        elif tok == "|":
+            joinands.append(meet(*meetands))
+            meetands = []
+            want_factor = True
+        elif tok == ")" and opened is not None:
+            joinands.append(meet(*meetands))
+            t = join(*joinands)
+            joinands, meetands, opened = stack.pop()
+            meetands.append(t)
+        elif opened is None:
+            raise _parse_error(text, "trailing input", pos, pos)
+        else:
+            raise _parse_error(text, "missing closing parenthesis", opened, pos)
+    if want_factor:
+        raise _parse_error(text, "unexpected end of term", len(tokens), len(tokens))
+    if opened is not None:
+        raise _parse_error(text, "missing closing parenthesis", opened, len(tokens))
+    joinands.append(meet(*meetands))
+    return join(*joinands)
 
 
 def format_term(t: FreeTerm) -> str:

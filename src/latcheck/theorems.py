@@ -446,10 +446,12 @@ ALL_CHECK_IDS = tuple(_CHECKS)
 
 def run_profile(L: FiniteLattice, profile_id: str, name=None, budget=None) -> list:
     """Run the theorem subset named by a profile, gating on the profile's
-    membership condition (computed once per lattice)."""
+    membership condition (computed once per lattice).  The gate and every
+    check share one budget."""
     if profile_id not in PROFILE_CHECKS:
         raise UnknownProfile(profile_id)
     gate_kind, check_ids = PROFILE_CHECKS[profile_id]
+    budget = _Budget.of(budget)
     if gate_kind == "variety":
         verdict = variety_membership(L)
     else:

@@ -23,7 +23,10 @@ L15 lemma's conclusion with the library's ``find_embedding``, find the
 twelve-element grid with its ``iter_embeddings`` and read the cube's join
 form off the library's ``dual``; and the forbidden-pattern loop that the
 law-pruned search replaced, which searches every pattern of a profile with
-the library's ``find_embedding``.
+the library's ``find_embedding``; and the word problem's plain Whitman
+recursion, and the character-at-a-time term parser that the one-pass
+tokeniser replaced, which interns through the library's ``gen``, ``meet``
+and ``join``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from latcheck import catalog, embed, laws
 from latcheck.core import (FiniteLattice, _UnionFind, canonical_form, dual, induced, matrix_bytes,
                            _refined_classes, _seed_signature)
 from latcheck.decomp import GJDecomposition
-from latcheck.errors import NotALattice, NotDistributive
+from latcheck.errors import NotALattice, NotDistributive, ParseError
+from latcheck.freeterm import gen, join, meet
 
 
 def brute_isomorphic(A: FiniteLattice, B: FiniteLattice) -> bool:
@@ -451,6 +455,81 @@ def is_canonical_oracle(t) -> bool:
                     for j, b in enumerate(args) if i != j)
         and not any(below(s, t) for a in args if a.kind == inner for s in a.args)
     )
+
+
+def whitman_leq_oracle(s, t) -> bool:
+    """Whitman's decision of s <= t in the free lattice (Whitman, *Ann. of
+    Math.* 42 (1941)) as plain recursion: no memo and no sketch."""
+    if s.kind == "join":
+        return all(whitman_leq_oracle(si, t) for si in s.args)
+    if t.kind == "meet":
+        return all(whitman_leq_oracle(s, tj) for tj in t.args)
+    if s.kind == "gen" and t.kind == "gen":
+        return s.name == t.name
+    return (s.kind == "meet" and any(whitman_leq_oracle(si, t) for si in s.args)
+            or t.kind == "join" and any(whitman_leq_oracle(s, tj) for tj in t.args))
+
+
+def parse_term_oracle(text: str):
+    """The character-at-a-time parser that ``parse_term``'s one-pass
+    tokeniser replaced, kept as it was: ``x & (y | z)`` style syntax, &
+    binding tighter than |."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "&|()":
+            tokens.append((ch, i))
+            i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            tokens.append(("ident", i, text[i:j]))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", offset=i)
+    # expr := meets ("|" meets)*, meets := factor ("&" factor)*,
+    # factor := ident | "(" expr ")"; one frame per open parenthesis holds
+    # [finished meets of its expr, factors of the current meets, "(" token]
+    frames = [[[], [], None]]
+    pos = 0
+    while True:
+        tok = tokens[pos] if pos < len(tokens) else None
+        if tok is None:
+            raise ParseError("unexpected end of term", offset=len(text))
+        pos += 1
+        if tok[0] == "(":
+            frames.append([[], [], tok])
+            continue
+        if tok[0] != "ident":
+            raise ParseError(f"unexpected token {tok[0]!r}", offset=tok[1])
+        t = gen(tok[2])
+        while True:  # t completes a factor; close what it completes
+            frame = frames[-1]
+            frame[1].append(t)
+            tok = tokens[pos] if pos < len(tokens) else None
+            if tok is not None and tok[0] == "&":
+                break
+            frame[0].append(meet(*frame[1]))
+            frame[1] = []
+            if tok is not None and tok[0] == "|":
+                break
+            t = join(*frame[0])
+            opening = frame[2]
+            if opening is None:
+                if pos != len(tokens):
+                    raise ParseError("trailing input", offset=tok[1])
+                return t
+            if tok is None or tok[0] != ")":
+                raise ParseError("missing closing parenthesis", offset=opening[1])
+            pos += 1
+            frames.pop()
+        pos += 1
 
 
 def _gj_shape_tag(L, elems):

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcheck import catalog
+from latcheck import catalog, freeterm
 from latcheck.core import _Budget
 from latcheck.errors import ParseError, SearchBudgetExceeded, UnassignedGenerator
 from latcheck.freeterm import (
@@ -26,7 +26,7 @@ from latcheck.freeterm import (
     verify_free_embedding,
 )
 
-from oracles import is_canonical_oracle
+from oracles import is_canonical_oracle, parse_term_oracle, whitman_leq_oracle
 
 x, y, z = gen("x"), gen("y"), gen("z")
 
@@ -269,6 +269,59 @@ def test_parse_deep_parentheses():
     assert (str(exc.value), exc.value.offset) == ("missing closing parenthesis", 2999)
 
 
+def parse_outcome(parse, text):
+    """The interned term ``parse`` makes of ``text``, or its error's message
+    and offset."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+# identifier characters, numerics that are not decimal ("²", "½") and one
+# that is ("٣"), every operator, a character that is no token, and four
+# kinds of whitespace
+FUZZ_ALPHABET = ("x", "y", "_", "'", "2", "²", "½", "٣", "&", "|", "(", ")", "?",
+                 " ", "\t", "\x1c", "\u3000")
+FUZZ_WEIGHTS = (8, 6, 2, 2, 1, 1, 1, 1, 6, 6, 5, 5, 1, 5, 1, 1, 1)
+
+
+def test_parse_matches_the_character_loop_parser_on_fuzzed_strings():
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(20_000):
+        text = "".join(rng.choices(FUZZ_ALPHABET, FUZZ_WEIGHTS, k=rng.randint(0, 14)))
+        got = parse_outcome(parse_term, text)
+        assert got == parse_outcome(parse_term_oracle, text), repr(text)
+        seen.add(" ".join(got[0].split()[:2]) if isinstance(got, tuple) else "term")
+    # every outcome occurs, so no branch of either parser goes untested
+    assert seen == {"term", "unexpected end", "missing closing", "unexpected character",
+                    "trailing input", "unexpected token"}
+
+
+def term_text(rng, leaves):
+    """A random term with ``leaves`` leaves written with every parenthesis,
+    as the terms benchmark writes them, with random spacing."""
+    if leaves == 1:
+        return rng.choice(("x", "y", "z", "w", "x'", "_y2"))
+    k = rng.randint(1, leaves - 1)
+    gap = rng.choice(("", " ", "\t"))
+    return f"({term_text(rng, k)}{gap}{rng.choice('&|')}{gap}{term_text(rng, leaves - k)})"
+
+
+def test_parse_matches_the_character_loop_parser_on_generated_terms():
+    rng = random.Random(21)
+    for _ in range(300):
+        text = term_text(rng, rng.randint(8, 128))
+        t = parse_term(text)
+        assert t is parse_term_oracle(text) and t.size == text.count("&") + text.count("|") + 1
+        assert parse_term(format_term(t)) is t
+        # one character replaced: an error far from the start, or another term
+        i = rng.randrange(len(text))
+        bad = text[:i] + rng.choice(FUZZ_ALPHABET) + text[i + 1:]
+        assert parse_outcome(parse_term, bad) == parse_outcome(parse_term_oracle, bad), bad
+
+
 def test_canonical_pool_is_canonical_and_sorted():
     pool = canonical_terms(["x", "y"], 4, 4, _Budget())
     assert all(canonicalize(t) is t for t in pool)
@@ -358,3 +411,51 @@ def test_canonical_pools_pinned(names, max_size, max_depth, count, pin):
     text = "\n".join(format_term(t) for t in pool)
     # recorded before the pool became the closure under binary meet and join
     assert hashlib.sha256(text.encode()).hexdigest() == pin
+
+
+def whitman_pairs():
+    """The distributive pair, absorption pairs and the seeded pairs."""
+    pairs = [(join(meet(x, y), meet(x, z)), meet(x, join(y, z))),
+             (join(x, meet(x, y)), x), (meet(x, join(x, y)), x),
+             (join(meet(x, y), meet(meet(x, y), z)), meet(x, y)),
+             (meet(join(x, z), join(join(x, z), y)), join(x, z))]
+    return pairs + seeded_term_pairs(4, 150)
+
+
+def test_leq_agrees_with_plain_whitman_recursion():
+    for s, t in whitman_pairs():
+        assert leq(s, t) == whitman_leq_oracle(s, t), (str(s), str(t))
+        assert leq(t, s) == whitman_leq_oracle(t, s), (str(s), str(t))
+
+
+def two_valued(t, k):
+    """t's value in the two-element lattice under the map sending each
+    generator to bit k of its sketch."""
+    if t.kind == "gen":
+        return t.sketch >> k & 1
+    values = [two_valued(a, k) for a in t.args]
+    return min(values) if t.kind == "meet" else max(values)
+
+
+def test_sketch_is_the_value_under_sixty_four_two_valued_maps():
+    # a fixed mix of the name's bytes, not hash() or first-seen order
+    assert [gen(g).sketch for g in "xyzw"] == [
+        0x2C782AC22891188E, 0x6BF7B2ABFFF4CBEF, 0x58854B0A643A458A, 0x931AAE91B01677E1]
+    for s, t in whitman_pairs():
+        for u in (s, t):
+            assert u.sketch == sum(two_valued(u, k) << k for k in range(64)), str(u)
+
+
+def test_sketch_refutes_without_memoising_and_never_proves():
+    refuted = 0
+    for s, t in whitman_pairs():
+        for a, b in ((s, t), (t, s)):
+            if a.sketch & ~b.sketch:
+                refuted += 1
+                assert not leq(a, b) and (a, b) not in freeterm._LEQ
+    assert refuted > 0
+    # distributive in the two-element lattice, so no sketch can refute it:
+    # Whitman's recursion decides it
+    lhs, rhs = join(x, meet(y, z)), meet(join(x, y), join(x, z))
+    assert not rhs.sketch & ~lhs.sketch
+    assert not leq(rhs, lhs) and freeterm._LEQ[rhs, lhs] is False

@@ -58,10 +58,10 @@ print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
 """
 
 
-def loaded_modules(*argv, cwd=None):
+def loaded_modules(*argv, cwd=None, probe=PROBE):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, cwd=cwd,
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
     )
     return set(json.loads(proc.stderr.splitlines()[-1]))
@@ -73,10 +73,25 @@ def test_import_latcheck_loads_no_submodule():
     assert not [m for m in loaded if m.startswith("latcheck.")]
 
 
+# runs in a fresh interpreter: prints, on stderr, the modules that building
+# and running an argparse parser added to sys.modules
+ARGPARSE_PROBE = """
+import json, sys
+before = set(sys.modules)
+import argparse
+argparse.ArgumentParser().parse_args([])
+print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
+"""
+
+
 def test_freelat_leq_loads_no_lattice_code():
-    loaded = loaded_modules("freelat", "leq", "x & (y | z)", "(x & y) | (x & z)")
-    assert "latcheck.freeterm" in loaded
-    assert not loaded & {"latcheck.core", "latcheck.theorems", "dataclasses"}
+    """`freelat leq` and `freelat canon` load the CLI, errors and freeterm,
+    and beyond them only ``__future__`` and what argparse loads itself (the
+    term tokeniser's ``re`` among it)."""
+    argparse_loaded = loaded_modules(probe=ARGPARSE_PROBE)
+    for argv in (("leq", "x & (y | z)", "(x & y) | (x & z)"), ("canon", "(x | y) & (x | y)")):
+        loaded = loaded_modules("freelat", *argv) - argparse_loaded - {"__future__"}
+        assert loaded == {"latcheck", "latcheck.cli", "latcheck.errors", "latcheck.freeterm"}
 
 
 def test_check_loads_only_what_it_runs(tmp_path):

@@ -222,10 +222,13 @@ def _shared_budget_cases():
     """Per public call, a callable of a budget and each search it runs, as a
     callable of a budget: the cube check's four forms and sizes, the L15
     lemma's hypothesis and L15 searches, the Dec bound's closure scan and
-    each Dec(K), and profile N on stacked_n5, which skips M3 and L1-L5."""
+    each Dec(K), profile N on stacked_n5, which skips M3 and L1-L5, and the
+    cor62 profile run on ninf(4): its forbidden-pattern gate and three
+    checks."""
     grid, l15, ninf, stacked = (catalog.grid(7), catalog.get("L15"), catalog.ninf(2),
                                 catalog.get("stacked_n5"))
     loose = theorems._loose_sublattices(ninf, False, core._Budget())
+    ninf4, cor62 = catalog.ninf(4), theorems.PROFILE_CHECKS["cor62"]
     return {
         "cube": (lambda b: theorems.cube_theorem_check(grid, budget=b),
                  [lambda b, K=K, size=size: list(embed.iter_matches(
@@ -241,10 +244,17 @@ def _shared_budget_cases():
             lambda b: embed.contains_forbidden(stacked, embed.profile("N"), b),
             [lambda b, i=i: embed.find_embedding(catalog.get(f"L{i}"), stacked, b)
              for i in range(6, 16)]),
+        "run_profile": (
+            lambda b: theorems.run_profile(ninf4, "cor62", budget=b),
+            [lambda b: theorems.profile_membership(embed.profile("cor62"))(ninf4, b)]
+            + [lambda b, cid=cid: theorems.run_check(ninf4, cid, budget=b,
+                                                     membership=lambda _L: (True, None))
+               for cid in cor62[1]]),
     }
 
 
-@pytest.mark.parametrize("case", ["cube", "l15_lemma", "dec_bound", "contains_forbidden"])
+@pytest.mark.parametrize("case", ["cube", "l15_lemma", "dec_bound", "contains_forbidden",
+                                  "run_profile"])
 def test_searches_of_one_call_share_one_budget(case):
     """One public call spends one budget on all its searches: it spends
     their sum, so a budget that covers the largest of them alone raises,
@@ -255,6 +265,16 @@ def test_searches_of_one_call_share_one_budget(case):
     call(sum(spent))
     with pytest.raises(SearchBudgetExceeded):
         call(max(spent))
+
+
+def test_profile_run_spends_one_budget():
+    """A budget bounds a whole profile run: the seven N-full checks on the
+    2 x 7 grid spend 2,447 nodes in all, the Dec bound 1,152 of them."""
+    grid = catalog.grid(7)
+    assert len(theorems.run_profile(grid, "N-full", budget=2447)) == 7
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        theorems.run_profile(grid, "N-full", budget=2446)
+    assert exc.value.budget == 2446
 
 
 def test_hypothesis_configurations_match_oracles(monkeypatch):
