@@ -506,8 +506,14 @@ def canonical_form(L: FiniteLattice) -> bytes:
 
     Elements are bucketed by refined structural invariants; the order matrix
     is then minimised over all colour-respecting permutations with
-    lexicographic prefix pruning.  The form and its permutation are kept in
-    ``L``'s cache.
+    lexicographic prefix pruning.  Two further prunings skip only branches
+    that cannot give a new least matrix, so the first least labelling found
+    is the same: after a new best is found below a prefix, that prefix is
+    the best's, and later siblings are compared with it; and a leaf that
+    ties the best gives an automorphism (the best's element in each slot to
+    this leaf's), and a sibling that an automorphism fixing the prefix maps
+    from a tried sibling is skipped, since its subtree is that sibling's
+    image.  The form and its permutation are kept in ``L``'s cache.
     """
     if "canon" not in L._cache:
         upper = [L.upper_covers(a) for a in range(L.n)]
@@ -529,6 +535,7 @@ def _canonical_search(up, classes) -> tuple:
 
     best_steps = None
     best_perm = None
+    autos = []  # automorphisms found at leaves that tie the best
     perm = []
     used = set()
     steps = []
@@ -544,31 +551,65 @@ def _canonical_search(up, classes) -> tuple:
             row |= (upv >> w & 1) << i
         return (col << k) | row
 
+    def orbit(mask, gens):
+        # mask closed under ``gens``: its elements' orbits under the group
+        # they generate
+        todo = mask
+        while todo:
+            x = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            for g in gens:
+                if not mask >> g[x] & 1:
+                    mask |= 1 << g[x]
+                    todo |= 1 << g[x]
+        return mask
+
     def rec(k, tight):
         # tight means steps so far equal best_steps[:k]; only then may we
-        # prune against best_steps[k]
+        # prune against best_steps[k].  True iff a new best was found below.
         nonlocal best_steps, best_perm
         if k == n:
             if best_steps is None or steps < best_steps:
                 best_steps = list(steps)
                 best_perm = list(perm)
-            return
+                return True
+            if steps == best_steps:
+                gamma = [0] * n
+                for b, p in zip(best_perm, perm):
+                    gamma[b] = p
+                autos.append(gamma)
+            return False
         cands = sorted(
             (extension(v), v) for v in slot_class[k] if v not in used
         )
+        improved = False
+        tried = 0  # the tried siblings' orbit under ``gens``
+        gens, known = [], 0
         for e, v in cands:
             t = tight
             if best_steps is not None and t:
                 if e > best_steps[k]:
                     break
                 t = e == best_steps[k]
+            if tried and len(autos) > known:
+                # an automorphism fixing the prefix maps a tried sibling's
+                # subtree onto the subtree of each sibling in its orbit
+                gens += [g for g in autos[known:] if all(g[w] == w for w in perm)]
+                known = len(autos)
+                tried = orbit(tried, gens)
+            if tried >> v & 1:
+                continue
             perm.append(v)
             used.add(v)
             steps.append(e)
-            rec(k + 1, t)
+            if rec(k + 1, t):
+                # the prefix is now the best's, so prune later siblings
+                improved = tight = True
             steps.pop()
             used.remove(v)
             perm.pop()
+            tried = orbit(tried | 1 << v, gens)
+        return improved
 
     rec(0, True)
     return tuple(best_perm)

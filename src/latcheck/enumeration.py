@@ -1,34 +1,33 @@
 """Exhaustive generation of all finite lattices with n elements, one
-representative per isomorphism class.
+representative per isomorphism class, by canonical augmentation (B. D.
+McKay, *J. Algorithms* 26 (1998)) with coatoms as the augmenting elements
+(J. Heitzig and J. Reinhold, *Algebra Universalis* 48 (2002)).
 
-Lattices grow bottom-up: element 0 is the bottom and each new element i
-takes an order ideal of the placed poset as its strict down-set.  The
-ideals are generated directly: index order is a linear extension, so
-element x may join the ideal only if its own strict down-set is already
-inside.  An ideal is kept only if every placed element outside it meets it
-in a principal down-set, which keeps a unique greatest lower bound for every
-pair (new elements never fall below old ones), and only if the new height
-is not below the previous one.
+Deleting a coatom c from a lattice L leaves a lattice L - c, so every
+lattice with n >= 3 elements is a lattice R with n - 1 elements plus a new
+coatom above an order ideal D of R - {1}.  For each representative R of
+``all_lattices(n - 1)`` the ideals of R - {1} are listed directly (index
+order is a linear extension, so x may join an ideal only if its own strict
+down-set is already inside), and an ideal D gives a lattice iff every
+element of R - {1} meets D in a principal down-set; that element's meet
+with c is then the top of that down-set.
 
-New elements never fall below old ones, so element n-1 is always maximal,
-and a lattice's unique maximum must be element n-1: at i = n-1 the only
-candidate is the full set.  Every completed structure is then a lattice.
+Each child is kept only from its canonical parent: the canonical labelling
+puts a coatom in slot n - 2, since its height is the greatest after the
+top's, and a child with new coatom c is accepted iff deleting the element
+in that slot leaves a lattice isomorphic to R.  That is certainly so when
+the slot holds c itself; otherwise the deletion is compared with R's
+canonical form.  Two necessary tests run first: before refinement, c's
+(height, number of lower covers) is at least every other coatom's; before
+the search, c lies in the second-to-last refined class.  Every class then
+comes from one parent, and siblings that repeat a canonical form are
+dropped.
 
-Isomorph rejection is self-canonicity: a labelled lattice is accepted iff
-its identity labelling realises its canonical form, which is always
-reachable because canonical labellings are linear extensions with
-non-decreasing heights.  The walk itself supplies the seed signature
-(height, depth, up-degree, down-degree) of every element: an element's
-lower covers are the maximal elements of its down-set, recorded when it is
-placed and never changed by later elements, its height follows from them,
-each element keeps a count of its upper covers, and at a leaf one reverse
-sweep over the lower covers gives the depths.  The tests run in order of
-cost, on the walk's own arrays.  The signature must be non-decreasing along
-0..n-1 (refinement only splits colour classes in signature order); the
-refined classes must list 0..n-1 in order; and the canonical-form search
-on those same classes must give the identity order matrix.  Only an
-accepted leaf becomes a :class:`FiniteLattice`, with its canonical form
-and permutation in its cache.
+A child's covers, heights, depths and degrees come from the parent's arrays,
+and the seed signature, refinement and canonical-form search read them
+directly, so a :class:`FiniteLattice` is built only for a kept child,
+relabelled to its canonical form, with that form and the identity
+permutation in its cache.
 """
 
 from __future__ import annotations
@@ -42,90 +41,92 @@ ENUM_CAP = 9
 _CACHE = {}
 
 
-def _generate(n):
-    labels = tuple(f"e{i}" for i in range(n))
-    if n == 1:
-        return [FiniteLattice(labels, (1,))]
-    results = []
-    up = [1] + [0] * (n - 1)
-    down = [1] + [0] * (n - 1)
-    heights = [0] * n
-    lower = [()] * n  # lower covers, fixed when the element is placed
-    updeg = [0] * n  # upper covers among the placed elements
-    by_down = {1: 0}  # down-set mask -> element
+def _deletes_to(up, perm, form):
+    """True iff deleting the element in slot n - 2 of the labelling ``perm``
+    of ``up`` leaves a lattice whose canonical form is ``form``."""
+    rest = perm[:-2] + perm[-1:]
+    pos = {a: i for i, a in enumerate(rest)}
+    sub = [sum(1 << pos[b] for b in iter_bits(up[a]) if b in pos) for a in rest]
+    return canonical_form(FiniteLattice(rest, sub)) == form
 
-    def ideals(i):
-        # strict down-sets for element i: order ideals of 0..i-1 holding 0;
-        # the last element is the top, above everything
-        if i == n - 1:
-            return [(1 << i) - 1]
-        found = [1]
-        for x in range(1, i):
-            below = down[x] & ~(1 << x)
-            found += [D | 1 << x for D in found if below & ~D == 0]
-        return found
 
-    def leaf():
+def _children(R):
+    """(canonical form, order relabelled to it) of each child of ``R`` that
+    is kept: R plus one new coatom, accepted from R as its canonical parent,
+    one per isomorphism class."""
+    n = R.n + 1
+    c, top = n - 2, n - 1  # the new coatom takes R's top's index
+    parent_form = canonical_form(R)
+    down = R.down
+    downs = set(down[:c])
+    # R's lower covers and heights on R - {1}, whose indices the child keeps
+    lower = [tuple(x for x in iter_bits(down[a] & ~(1 << a))
+                   if R.up[x] & down[a] == (1 << x) | (1 << a)) for a in range(c)]
+    heights = [0] * c
+    for a in range(1, c):
+        heights[a] = 1 + max(heights[x] for x in lower[a])
+    coatoms = [x for x in range(c) if R.up[x] == (1 << x) | (1 << c)]
+
+    ideals = [1]
+    for x in range(1, c):
+        below = down[x] & ~(1 << x)
+        ideals += [D | 1 << x for D in ideals if below & ~D == 0]
+
+    seen = set()
+    for D in ideals:
+        if any(down[a] & D not in downs for a in range(c)):
+            continue
+        lows = tuple(x for x in iter_bits(D) if R.up[x] & D == 1 << x)
+        h = 1 + max(heights[x] for x in lows)
+        others = tuple(x for x in coatoms if not D >> x & 1)
+        if any((heights[x], len(lower[x])) > (h, len(lows)) for x in others):
+            continue
+        up = [R.up[a] & ~(1 << c) | 1 << top | (D >> a & 1) << c for a in range(c)]
+        up += [1 << c | 1 << top, 1 << top]
+        lows_all = lower + [lows, others + (c,)]
+        upper = [[] for _ in range(n)]
+        for a, ls in enumerate(lows_all):
+            for b in ls:
+                upper[b].append(a)
         # index order is a linear extension, so one reverse sweep over the
         # lower covers settles every depth
         depths = [0] * n
-        for i in range(n - 1, 0, -1):
-            d = depths[i] + 1
-            for x in lower[i]:
+        for a in range(n - 1, 0, -1):
+            d = depths[a] + 1
+            for x in lows_all[a]:
                 if depths[x] < d:
                     depths[x] = d
-        sig = _seed_signature(heights, depths, updeg, map(len, lower))
-        if any(sig[a] > sig[a + 1] for a in range(n - 1)):
-            return
-        upper = [[] for _ in range(n)]
-        for a, lows in enumerate(lower):
-            for b in lows:
-                upper[b].append(a)
-        classes = _refined_classes(sig, upper, lower)
-        if [e for cls in classes for e in cls] != list(range(n)):
-            return
+        # c passed the coatom test, so no other coatom is higher
+        sig = _seed_signature(heights + [h, h + 1], depths, map(len, upper), map(len, lows_all))
+        classes = _refined_classes(sig, upper, lows_all)
+        if c not in classes[-2]:
+            continue
         perm = _canonical_search(up, classes)
+        if perm[c] != c and not _deletes_to(up, perm, parent_form):
+            continue
         form = matrix_bytes(up, perm)
-        if form == matrix_bytes(up):
-            L = FiniteLattice(labels, up)
-            L._cache.update(canon=form, canon_perm=perm)
-            results.append(L)
+        if form in seen:
+            continue
+        seen.add(form)
+        pos = [0] * n
+        for i, a in enumerate(perm):
+            pos[a] = i
+        yield form, tuple(sum(1 << pos[b] for b in iter_bits(up[a])) for a in perm)
 
-    def rec(i):
-        if i == n:
-            leaf()
-            return
-        prev_h = heights[i - 1]
-        for D in ideals(i):
-            # the maximal elements of D; new elements never fall below old
-            # ones, so these stay the lower covers of i
-            lows = tuple(x for x in iter_bits(D) if up[x] & D == 1 << x)
-            h = 1 + max(heights[x] for x in lows)
-            # every placed element must meet D in a principal down-set, so
-            # that it keeps a glb with the new element
-            if h < prev_h or any(down[a] & D not in by_down for a in range(i)):
-                continue
-            down[i] = D | (1 << i)
-            up[i] = 1 << i
-            heights[i] = h
-            lower[i] = lows
-            by_down[down[i]] = i
-            for x in iter_bits(D):
-                up[x] |= 1 << i
-            for x in lows:
-                updeg[x] += 1
-            rec(i + 1)
-            for x in lows:
-                updeg[x] -= 1
-            for x in iter_bits(D):
-                up[x] &= ~(1 << i)
-            del by_down[down[i]]
-            down[i] = 0
-            up[i] = 0
 
-    rec(1)
-    results.sort(key=canonical_form)
-    return results
+def _extend(parents):
+    """Every lattice with n elements up to isomorphism, in canonical-form
+    order, from ``parents``: the representatives of every class with
+    n - 1 >= 2 elements."""
+    n = parents[0].n + 1
+    labels = tuple(f"e{i}" for i in range(n))
+    identity = tuple(range(n))
+    results = []
+    for form, up in sorted(child for R in parents for child in _children(R)):
+        L = FiniteLattice(labels, up)
+        L._cache.update(canon=form, canon_perm=identity)
+        results.append(L)
+    return tuple(results)
 
 
 def all_lattices(n: int):
@@ -136,7 +137,12 @@ def all_lattices(n: int):
     if n > ENUM_CAP:
         raise SizeLimit(n, ENUM_CAP, "lattice enumeration")
     if n not in _CACHE:
-        _CACHE[n] = tuple(_generate(n))
+        if n <= 2:
+            # the one- and two-element chains
+            chain = tuple((1 << n) - (1 << i) for i in range(n))
+            _CACHE[n] = (FiniteLattice(tuple(f"e{i}" for i in range(n)), chain),)
+        else:
+            _CACHE[n] = _extend(all_lattices(n - 1))
     return _CACHE[n]
 
 

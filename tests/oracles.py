@@ -14,7 +14,9 @@ conditions directly but decides each inequality with the library's ``leq``
 (Whitman's procedure, checked on its own by the word-problem tests); and
 the self-canonicity referee, which runs the library's signature,
 refinement and canonical form on a fresh view, so that it checks what the
-enumeration derives during its walk against what the view derives alone;
+enumeration derives from a parent's arrays against what the view derives
+alone; and the canonical-form search as it stood before it pruned by
+found automorphisms and re-tightened after an improvement;
 and the Galvin-Jonsson referee, the range search the classifier replaced,
 which tags its ranges with the library's ``induced`` and ``canonical_form``;
 and the hand-written hypothesis scans that the L15, twelve-element,
@@ -202,6 +204,64 @@ def self_canonical_oracle(L: FiniteLattice) -> bool:
         return False
     flat = [e for cls in _refined_classes(sig, upper, lower) for e in cls]
     return flat == list(range(n)) and matrix_bytes(fresh.up) == canonical_form(fresh)
+
+
+def unpruned_canonical_search(up, classes) -> tuple:
+    """The canonical-form search as it stood before it pruned by
+    automorphisms and re-tightened after an improvement: the labelling,
+    respecting the refined ``classes``, whose order matrix on ``up`` is
+    least, first found in (extension, element) order."""
+    n = len(up)
+    # slot i must be filled from slot_class[i]
+    slot_class = []
+    for cls in classes:
+        slot_class.extend([cls] * len(cls))
+
+    best_steps = None
+    best_perm = None
+    perm = []
+    used = set()
+    steps = []
+
+    def extension(v):
+        # bits of the new column then the new row against placed elements
+        k = len(perm)
+        col = 0
+        row = 0
+        upv = up[v]
+        for i, w in enumerate(perm):
+            col |= (up[w] >> v & 1) << i
+            row |= (upv >> w & 1) << i
+        return (col << k) | row
+
+    def rec(k, tight):
+        # tight means steps so far equal best_steps[:k]; only then may we
+        # prune against best_steps[k]
+        nonlocal best_steps, best_perm
+        if k == n:
+            if best_steps is None or steps < best_steps:
+                best_steps = list(steps)
+                best_perm = list(perm)
+            return
+        cands = sorted(
+            (extension(v), v) for v in slot_class[k] if v not in used
+        )
+        for e, v in cands:
+            t = tight
+            if best_steps is not None and t:
+                if e > best_steps[k]:
+                    break
+                t = e == best_steps[k]
+            perm.append(v)
+            used.add(v)
+            steps.append(e)
+            rec(k + 1, t)
+            steps.pop()
+            used.remove(v)
+            perm.pop()
+
+    rec(0, True)
+    return tuple(best_perm)
 
 
 def set_partitions(elems):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,11 @@ from latcheck import catalog
 from latcheck.core import (
     CoverDiagram,
     EmbeddingWitness,
+    FiniteLattice,
     _Budget,
+    _canonical_search,
+    _refined_classes,
+    _seed_signature,
     atoms,
     are_isomorphic,
     build_lattice,
@@ -25,6 +30,7 @@ from latcheck.core import (
     intervals,
     is_interval,
     isomorphism,
+    iter_bits,
     matrix_bytes,
     maximal_antichains,
     sublattices,
@@ -38,7 +44,7 @@ from latcheck.errors import (
 )
 from latcheck.enumeration import all_lattices
 
-from oracles import brute_isomorphic, sublattice_masks_oracle
+from oracles import brute_isomorphic, sublattice_masks_oracle, unpruned_canonical_search
 
 
 def test_build_n5_meets_and_joins():
@@ -296,6 +302,65 @@ def test_canonical_form_relabelling_sweep_small():
             elems = [L.labels[perm[a]] for a in range(n)]
             M = build_lattice(CoverDiagram(tuple(elems), tuple(covers)))
             assert canonical_form(M) == base
+
+
+def _relabelled(L, rng):
+    """``L`` under a random permutation of its elements."""
+    perm = list(range(L.n))
+    rng.shuffle(perm)
+    up = [0] * L.n
+    for a in range(L.n):
+        up[perm[a]] = sum(1 << perm[b] for b in iter_bits(L.up[a]))
+    labels = [None] * L.n
+    for a in range(L.n):
+        labels[perm[a]] = L.labels[a]
+    return FiniteLattice(labels, up)
+
+
+def _search_classes(L):
+    upper = [L.upper_covers(a) for a in range(L.n)]
+    lower = [L.lower_covers(a) for a in range(L.n)]
+    sig = _seed_signature(L.heights(), L.depths(), map(len, upper), map(len, lower))
+    return _refined_classes(sig, upper, lower)
+
+
+def test_pruned_search_matches_the_unpruned_referee():
+    # pruning by found automorphisms and re-tightening after an improvement
+    # skip only branches that cannot give a new least matrix, so the search
+    # returns the very permutation the unpruned search returns
+    n5, m3, b3, c2 = (catalog.get("N5"), catalog.get("M3"), catalog.get("B3"),
+                      catalog.chain(2))
+    lattices = [L for n in range(1, 10) for L in all_lattices(n)]
+    lattices += [catalog.get(name) for name in catalog.FIXED_NAMES]
+    lattices += [catalog.chain(7), catalog.grid(6), catalog.ninf(4)]
+    lattices += [dual(L) for L in lattices]
+    rng = random.Random(29)
+    b5 = c2
+    for _ in range(4):
+        b5 = direct_product(b5, c2)
+    for L in (b5, direct_product(n5, n5), direct_product(m3, c2), direct_product(b3, c2)):
+        lattices += [L] + [_relabelled(L, rng) for _ in range(4)]
+    for L in lattices:
+        classes = _search_classes(L)
+        assert _canonical_search(L.up, classes) == unpruned_canonical_search(L.up, classes)
+
+
+@pytest.mark.parametrize("name", ["B3xB3", "N5xN5x2"])
+def test_symmetric_products_canonical_form_fast(name):
+    # B3 x B3 (n = 64, 720 automorphisms) and N5 x N5 x 2 (n = 50) took
+    # seconds before the search pruned by the automorphisms it finds
+    b3, n5 = catalog.get("B3"), catalog.get("N5")
+    if name == "B3xB3":
+        L = direct_product(b3, b3)
+    else:
+        L = direct_product(direct_product(n5, n5), catalog.chain(2))
+    start = time.process_time()
+    form = canonical_form(L)
+    assert time.process_time() - start < 1.0
+    M = _relabelled(L, random.Random(31))
+    assert canonical_form(M) == form
+    mapping = isomorphism(M, L)
+    assert EmbeddingWitness(M, L, mapping).is_valid()
 
 
 def test_isomorphism_gives_bijective_witness():

@@ -6,10 +6,11 @@ from collections import Counter
 
 import pytest
 
-from latcheck import catalog, core, enumeration
-from latcheck.core import CoverDiagram, FiniteLattice, build_lattice, canonical_form
+from latcheck import catalog, enumeration
+from latcheck.core import (CoverDiagram, FiniteLattice, build_lattice, canonical_form, coatoms,
+                           iter_bits)
 from latcheck.enumeration import all_lattices, filtered
-from latcheck.errors import BadParameter, SizeLimit
+from latcheck.errors import BadParameter, NotALattice, SizeLimit
 
 from oracles import (brute_isomorphic, grown_labelled, grown_lattices, matrix_lattices,
                      self_canonical_oracle)
@@ -91,30 +92,73 @@ def test_referee_keeps_one_labelling_per_class():
         assert kept == {L.up for L in all_lattices(n)}
 
 
-def test_each_view_refined_once(monkeypatch):
-    # every leaf signature that is non-decreasing is refined exactly once,
-    # and no other signature is refined
-    passing = []  # held so that no id is reused
-    refined = Counter()
-    real_sig, real_refine = core._seed_signature, core._refined_classes
+def _coatom_test_children(R):
+    """How many lattices R plus a new coatom c above an order ideal of
+    R - {1} has in which c's (height, number of lower covers) is at least
+    every other coatom's, each built and read as a fresh lattice."""
+    m = R.n
+    passing = 0
+    for D in range(1 << m):
+        if not D >> R.bottom & 1 or D >> R.top & 1:
+            continue
+        if any(R.down[x] & ~D for x in iter_bits(D)):
+            continue
+        up = [R.up[a] | (D >> a & 1) << m for a in range(m)] + [1 << m | 1 << R.top]
+        try:
+            L = FiniteLattice(R.labels + ("c",), up)
+        except NotALattice:
+            continue
+        key = [(h, len(L.lower_covers(x))) for x, h in enumerate(L.heights())]
+        passing += all(key[x] <= key[m] for x in coatoms(L))
+    return passing
+
+
+def test_extension_step(monkeypatch):
+    # every child that passes the coatom test is refined exactly once, each
+    # class is accepted from exactly one parent, and the deletion test runs
+    # exactly when the search puts some other element in slot n - 2
+    parents, forms8 = all_lattices(7), {canonical_form(L) for L in all_lattices(8)}
+    sigs, refined, perms, deleted = [], Counter(), [], []
+    real_sig, real_refine = enumeration._seed_signature, enumeration._refined_classes
+    real_search, real_delete = enumeration._canonical_search, enumeration._deletes_to
 
     def spying_sig(*arrays):
-        sig = real_sig(*arrays)
-        if all(sig[a] <= sig[a + 1] for a in range(len(sig) - 1)):
-            passing.append(sig)
-        return sig
+        sigs.append(real_sig(*arrays))
+        return sigs[-1]
 
     def counting(sig, upper, lower):
         refined[id(sig)] += 1
         return real_refine(sig, upper, lower)
 
+    def searching(up, classes):
+        perms.append(real_search(up, classes))
+        return perms[-1]
+
+    def deleting(up, perm, form):
+        deleted.append(perm)
+        return real_delete(up, perm, form)
+
     monkeypatch.setattr(enumeration, "_seed_signature", spying_sig)
-    monkeypatch.setattr(core, "_refined_classes", counting)
     monkeypatch.setattr(enumeration, "_refined_classes", counting)
-    assert len(enumeration._generate(8)) == 222
-    assert len(passing) >= 222
-    assert set(refined) == {id(sig) for sig in passing}
+    monkeypatch.setattr(enumeration, "_canonical_search", searching)
+    monkeypatch.setattr(enumeration, "_deletes_to", deleting)
+    accepted = Counter(form for R in parents for form, _ in enumeration._children(R))
+    assert len(sigs) == sum(_coatom_test_children(R) for R in parents)
+    assert set(refined) == {id(sig) for sig in sigs}
     assert max(refined.values()) == 1
+    assert set(accepted) == forms8
+    assert set(accepted.values()) == {1}
+    assert deleted == [p for p in perms if p[-2] != len(p) - 2]
+    assert deleted
+
+
+def test_one_step_to_ten():
+    # one extension step past ENUM_CAP: 5994 lattices on ten elements
+    # (OEIS A006966), distinct and in canonical-form order
+    forms = [canonical_form(L) for L in enumeration._extend(all_lattices(9))]
+    assert len(forms) == 5994
+    assert len(set(forms)) == len(forms)
+    assert forms == sorted(forms)
 
 
 def test_no_duplicate_canonical_forms():
