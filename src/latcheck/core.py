@@ -3,6 +3,9 @@ primitives everything else is built on: construction from cover data, duals,
 direct products, sublattice closure and enumeration, intervals, canonical
 forms, cover queries and the node budget every search spends.
 
+:func:`cached` is the one per-lattice memo: covers, heights, depths and
+every verdict, plan or table computed once per lattice are kept by it.
+
 :class:`FiniteLattice` is the one order type.  The canonical-form
 primitives read plain arrays (seed signature columns, cover lists and
 ``up``), so the enumeration tests a candidate order on its own arrays and
@@ -18,6 +21,7 @@ interval, so :func:`intervals` lists those directly, at most n(n+1)/2.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -105,6 +109,43 @@ class _UnionFind:
         return True
 
 
+def cached(fn):
+    """``fn(L, *args)`` memoised in ``L._cache``, the one per-lattice memo,
+    under its module-qualified name and ``args``; a hit costs one dict
+    probe.  Lattices are immutable, so an entry never goes stale."""
+    name = f"{fn.__module__}.{fn.__qualname__}"
+    missing = object()
+
+    @functools.wraps(fn)
+    def memo(L, *args):
+        key = (name, *args)
+        value = L._cache.get(key, missing)
+        if value is missing:
+            value = L._cache[key] = fn(L, *args)
+        return value
+
+    return memo
+
+
+def _covers(a, up, down):
+    """The covers of ``a`` on the side of ``up``: the elements b != a of
+    up[a] with nothing strictly between, read on (up, down) for the upper
+    covers and on (down, up) for the lower."""
+    ends = up[a]
+    return tuple(b for b in iter_bits(ends & ~(1 << a)) if ends & down[b] == (1 << a) | (1 << b))
+
+
+def _longest(n, covers, below):
+    """Per element a, the edges on a longest chain from a through
+    ``covers``: the lower covers with the down-sets as ``below`` give the
+    heights, the upper covers with the up-sets the depths.  Elements are
+    taken in order of the size of ``below[a]``, so a's covers come first."""
+    h = [0] * n
+    for a in sorted(range(n), key=lambda x: below[x].bit_count()):
+        h[a] = 1 + max((h[b] for b in covers(a)), default=-1)
+    return tuple(h)
+
+
 @dataclass(frozen=True)
 class CoverDiagram:
     """Hasse-diagram input data: ``covers`` holds pairs ``(a, b)`` meaning
@@ -176,23 +217,13 @@ class FiniteLattice:
 
     # -- covers and chains ----------------------------------------------
 
+    @cached
     def upper_covers(self, a):
-        key = ("ucov", a)
-        if key not in self._cache:
-            strict = self.up[a] & ~(1 << a)
-            covs = [b for b in iter_bits(strict)
-                    if self.up[a] & self.down[b] == (1 << a) | (1 << b)]
-            self._cache[key] = tuple(covs)
-        return self._cache[key]
+        return _covers(a, self.up, self.down)
 
+    @cached
     def lower_covers(self, a):
-        key = ("lcov", a)
-        if key not in self._cache:
-            strict = self.down[a] & ~(1 << a)
-            covs = [b for b in iter_bits(strict)
-                    if self.down[a] & self.up[b] == (1 << a) | (1 << b)]
-            self._cache[key] = tuple(covs)
-        return self._cache[key]
+        return _covers(a, self.down, self.up)
 
     def covers(self, a, b):
         """True iff b covers a."""
@@ -201,25 +232,15 @@ class FiniteLattice:
     def cover_pairs(self):
         return [(a, b) for a in range(self.n) for b in self.upper_covers(a)]
 
+    @cached
     def heights(self):
         """Longest-chain edge counts from the bottom, per element."""
-        if "heights" not in self._cache:
-            h = [0] * self.n
-            for a in sorted(range(self.n), key=lambda x: self.down[x].bit_count()):
-                lows = self.lower_covers(a)
-                h[a] = 1 + max((h[b] for b in lows), default=-1)
-            self._cache["heights"] = tuple(h)
-        return self._cache["heights"]
+        return _longest(self.n, self.lower_covers, self.down)
 
+    @cached
     def depths(self):
         """Longest-chain edge counts up to the top, per element."""
-        if "depths" not in self._cache:
-            d = [0] * self.n
-            for a in sorted(range(self.n), key=lambda x: self.up[x].bit_count()):
-                ups = self.upper_covers(a)
-                d[a] = 1 + max((d[b] for b in ups), default=-1)
-            self._cache["depths"] = tuple(d)
-        return self._cache["depths"]
+        return _longest(self.n, self.upper_covers, self.up)
 
     def _derive_tables(self):
         # the glb of a and b is the element whose down-set is
@@ -513,7 +534,10 @@ def canonical_form(L: FiniteLattice) -> bytes:
     ties the best gives an automorphism (the best's element in each slot to
     this leaf's), and a sibling that an automorphism fixing the prefix maps
     from a tried sibling is skipped, since its subtree is that sibling's
-    image.  The form and its permutation are kept in ``L``'s cache.
+    image.  The form and its permutation are kept in ``L``'s cache as the
+    entries ``canon`` and ``canon_perm``, not through :func:`cached`: the
+    enumeration seeds both for each lattice it builds, and
+    :func:`isomorphism` reads the permutation.
     """
     if "canon" not in L._cache:
         upper = [L.upper_covers(a) for a in range(L.n)]

@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import catalog, laws
-from .core import (FiniteLattice, _Budget, _UnionFind, canonical_form, induced, intervals,
-                   is_interval, is_sublattice_set, iter_bits)
+from .core import (FiniteLattice, _Budget, _UnionFind, cached, canonical_form, induced,
+                   intervals, is_interval, is_sublattice_set, iter_bits)
 from .errors import NotAPartition, NotDistributive
 
 
@@ -53,15 +53,17 @@ class PartitionCheck:
 
 
 def is_distributive_sublattice(L: FiniteLattice, mask) -> bool:
-    """Distributivity of the sublattice ``mask`` of L, read on L's tables
-    and kept in L's cache, so each mask is tested at most once per lattice;
-    every lattice with fewer than five elements is distributive."""
-    if mask.bit_count() < 5:
-        return True
-    memo = L._cache.setdefault("distributive", {})
-    if mask not in memo:
-        memo[mask] = bool(laws._distributive_on(L, tuple(iter_bits(mask))))
-    return memo[mask]
+    """Distributivity of the sublattice ``mask`` of L; every lattice with
+    fewer than five elements is distributive, and larger masks are tested
+    at most once per lattice."""
+    return mask.bit_count() < 5 or _distributive_mask(L, mask)
+
+
+@cached
+def _distributive_mask(L: FiniteLattice, mask) -> bool:
+    """The distributive law on the sublattice ``mask``, read on L's tables
+    and kept by :func:`core.cached`."""
+    return bool(laws._distributive_on(L, tuple(iter_bits(mask))))
 
 
 def _pair_ok(L, m1, m2):

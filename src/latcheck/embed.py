@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import catalog, laws
-from .core import EmbeddingWitness, FiniteLattice, _Budget
+from .core import EmbeddingWitness, FiniteLattice, _Budget, cached
 from .errors import UnknownProfile
 
 
@@ -46,13 +46,12 @@ def _levels(order, leq, apart, facts, ascending=()):
     return levels
 
 
+@cached
 def _plan(pattern: FiniteLattice):
-    """The pattern side of the search, built once per pattern and kept in its
-    cache: each element's (height, depth, |up-set|, |down-set|), and the
-    :func:`_levels` of its order, meet and join facts in the search's
-    element order (most-constrained cover degree first)."""
-    if "embed_plan" in pattern._cache:
-        return pattern._cache["embed_plan"]
+    """The pattern side of the search, built once per pattern and kept by
+    :func:`core.cached`: each element's (height, depth, |up-set|,
+    |down-set|), and the :func:`_levels` of its order, meet and join facts
+    in the search's element order (most-constrained cover degree first)."""
     n, ph, pd = pattern.n, pattern.heights(), pattern.depths()
     order = sorted(
         range(n),
@@ -63,8 +62,7 @@ def _plan(pattern: FiniteLattice):
              for a in range(n)]
     facts = [(t, x, y, pt[x][y]) for x, y in itertools.combinations(range(n), 2)
              for t, pt in enumerate((pattern.meet, pattern.join)) if pt[x][y] not in (x, y)]
-    pattern._cache["embed_plan"] = stats, _levels(order, pattern.leq, pattern.incomparable, facts)
-    return pattern._cache["embed_plan"]
+    return stats, _levels(order, pattern.leq, pattern.incomparable, facts)
 
 
 def configuration(names, leq=(), apart=(), facts=(), ascending=(), pattern=None):
@@ -89,22 +87,21 @@ def configuration(names, leq=(), apart=(), facts=(), ascending=(), pattern=None)
     return stats + [(0, 0, 0, 0)] * (len(names) - p), levels + rest
 
 
+@cached
 def _host_tables(host: FiniteLattice):
     """For the host's heights, depths, and up- and down-set sizes, each
     ``ge``: ``ge[v]`` is the mask of the elements whose value is at least v,
-    for v = 0..n.  Built once per host and kept in its cache."""
-    if "embed_tables" not in host._cache:
-        tables = []
-        for values in (host.heights(), host.depths(), [u.bit_count() for u in host.up],
-                       [w.bit_count() for w in host.down]):
-            ge = [0] * (host.n + 1)
-            for h, v in enumerate(values):
-                ge[v] |= 1 << h
-            for v in range(host.n - 1, -1, -1):
-                ge[v] |= ge[v + 1]
-            tables.append(ge)
-        host._cache["embed_tables"] = tables
-    return host._cache["embed_tables"]
+    for v = 0..n.  Built once per host and kept by :func:`core.cached`."""
+    tables = []
+    for values in (host.heights(), host.depths(), [u.bit_count() for u in host.up],
+                   [w.bit_count() for w in host.down]):
+        ge = [0] * (host.n + 1)
+        for h, v in enumerate(values):
+            ge[v] |= 1 << h
+        for v in range(host.n - 1, -1, -1):
+            ge[v] |= ge[v + 1]
+        tables.append(ge)
+    return tables
 
 
 def iter_matches(plan, host: FiniteLattice, budget=None, images=None):

@@ -59,13 +59,11 @@ def _children(R):
     parent_form = canonical_form(R)
     down = R.down
     downs = set(down[:c])
-    # R's lower covers and heights on R - {1}, whose indices the child keeps
-    lower = [tuple(x for x in iter_bits(down[a] & ~(1 << a))
-                   if R.up[x] & down[a] == (1 << x) | (1 << a)) for a in range(c)]
-    heights = [0] * c
-    for a in range(1, c):
-        heights[a] = 1 + max(heights[x] for x in lower[a])
-    coatoms = [x for x in range(c) if R.up[x] == (1 << x) | (1 << c)]
+    # R's lower covers and heights on R - {1}, whose indices the child
+    # keeps; R's top is slot c, so its lower covers are R's coatoms
+    lower = [R.lower_covers(a) for a in range(c)]
+    heights = R.heights()[:c]
+    coatoms = R.lower_covers(c)
 
     ideals = [1]
     for x in range(1, c):
@@ -97,7 +95,7 @@ def _children(R):
                 if depths[x] < d:
                     depths[x] = d
         # c passed the coatom test, so no other coatom is higher
-        sig = _seed_signature(heights + [h, h + 1], depths, map(len, upper), map(len, lows_all))
+        sig = _seed_signature(heights + (h, h + 1), depths, map(len, upper), map(len, lows_all))
         classes = _refined_classes(sig, upper, lows_all)
         if c not in classes[-2]:
             continue

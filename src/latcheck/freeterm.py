@@ -95,20 +95,19 @@ def gen(name: str) -> FreeTerm:
     return _make("gen", name, None)
 
 
-def join(*args) -> FreeTerm:
+def _combine(kind, args) -> FreeTerm:
+    """The ``kind`` ("join" or "meet") of ``args``; one argument is itself."""
     if not args:
-        raise BadParameter("join needs at least one argument")
-    if len(args) == 1:
-        return args[0]
-    return _make("join", None, tuple(args))
+        raise BadParameter(f"{kind} needs at least one argument")
+    return args[0] if len(args) == 1 else _make(kind, None, args)
+
+
+def join(*args) -> FreeTerm:
+    return _combine("join", args)
 
 
 def meet(*args) -> FreeTerm:
-    if not args:
-        raise BadParameter("meet needs at least one argument")
-    if len(args) == 1:
-        return args[0]
-    return _make("meet", None, tuple(args))
+    return _combine("meet", args)
 
 
 _KIND_RANK = {"gen": 0, "meet": 1, "join": 2}
@@ -428,16 +427,10 @@ def parse_term(text: str) -> FreeTerm:
 
 
 def format_term(t: FreeTerm) -> str:
+    """``&`` binds tighter than ``|``, so a meet brackets every compound
+    argument and a join only its joins."""
     if t.kind == "gen":
         return t.name
-    if t.kind == "meet":
-        parts = [
-            format_term(a) if a.kind == "gen" else "(" + format_term(a) + ")"
-            for a in t.args
-        ]
-        return " & ".join(parts)
-    parts = [
-        format_term(a) if a.kind != "join" else "(" + format_term(a) + ")"
-        for a in t.args
-    ]
-    return " | ".join(parts)
+    op, bracketed = (" & ", ("meet", "join")) if t.kind == "meet" else (" | ", ("join",))
+    return op.join(["(" + format_term(a) + ")" if a.kind in bracketed else format_term(a)
+                    for a in t.args])

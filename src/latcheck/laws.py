@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteLattice, iter_bits
+from .core import FiniteLattice, cached, iter_bits
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,12 @@ class LawProfile:
     free_sublattice_finite: bool
 
 
+@cached
 def whitman(L: FiniteLattice) -> Check:
     """Whenever a^b <= cvd, one of a <= cvd, b <= cvd, a^b <= c, a^b <= d
     must hold; returns the first violating quadruple otherwise.  The verdict
-    is kept in the lattice's cache, so the O(n^4) scan runs once per lattice."""
-    if "whitman" not in L._cache:
-        L._cache["whitman"] = _whitman_scan(L)
-    return L._cache["whitman"]
+    is kept by :func:`core.cached`, so the O(n^4) scan runs once per lattice."""
+    return _whitman_scan(L)
 
 
 def _whitman_scan(L: FiniteLattice) -> Check:
@@ -104,14 +103,12 @@ _VERDICTS = {
 }
 
 
+@cached
 def holds(L: FiniteLattice, law: str) -> bool:
     """Whether L satisfies ``law``, "sd_join", "sd_meet" or "modular",
     decided from structure without naming a witness.  The verdict is kept
-    in the lattice's cache."""
-    key = ("holds", law)
-    if key not in L._cache:
-        L._cache[key] = _VERDICTS[law](L)
-    return L._cache[key]
+    by :func:`core.cached`."""
+    return _VERDICTS[law](L)
 
 
 def _sd_check(n, op, co) -> Check:
@@ -126,16 +123,14 @@ def _sd_check(n, op, co) -> Check:
     return Check(True)
 
 
+@cached
 def semidistributive(L: FiniteLattice) -> tuple[Check, Check]:
     """The join and meet semidistributive laws, each with the first violating
     triple (a, b, c) on failure.  Each verdict comes from :func:`holds`, and
-    the triple scan runs only for a law that fails.  The pair is kept in the
-    lattice's cache, as Whitman's verdict is."""
-    if "semidistributive" not in L._cache:
-        L._cache["semidistributive"] = tuple(
-            Check(True) if holds(L, law) else _sd_check(L.n, op, co)
-            for law, op, co in (("sd_join", L.join, L.meet), ("sd_meet", L.meet, L.join)))
-    return L._cache["semidistributive"]
+    the triple scan runs only for a law that fails.  The pair is kept by
+    :func:`core.cached`, as Whitman's verdict is."""
+    return tuple(Check(True) if holds(L, law) else _sd_check(L.n, op, co)
+                 for law, op, co in (("sd_join", L.join, L.meet), ("sd_meet", L.meet, L.join)))
 
 
 def distributive(L: FiniteLattice) -> Check:
@@ -157,13 +152,12 @@ def _distributive_on(L: FiniteLattice, elems) -> Check:
     return Check(True)
 
 
+@cached
 def modular(L: FiniteLattice) -> Check:
     """(a v b) ^ c = a v (b ^ c) whenever a <= c.  The verdict comes from
     :func:`holds`, and the scan for the first violating triple runs only
-    when the law fails; the check is kept in the lattice's cache."""
-    if "modular" not in L._cache:
-        L._cache["modular"] = Check(True) if holds(L, "modular") else _modular_scan(L)
-    return L._cache["modular"]
+    when the law fails; the check is kept by :func:`core.cached`."""
+    return Check(True) if holds(L, "modular") else _modular_scan(L)
 
 
 def _modular_scan(L: FiniteLattice) -> Check:

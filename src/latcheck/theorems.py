@@ -25,7 +25,6 @@ degeneracy lemma's convex sublattices are intervals, listed directly by
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 from . import catalog, embed, laws, variety
@@ -55,7 +54,6 @@ class TheoremReport:
     vacuous: bool = False
     skipped: bool = False
     skip_reason: str | None = None
-    elapsed: float = 0.0
     details: dict = field(default_factory=dict)
 
     @property
@@ -125,12 +123,10 @@ def _check(theorem_id, L, name, needs, membership, scan, budget, dual_form=False
     unless the gate skips, and flag a run with no hypothesis instance as
     vacuous.  M is the lattice the scan reads: L, or dual(L) for a dual
     form, and ``nodes`` the check's one budget, made from ``budget``."""
-    t0 = time.perf_counter()
     rep = TheoremReport(theorem_id, _name_of(L, name))
     if not _gate(rep, L, needs, membership):
         scan(rep, dual(L) if dual_form else L, _Budget.of(budget))
     rep.vacuous = (not rep.skipped) and rep.hypothesis_instances == 0
-    rep.elapsed = time.perf_counter() - t0
     return rep
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 
 from . import catalog
-from .core import FiniteLattice, _UnionFind, canonical_form
+from .core import FiniteLattice, _UnionFind, cached, canonical_form
 from .errors import SizeLimit
 
 CONGRUENCE_CAP = 16
@@ -114,18 +114,13 @@ def join_congruences(c1: Congruence, c2: Congruence) -> Congruence:
     again a congruence."""
     n = c1.n
     uf = _UnionFind(n)
-    first_of_block1 = {}
-    first_of_block2 = {}
-    for e in range(n):
-        b1, b2 = c1.block_index[e], c2.block_index[e]
-        if b1 in first_of_block1:
-            uf.union(first_of_block1[b1], e)
-        else:
-            first_of_block1[b1] = e
-        if b2 in first_of_block2:
-            uf.union(first_of_block2[b2], e)
-        else:
-            first_of_block2[b2] = e
+    for c in (c1, c2):
+        first_of_block = {}
+        for e, b in enumerate(c.block_index):
+            if b in first_of_block:
+                uf.union(first_of_block[b], e)
+            else:
+                first_of_block[b] = e
     return _canonical_blocks(uf.find, n)
 
 
@@ -217,17 +212,12 @@ def _si_forms() -> frozenset:
                      (catalog.chain(1), catalog.chain(2), catalog.get("N5")))
 
 
+@cached
 def in_n5_variety(L: FiniteLattice) -> VarietyDecision:
     """Exact membership in the variety generated by the pentagon, with the
     subdirectly irreducible factor list as certificate.  The decision is
-    kept in the lattice's cache, so the factors are computed once per
+    kept by :func:`core.cached`, so the factors are computed once per
     lattice."""
-    if "n5_variety" not in L._cache:
-        L._cache["n5_variety"] = _decide_n5_variety(L)
-    return L._cache["n5_variety"]
-
-
-def _decide_n5_variety(L: FiniteLattice) -> VarietyDecision:
     allowed = _si_forms()
     factors = tuple(si_factors(L))
     for q in factors:

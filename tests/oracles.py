@@ -26,7 +26,8 @@ twelve-element grid with its ``iter_embeddings`` and read the cube's join
 form off the library's ``dual``; and the forbidden-pattern loop that the
 law-pruned search replaced, which searches every pattern of a profile with
 the library's ``find_embedding``; and the word problem's plain Whitman
-recursion, and the character-at-a-time term parser that the one-pass
+recursion, the cover, height and depth referee, which reads only the order
+relation, and the character-at-a-time term parser that the one-pass
 tokeniser replaced, which interns through the library's ``gen``, ``meet``
 and ``join``.
 """
@@ -438,6 +439,32 @@ def dec_oracle(L: FiniteLattice) -> int:
         if len(part) < best and distributive_partition_oracle(L, part):
             best = len(part)
     return best
+
+
+def cover_queries_oracle(L: FiniteLattice):
+    """(upper covers, lower covers, heights, depths) per element, from the
+    order relation alone: b covers a when a < b with nothing strictly
+    between, and a height (depth) is the length of the longest chain of
+    strict relations below (above) the element, found by relaxing every
+    pair until nothing changes."""
+    n, lt = L.n, L.lt
+    upper = [tuple(b for b in range(n)
+                   if lt(a, b) and not any(lt(a, x) and lt(x, b) for x in range(n)))
+             for a in range(n)]
+    lower = [tuple(b for b in range(n) if a in upper[b]) for a in range(n)]
+
+    def longest(before):
+        length = [0] * n
+        changed = True
+        while changed:
+            changed = False
+            for a, x in itertools.product(range(n), repeat=2):
+                if before(x, a) and length[x] + 1 > length[a]:
+                    length[a] = length[x] + 1
+                    changed = True
+        return tuple(length)
+
+    return upper, lower, longest(lt), longest(lambda x, a: lt(a, x))
 
 
 def doubly_reducible_oracle(L: FiniteLattice) -> tuple:

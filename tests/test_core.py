@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcheck import catalog
+from latcheck import catalog, core
 from latcheck.core import (
     CoverDiagram,
     EmbeddingWitness,
@@ -44,7 +44,8 @@ from latcheck.errors import (
 )
 from latcheck.enumeration import all_lattices
 
-from oracles import brute_isomorphic, sublattice_masks_oracle, unpruned_canonical_search
+from oracles import (brute_isomorphic, cover_queries_oracle, sublattice_masks_oracle,
+                     unpruned_canonical_search)
 
 
 def test_build_n5_meets_and_joins():
@@ -380,6 +381,46 @@ def test_covers_atoms_coatoms():
     n5 = catalog.get("N5")
     i = n5.index_of
     assert set(covers_of(n5, i("x5"))) == {i("x2"), i("x4")}
+
+
+def test_cover_queries_match_the_order_referee():
+    """Upper and lower covers, heights and depths agree with the referee on
+    every lattice with n <= 8, the catalog and their duals, and each query
+    is its dual's mirror query."""
+    lattices = [L for n in range(1, 9) for L in all_lattices(n)]
+    lattices += [catalog.get(name) for name in catalog.FIXED_NAMES]
+    for L in lattices:
+        D = dual(L)
+        for M in (L, D):
+            upper, lower, heights, depths = cover_queries_oracle(M)
+            assert [M.upper_covers(a) for a in range(M.n)] == upper, M.labels
+            assert [M.lower_covers(a) for a in range(M.n)] == lower, M.labels
+            assert M.heights() == heights and M.depths() == depths, M.labels
+        assert L.depths() == D.heights() and L.heights() == D.depths()
+        assert all(L.upper_covers(a) == D.lower_covers(a) for a in range(L.n))
+
+
+def test_cached_body_runs_once_per_lattice_and_args(monkeypatch):
+    """Each cover query reaches ``_covers`` once per (lattice, element, side),
+    however often it and the height and depth queries built on it are
+    asked; a second lattice with the same order has its own entries."""
+    calls = []
+
+    def spy(a, up, down):
+        calls.append((a, up))
+        return real(a, up, down)
+
+    n5 = catalog.get("N5")
+    expected = ([n5.upper_covers(a) for a in range(5)], [n5.lower_covers(a) for a in range(5)],
+                n5.heights(), n5.depths())
+    real = core._covers
+    monkeypatch.setattr(core, "_covers", spy)
+    for L in (FiniteLattice(n5.labels, n5.up), FiniteLattice(n5.labels, n5.up)):
+        calls.clear()
+        for _ in range(3):
+            assert ([L.upper_covers(a) for a in range(5)], [L.lower_covers(a) for a in range(5)],
+                    L.heights(), L.depths()) == expected
+        assert sorted(calls) == sorted([(a, L.up) for a in range(5)] + [(a, L.down) for a in range(5)])
 
 
 def test_maximal_antichains_chain():

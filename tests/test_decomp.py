@@ -135,6 +135,37 @@ def test_distributive_sublattice_matches_induced_oracle():
             assert is_distributive_sublattice(L, m) == expected
 
 
+def test_distributivity_memo_keeps_masks_apart(monkeypatch):
+    """N5 x 2 holds the pentagon N5 x {0} and a five-element chain: each
+    mask's verdict is its own, whichever is asked first, and each is read
+    on the tables once; a mask under five elements is not stored."""
+    scans = []
+
+    def spy(L, elems):
+        scans.append(elems)
+        return real(L, elems)
+
+    real = decomp.laws._distributive_on
+    monkeypatch.setattr(decomp.laws, "_distributive_on", spy)
+    n5 = catalog.get("N5")
+    long_side = [n5.bottom]  # N5's four-element chain, by greatest depth
+    while long_side[-1] != n5.top:
+        long_side.append(max(n5.upper_covers(long_side[-1]), key=lambda b: n5.depths()[b]))
+    # (a, i) is element 2a + i of N5 x 2
+    pentagon = sum(1 << 2 * a for a in range(5))
+    chain = sum(1 << 2 * a for a in long_side) | 1 << 2 * n5.top + 1
+    masks = (pentagon, chain)
+    for first in (0, 1):
+        L = direct_product(n5, catalog.chain(2))
+        scans.clear()
+        for _ in range(2):
+            for m in masks[first:] + masks[:first]:
+                assert is_distributive_sublattice(L, m) == (m == chain)
+        assert len(scans) == 2
+        assert is_distributive_sublattice(L, 1 << L.bottom | 1 << L.top)
+        assert len(scans) == 2 and len(L._cache) == 2
+
+
 def test_dec_laws_small():
     for n in range(1, 7):
         for L in all_lattices(n):

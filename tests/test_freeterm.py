@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from latcheck import catalog, freeterm
 from latcheck.core import _Budget
-from latcheck.errors import ParseError, SearchBudgetExceeded, UnassignedGenerator
+from latcheck.errors import BadParameter, ParseError, SearchBudgetExceeded, UnassignedGenerator
 from latcheck.freeterm import (
     canonical_terms,
     canonicalize,
@@ -102,6 +102,20 @@ def test_join_meet_are_bounds():
         s, t = random_term(rng, 3), random_term(rng, 3)
         assert leq(s, join(s, t)) and leq(t, join(s, t))
         assert leq(meet(s, t), s) and leq(meet(s, t), t)
+
+
+@pytest.mark.parametrize("op", [join, meet])
+def test_join_and_meet_need_an_argument(op):
+    with pytest.raises(BadParameter) as exc:
+        op()
+    assert str(exc.value) == f"{op.__name__} needs at least one argument"
+    assert op(x) is x
+
+
+def test_format_term_brackets():
+    """A meet brackets every compound argument, a join only its joins."""
+    assert format_term(meet(x, join(y, z), meet(x, y))) == "x & (y | z) & (x & y)"
+    assert format_term(join(x, meet(y, z), join(x, y))) == "x | y & z | (x | y)"
 
 
 @settings(max_examples=200, deadline=None)

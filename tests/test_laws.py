@@ -8,9 +8,11 @@ from latcheck import catalog, embed, laws, theorems
 from latcheck.core import CoverDiagram, FiniteLattice, build_lattice, direct_product, dual
 from latcheck.enumeration import all_lattices
 from latcheck.laws import (
+    Check,
     dilworth_bound_holds,
     distributive,
     doubly_reducible_elements,
+    holds,
     is_finite_free_sublattice,
     law_profile,
     length,
@@ -172,6 +174,22 @@ def test_whitman_decided_once_per_lattice(monkeypatch):
         assert scans == [fresh]
         assert whitman(fresh) == scan(fresh)
         scans.clear()
+
+
+def test_cached_verdicts_keep_their_own_entries():
+    """``holds(L, "modular")`` and ``modular(L)`` are kept apart in the memo,
+    as are the two laws' verdicts: each returns its own value, whichever
+    is asked first."""
+    n5 = catalog.get("N5")
+    for first in ("holds", "modular"):
+        L = FiniteLattice(n5.labels, n5.up)
+        if first == "holds":
+            assert holds(L, "modular") is False
+        check = modular(L)
+        assert isinstance(check, Check) and not check and check.witness is not None
+        assert holds(L, "modular") is False
+        assert holds(L, "sd_join") is True and holds(L, "sd_meet") is True
+        assert modular(L) is check
 
 
 def test_length_values():
