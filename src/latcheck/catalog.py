@@ -15,8 +15,8 @@ import re
 from dataclasses import dataclass, field
 from functools import cache
 
-from .core import CoverDiagram, FiniteLattice, build_lattice
-from .errors import BadParameter, UnknownName
+from .core import SIZE_CAP, CoverDiagram, FiniteLattice, build_lattice
+from .errors import BadParameter, SizeLimit, UnknownName
 
 
 @dataclass(frozen=True)
@@ -263,18 +263,18 @@ def entry(name: str) -> CatalogEntry:
     m = _PARAM_RE.match(name.replace(" ", ""))
     if m is None:
         raise UnknownName(name)
-    family, args = m.group(1), m.group(2).split(",")
-    if family == "chain":
-        if len(args) != 1:
-            raise BadParameter(f"chain takes one parameter, got {name!r}")
-        return CatalogEntry(name, chain_diagram(int(args[0])))
+    family, args = m.group(1), [int(a) for a in m.group(2).split(",")]
     if family == "grid":
-        if len(args) != 2 or int(args[0]) != 2:
+        if len(args) != 2 or args[0] != 2:
             raise BadParameter(f"only grid(2,k) is supported, got {name!r}")
-        return CatalogEntry(name, grid_diagram(int(args[1])))
-    if len(args) != 1:
-        raise BadParameter(f"ninf takes one parameter, got {name!r}")
-    return CatalogEntry(name, ninf_diagram(int(args[0])))
+    elif len(args) != 1:
+        raise BadParameter(f"{family} takes one parameter, got {name!r}")
+    k = args[-1]
+    size, diagram = {"chain": (k, chain_diagram), "grid": (2 * k, grid_diagram),
+                     "ninf": (2 * k + 3, ninf_diagram)}[family]
+    if size > SIZE_CAP:  # checked before the n^2 order and tables are built
+        raise SizeLimit(size, SIZE_CAP, f"catalog {family}")
+    return CatalogEntry(name, diagram(k))
 
 
 @cache

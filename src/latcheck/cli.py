@@ -125,41 +125,40 @@ def emit(args, command, input_desc, results, violations, started) -> None:
         sys.stdout.write("\n")
 
 
-def _render(report, stream=None):
-    stream = stream or sys.stdout
-    print(f"latcheck {report['command']} ({report['version']})", file=stream)
-    print(f"input: {report['input']}", file=stream)
-    _render_value(report["results"], 1, stream)
+def _render(report):
+    print(f"latcheck {report['command']} ({report['version']})")
+    print(f"input: {report['input']}")
+    _render_value(report["results"], 1)
     if report["violations"]:
-        print("violations:", file=stream)
-        _render_value(report["violations"], 1, stream)
+        print("violations:")
+        _render_value(report["violations"], 1)
     else:
-        print("violations: none", file=stream)
+        print("violations: none")
     if report["timing"] is not None:
-        print(f"elapsed: {report['timing']}s", file=stream)
+        print(f"elapsed: {report['timing']}s")
 
 
-def _render_value(value, depth, stream):
+def _render_value(value, depth):
     pad = "  " * depth
     if isinstance(value, dict):
         for k, v in value.items():
             if isinstance(v, (dict, list)) and v:
-                print(f"{pad}{k}:", file=stream)
-                _render_value(v, depth + 1, stream)
+                print(f"{pad}{k}:")
+                _render_value(v, depth + 1)
             else:
-                print(f"{pad}{k}: {v}", file=stream)
+                print(f"{pad}{k}: {v}")
     elif isinstance(value, (list, tuple)):
         for v in value:
             if isinstance(v, (list, tuple)) and not any(
                 isinstance(x, (dict, list, tuple)) for x in v
             ):
-                print(f"{pad}- [{', '.join(str(x) for x in v)}]", file=stream)
+                print(f"{pad}- [{', '.join(str(x) for x in v)}]")
             elif isinstance(v, (dict, list, tuple)):
-                _render_value(v, depth + 1, stream)
+                _render_value(v, depth + 1)
             else:
-                print(f"{pad}- {v}", file=stream)
+                print(f"{pad}- {v}")
     else:
-        print(f"{pad}{value}", file=stream)
+        print(f"{pad}{value}")
 
 
 # -- commands -----------------------------------------------------------------

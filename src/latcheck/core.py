@@ -36,7 +36,7 @@ from .errors import (
     SizeLimit,
 )
 
-PRODUCT_SIZE_CAP = 400
+SIZE_CAP = 400  # elements of a direct product or a catalog family
 DEFAULT_BUDGET = 20_000_000
 
 
@@ -323,8 +323,8 @@ def dual(L: FiniteLattice) -> FiniteLattice:
 def direct_product(A: FiniteLattice, B: FiniteLattice) -> FiniteLattice:
     """Componentwise-ordered product on A x B with labels "a.b"."""
     n = A.n * B.n
-    if n > PRODUCT_SIZE_CAP:
-        raise SizeLimit(n, PRODUCT_SIZE_CAP, "direct product")
+    if n > SIZE_CAP:
+        raise SizeLimit(n, SIZE_CAP, "direct product")
     labels = tuple(f"{A.labels[i]}.{B.labels[j]}" for i in range(A.n) for j in range(B.n))
     # (i, j) is element i * B.n + j, so the pairs above it with first
     # component k are B.up[j] shifted by k * B.n; the tables are derived
@@ -375,11 +375,10 @@ def sublattices(L: FiniteLattice, allowed, budget):
                 stack.append(bigger)
 
 
-def intervals(L: FiniteLattice, allowed=None):
-    """Yield once each the intervals [a, b] = up[a] & down[b] inside
-    ``allowed`` (every element by default): the convex sublattices, since
-    one holds the meet and join of its members and all between them."""
-    allowed = L.full_mask if allowed is None else allowed
+def intervals(L: FiniteLattice, allowed):
+    """Yield once each the intervals [a, b] = up[a] & down[b] inside the
+    mask ``allowed``: the convex sublattices, since one holds the meet and
+    join of its members and all between them."""
     for a in iter_bits(allowed):
         for b in iter_bits(L.up[a] & allowed):
             mask = L.up[a] & L.down[b]

@@ -212,7 +212,7 @@ def gj_classify(D: FiniteLattice):
     [meet C, join C].  The single-element components left over form maximal
     runs, one chain block each.  This is the unique decomposition with the
     fewest blocks."""
-    if not laws.distributive(D):
+    if not laws.holds(D, "distributive"):
         raise NotDistributive("gj_classify expects a distributive lattice")
     uf = _UnionFind(D.n)
     for a in range(D.n):

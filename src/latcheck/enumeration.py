@@ -151,12 +151,9 @@ def _parse_predicates(names):
 
     preds = []
     for name in names:
-        if name == "sd":
-            preds.append(lambda L: laws.holds(L, "sd_join") and laws.holds(L, "sd_meet"))
-        elif name == "whitman":
-            preds.append(lambda L: bool(laws.whitman(L)))
-        elif name == "distributive":
-            preds.append(lambda L: bool(laws.distributive(L)))
+        if name in ("sd", "whitman", "distributive"):
+            need = ("sd_join", "sd_meet") if name == "sd" else (name,)
+            preds.append(lambda L, need=need: all(laws.holds(L, law) for law in need))
         elif name == "in_n5":
             preds.append(lambda L: bool(variety.in_n5_variety(L)))
         elif name.startswith("profile(") and name.endswith(")"):

@@ -2,14 +2,14 @@
 semidistributive laws, distributivity, modularity, doubly reducible elements,
 chain length and the finite free-sublattice test.
 
-Whitman's condition and distributivity are exhaustive tuple loops with
-early exit.  The semidistributive laws and modularity are decided from
-structure in O(n^2) by :func:`holds`: SD-meet iff kappa(j) exists for every
-join-irreducible j, SD-join dually (Freese, Jezek & Nation, *Free Lattices*,
-Ch. II), and modularity iff the height h has h(a) + h(b) = h(a ^ b) +
-h(a v b) for every pair (Birkhoff, *Lattice Theory*, Ch. II).
-Their tuple loops run only when a law fails, to name the counterexample.
-Counterexamples are the lexicographically first in index order.  Doubly
+One table, ``_LAWS``, gives each law a verdict from structure and a scan
+that names the first counterexample in index order.  :func:`holds` reads
+the verdict: W in O(n^2) mask operations from the meets and joins of pairs,
+SD-meet iff kappa(j) exists for every join-irreducible j, SD-join dually
+(Freese, Jezek & Nation, *Free Lattices*, Ch. II), modularity iff the
+height h has h(a) + h(b) = h(a ^ b) + h(a v b) for every pair (Birkhoff,
+*Lattice Theory*, Ch. II), and distributivity as modularity plus SD-meet.
+The scans run only when a law fails, to name the witness.  Doubly
 reducible elements are read off the cached covers.
 """
 
@@ -43,12 +43,19 @@ class LawProfile:
     free_sublattice_finite: bool
 
 
-@cached
-def whitman(L: FiniteLattice) -> Check:
-    """Whenever a^b <= cvd, one of a <= cvd, b <= cvd, a^b <= c, a^b <= d
-    must hold; returns the first violating quadruple otherwise.  The verdict
-    is kept by :func:`core.cached`, so the O(n^4) scan runs once per lattice."""
-    return _whitman_scan(L)
+def _whitman_holds(L: FiniteLattice) -> bool:
+    """W fails iff some u = a ^ b <= v = c v d has a, b not below v and c, d
+    not above u.  One pass over the pairs marks in ``off_meet[u]`` each v
+    that both arguments of a meet u are not below, and in ``off_join[v]``
+    each u that both arguments of a join v are not above."""
+    n, meet, join, up, down = L.n, L.meet, L.join, L.up, L.down
+    full = (1 << n) - 1
+    off_meet, off_join = [0] * n, [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            off_meet[meet[a][b]] |= full & ~(up[a] | up[b])
+            off_join[join[a][b]] |= full & ~(down[a] | down[b])
+    return not any(off_join[v] >> u & 1 for u in range(n) for v in iter_bits(off_meet[u] & up[u]))
 
 
 def _whitman_scan(L: FiniteLattice) -> Check:
@@ -96,21 +103,6 @@ def _rank_holds(L: FiniteLattice) -> bool:
                for a, ma, ja in zip(range(n), meet, join) for b in range(a + 1, n))
 
 
-_VERDICTS = {
-    "sd_join": lambda L: _kappa_holds(L.n, L.upper_covers, L.down, L.meet),
-    "sd_meet": lambda L: _kappa_holds(L.n, L.lower_covers, L.up, L.join),
-    "modular": lambda L: _rank_holds(L),
-}
-
-
-@cached
-def holds(L: FiniteLattice, law: str) -> bool:
-    """Whether L satisfies ``law``, "sd_join", "sd_meet" or "modular",
-    decided from structure without naming a witness.  The verdict is kept
-    by :func:`core.cached`."""
-    return _VERDICTS[law](L)
-
-
 def _sd_check(n, op, co) -> Check:
     """a op c = a op b implies a op (b co c) = a op b; the join law takes
     (join, meet) and the meet law (meet, join)."""
@@ -123,25 +115,11 @@ def _sd_check(n, op, co) -> Check:
     return Check(True)
 
 
-@cached
-def semidistributive(L: FiniteLattice) -> tuple[Check, Check]:
-    """The join and meet semidistributive laws, each with the first violating
-    triple (a, b, c) on failure.  Each verdict comes from :func:`holds`, and
-    the triple scan runs only for a law that fails.  The pair is kept by
-    :func:`core.cached`, as Whitman's verdict is."""
-    return tuple(Check(True) if holds(L, law) else _sd_check(L.n, op, co)
-                 for law, op, co in (("sd_join", L.join, L.meet), ("sd_meet", L.meet, L.join)))
-
-
-def distributive(L: FiniteLattice) -> Check:
-    """a v (b ^ c) = (a v b) ^ (a v c); in a lattice this law implies its
-    dual (Davey & Priestley, Introduction to Lattices and Order, Lemma 4.3),
-    so the first triple failing it is the witness."""
-    return _distributive_on(L, range(L.n))
-
-
 def _distributive_on(L: FiniteLattice, elems) -> Check:
-    """The distributive law read on L's tables over ``elems``, a sublattice."""
+    """a v (b ^ c) = (a v b) ^ (a v c) read on L's tables over ``elems``, a
+    sublattice; in a lattice this law implies its dual (Davey & Priestley,
+    Introduction to Lattices and Order, Lemma 4.3), so the first triple
+    failing it is the witness."""
     meet, join = L.meet, L.join
     for a in elems:
         ja = join[a]
@@ -150,14 +128,6 @@ def _distributive_on(L: FiniteLattice, elems) -> Check:
                 if ja[meet[b][c]] != meet[ja[b]][ja[c]]:
                     return Check(False, (a, b, c))
     return Check(True)
-
-
-@cached
-def modular(L: FiniteLattice) -> Check:
-    """(a v b) ^ c = a v (b ^ c) whenever a <= c.  The verdict comes from
-    :func:`holds`, and the scan for the first violating triple runs only
-    when the law fails; the check is kept by :func:`core.cached`."""
-    return Check(True) if holds(L, "modular") else _modular_scan(L)
 
 
 def _modular_scan(L: FiniteLattice) -> Check:
@@ -170,6 +140,55 @@ def _modular_scan(L: FiniteLattice) -> Check:
                 if meet[join[a][b]][c] != join[a][meet[b][c]]:
                     return Check(False, (a, b, c))
     return Check(True)
+
+
+# law -> (verdict from structure, scan naming the first counterexample).
+# Each entry looks its functions up when called, so they can be replaced.
+# A non-distributive lattice holds N5 or M3, and M3 fails SD-meet.
+_LAWS = {
+    "whitman": (lambda L: _whitman_holds(L), lambda L: _whitman_scan(L)),
+    "sd_join": (lambda L: _kappa_holds(L.n, L.upper_covers, L.down, L.meet),
+                lambda L: _sd_check(L.n, L.join, L.meet)),
+    "sd_meet": (lambda L: _kappa_holds(L.n, L.lower_covers, L.up, L.join),
+                lambda L: _sd_check(L.n, L.meet, L.join)),
+    "modular": (lambda L: _rank_holds(L), lambda L: _modular_scan(L)),
+    "distributive": (lambda L: holds(L, "modular") and holds(L, "sd_meet"),
+                     lambda L: _distributive_on(L, range(L.n))),
+}
+
+
+@cached
+def holds(L: FiniteLattice, law: str) -> bool:
+    """Whether L satisfies ``law``, a key of ``_LAWS``, decided from
+    structure without naming a witness."""
+    return _LAWS[law][0](L)
+
+
+@cached
+def _check(L: FiniteLattice, law: str) -> Check:
+    """``law`` as a :class:`Check`: the scan for the first counterexample
+    runs only when :func:`holds` says the law fails."""
+    return Check(True) if holds(L, law) else _LAWS[law][1](L)
+
+
+def whitman(L: FiniteLattice) -> Check:
+    """Whitman's condition: a^b <= cvd implies a <= cvd, b <= cvd, a^b <= c or a^b <= d."""
+    return _check(L, "whitman")
+
+
+def semidistributive(L: FiniteLattice) -> tuple[Check, Check]:
+    """The join and meet semidistributive laws, each failing with a triple (a, b, c)."""
+    return _check(L, "sd_join"), _check(L, "sd_meet")
+
+
+def distributive(L: FiniteLattice) -> Check:
+    """a v (b ^ c) = (a v b) ^ (a v c), failing with a triple (a, b, c)."""
+    return _check(L, "distributive")
+
+
+def modular(L: FiniteLattice) -> Check:
+    """(a v b) ^ c = a v (b ^ c) whenever a <= c, failing with a triple (a, b, c)."""
+    return _check(L, "modular")
 
 
 def doubly_reducible_elements(L: FiniteLattice) -> tuple:
@@ -194,18 +213,10 @@ def dilworth_bound_holds(L: FiniteLattice) -> bool:
 def is_finite_free_sublattice(L: FiniteLattice) -> bool:
     """A finite lattice embeds in a free lattice iff it satisfies both
     semidistributive laws and Whitman's condition."""
-    return holds(L, "sd_join") and holds(L, "sd_meet") and bool(whitman(L))
+    return holds(L, "sd_join") and holds(L, "sd_meet") and holds(L, "whitman")
 
 
 def law_profile(L: FiniteLattice) -> LawProfile:
-    sd_join, sd_meet, w = holds(L, "sd_join"), holds(L, "sd_meet"), bool(whitman(L))
-    return LawProfile(
-        whitman=w,
-        sd_join=sd_join,
-        sd_meet=sd_meet,
-        distributive=bool(distributive(L)),
-        modular=holds(L, "modular"),
-        doubly_reducible=doubly_reducible_elements(L),
-        length=length(L),
-        free_sublattice_finite=w and sd_join and sd_meet,
-    )
+    p = {law: holds(L, law) for law in _LAWS}
+    return LawProfile(**p, doubly_reducible=doubly_reducible_elements(L), length=length(L),
+                      free_sublattice_finite=p["whitman"] and p["sd_join"] and p["sd_meet"])

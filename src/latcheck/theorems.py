@@ -25,7 +25,7 @@ degeneracy lemma's convex sublattices are intervals, listed directly by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import catalog, embed, laws, variety
 from .core import (
@@ -61,16 +61,7 @@ class TheoremReport:
         return not self.skipped and not self.conclusion_violations
 
     def to_dict(self):
-        return {
-            "theorem": self.theorem,
-            "lattice": self.lattice,
-            "hypothesis_instances": self.hypothesis_instances,
-            "conclusion_violations": self.conclusion_violations,
-            "vacuous": self.vacuous,
-            "skipped": self.skipped,
-            "skip_reason": self.skip_reason,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _name_of(L, name):
@@ -106,7 +97,7 @@ def _gate(report, L, needs, membership):
     "member" for the membership gate, the exact variety test by default);
     fills in a skip reason and returns True when the check must be
     skipped."""
-    if "whitman" in needs and not laws.whitman(L):
+    if "whitman" in needs and not laws.holds(L, "whitman"):
         report.skipped, report.skip_reason = True, "fails Whitman's condition"
     elif "no_dr" in needs and laws.doubly_reducible_elements(L):
         report.skipped, report.skip_reason = True, "has doubly reducible elements"

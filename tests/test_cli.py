@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -223,6 +224,19 @@ def test_catalog_unknown_name_makes_no_directory(tmp_path, capsys):
     assert cli.main(["catalog", "--name", "BAD", "--emit", str(out)]) == cli.EXIT_INPUT
     assert "BAD" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_catalog_family_size_capped_before_building(capsys):
+    """A family's element count is read off its parameter: chain(400) is
+    built, while chain(401) and chain(100000) exit 3 at once, before any
+    order pair is walked."""
+    assert cli.main(["catalog", "--name", "chain(400)"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"]["entries"][0]["elements"] == 400
+    for name in ("chain(401)", "chain(100000)"):
+        started = time.perf_counter()
+        assert cli.main(["catalog", "--name", name]) == cli.EXIT_BUDGET
+        assert time.perf_counter() - started < 1
+        assert "exceeds configured cap 400" in capsys.readouterr().err
 
 
 def test_freelat_commands(tmp_path):

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from latcheck import catalog, embed, laws, theorems
 from latcheck.core import CoverDiagram, FiniteLattice, build_lattice, direct_product, dual
-from latcheck.enumeration import all_lattices
+from latcheck.decomp import gj_classify
+from latcheck.enumeration import all_lattices, filtered
+from latcheck.errors import NotDistributive
 from latcheck.laws import (
     Check,
     dilworth_bound_holds,
@@ -105,32 +107,39 @@ def test_m3_modular_not_distributive():
 
 
 def test_structural_verdicts_match_scans():
-    """The kappa verdicts equal the triple scans of the two semidistributive
-    laws, and the rank verdict the modular scan, on every lattice with
-    n <= 9 and the catalog; each law both holds and fails there."""
+    """The W verdict equals the quadruple scan, the kappa verdicts the triple
+    scans of the two semidistributive laws, the rank verdict the modular
+    scan and the distributive verdict the distributive scan, on every
+    lattice with n <= 9, the catalog, ninf(2..8), grid(2,2..11) and their
+    duals; each law both holds and fails there."""
     lattices = [L for n in range(1, 10) for L in all_lattices(n)]
     lattices += [catalog.get(name) for name in catalog.FIXED_NAMES]
+    lattices += [catalog.ninf(k) for k in range(2, 9)] + [catalog.grid(k) for k in range(2, 12)]
+    lattices += [dual(L) for L in lattices]
+    laws_ = ("whitman", "sd_join", "sd_meet", "modular", "distributive")
     seen = set()
     for L in lattices:
-        scans = (laws._sd_check(L.n, L.join, L.meet), laws._sd_check(L.n, L.meet, L.join),
-                 laws._modular_scan(L))
-        verdicts = tuple(laws.holds(L, law) for law in ("sd_join", "sd_meet", "modular"))
+        scans = (laws._whitman_scan(L), laws._sd_check(L.n, L.join, L.meet),
+                 laws._sd_check(L.n, L.meet, L.join), laws._modular_scan(L),
+                 laws._distributive_on(L, range(L.n)))
+        verdicts = tuple(laws.holds(L, law) for law in laws_)
         assert verdicts == tuple(map(bool, scans)), L.labels
         seen |= set(enumerate(verdicts))
-    assert len(seen) == 6
+    assert len(seen) == 2 * len(laws_)
 
 
 def test_large_host_decided_without_scans(monkeypatch):
-    """chain(200) x chain(2), n = 400: both semidistributive laws and
-    modularity are decided by the verdicts alone, and no scan runs."""
+    """chain(200) x chain(2), n = 400: all five laws are decided by the
+    verdicts alone, and no scan runs."""
     def scan(*args):
         raise AssertionError("a witness scan ran")
 
-    monkeypatch.setattr(laws, "_sd_check", scan)
-    monkeypatch.setattr(laws, "_modular_scan", scan)
+    for name in ("_whitman_scan", "_sd_check", "_modular_scan", "_distributive_on"):
+        monkeypatch.setattr(laws, name, scan)
     L = direct_product(catalog.chain(200), catalog.chain(2))
+    assert L.n == 400
     sd_join, sd_meet = semidistributive(L)
-    assert sd_join and sd_meet and modular(L)
+    assert whitman(L) and sd_join and sd_meet and modular(L) and distributive(L)
 
 
 def test_doubly_reducible_n5_chain_empty():
@@ -157,23 +166,59 @@ def test_doubly_reducible_from_covers_matches_pair_scan():
 
 
 def test_whitman_decided_once_per_lattice(monkeypatch):
-    """run_profile gates cube, dec_bound and degeneracy on W, and the scan
-    runs once for all three (and for any later call on the same lattice)."""
-    scans = []
+    """run_profile gates cube, dec_bound and degeneracy on W: it and
+    law_profile compute the W verdict once per lattice and run no scan;
+    whitman() then runs the scan once, and only when W fails."""
+    verdicts, scans = [], []
 
-    def counting_scan(L):
-        scans.append(L)
-        return scan(L)
+    def spy(calls, real):
+        def wrapper(L):
+            calls.append(L)
+            return real(L)
+        return wrapper
 
     scan = laws._whitman_scan
-    monkeypatch.setattr(laws, "_whitman_scan", counting_scan)
-    for L in [*all_lattices(6), catalog.get("L9"), catalog.get("M3")]:
+    monkeypatch.setattr(laws, "_whitman_holds", spy(verdicts, laws._whitman_holds))
+    monkeypatch.setattr(laws, "_whitman_scan", spy(scans, scan))
+    seen = set()
+    for L in [*all_lattices(6), catalog.get("L9"), catalog.get("M3"), hourglass()]:
         fresh = FiniteLattice(L.labels, L.up)
         theorems.run_profile(fresh, "N-full")
         law_profile(fresh)
-        assert scans == [fresh]
-        assert whitman(fresh) == scan(fresh)
+        assert verdicts == [fresh] and scans == []
+        check = whitman(fresh)
+        assert whitman(fresh) == check == scan(fresh)
+        assert scans == ([] if check else [fresh])
+        seen.add(bool(check))
+        verdicts.clear()
         scans.clear()
+    assert seen == {True, False}
+
+
+def test_gates_filters_and_profiles_run_no_scan(monkeypatch):
+    """On the lattices with n <= 7 and the catalog, run_profile (on those
+    failing W), law_profile, the whitman and distributive filters and
+    gj_classify (on those failing distributivity) read verdicts only: no
+    W or distributive scan runs."""
+    def scan(*args):
+        raise AssertionError("a witness scan ran")
+
+    lattices = [L for n in range(1, 8) for L in all_lattices(n)]
+    lattices += [catalog.get(name) for name in catalog.FIXED_NAMES]
+    monkeypatch.setattr(laws, "_whitman_scan", scan)
+    monkeypatch.setattr(laws, "_distributive_on", scan)
+    failing = {"whitman": 0, "distributive": 0}
+    for L in lattices:
+        law_profile(L)
+        if not holds(L, "whitman"):
+            theorems.run_profile(L, "N-full")
+            failing["whitman"] += 1
+        if not holds(L, "distributive"):
+            with pytest.raises(NotDistributive):
+                gj_classify(L)
+            failing["distributive"] += 1
+    assert all(failing.values())
+    assert list(filtered(7, ["whitman", "distributive"]))
 
 
 def test_cached_verdicts_keep_their_own_entries():

@@ -284,7 +284,8 @@ def test_hypothesis_configurations_match_oracles(monkeypatch):
     every lattice with n <= 8, the catalog, the 2 x k grids for k = 5..10,
     shape_2x5_plus x 2, and their duals."""
     monkeypatch.setattr(theorems.laws, "doubly_reducible_elements", lambda L: ())
-    monkeypatch.setattr(theorems.laws, "whitman", lambda L: True)
+    holds = theorems.laws.holds
+    monkeypatch.setattr(theorems.laws, "holds", lambda L, law: law == "whitman" or holds(L, law))
     hosts = [L for n in range(1, 9) for L in all_lattices(n)]
     hosts += [catalog.get(name) for name in catalog.FIXED_NAMES]
     hosts += [catalog.grid(k) for k in range(5, 11)] + [grid_plus_times_2()]
