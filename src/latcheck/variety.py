@@ -7,25 +7,33 @@ two-element chain and the pentagon itself, so a finite lattice belongs to the
 variety iff every factor by a meet-irreducible congruence is trivial, the
 two-element chain, or the pentagon.
 
-Nothing here builds Con L to find those factors.  The join-irreducible
-congruences of a finite lattice are exactly con(j_*, j) for the
-join-irreducible elements j with lower cover j_* (Freese, Jezek and Nation,
-*Free Lattices*, Ch. II), so J(Con L) costs one principal congruence per
-join-irreducible element.  Con L is distributive, so each psi in J(Con L)
-pairs with one meet-irreducible congruence, the join of every phi in
-J(Con L) not above psi, and L is subdirectly irreducible iff J(Con L) has a
-single minimal element (the monolith).  ``all_congruences`` still returns the
-whole of Con L for API callers, as the join-closure of J(Con L); only it is
-size-capped, since Con L can be exponential in n.
+Every congruence is read off one relation on the join-irreducible elements
+J(L), each p with its lower cover p_* (Freese, Jezek and Nation, *Free
+Lattices*, Thm 2.35; A. Day, *Canad. J. Math.* 31 (1979)).  For p != q in
+J(L), p D q iff some x has p <= q v x and p !<= q_* v x.  A congruence is
+fixed by the set S of the p it collapses onto p_*; S is closed under D (q in
+S and p D q put p in S), and every D-closed S is the set of exactly one
+congruence, so Con L is the lattice of D-closed subsets of J(L).  Two
+elements are congruent iff the same uncollapsed join-irreducibles lie below
+them; the join of those is the least element of the block, its
+representative.  The D*-closure of p is con(p_*, p), so J(Con L) costs no
+more than D itself, and con(a, b) is the closure of the p below a v b and
+not below a ^ b.  Con L is distributive, so each closure of some p pairs
+with one meet-irreducible congruence, the set of q whose closure misses p,
+and L is subdirectly irreducible iff the closures have a common member (the
+monolith collapses it).  ``all_congruences`` returns the whole of Con L for
+API callers, as the union-closure of the closures; only it is size-capped,
+since Con L can be exponential in n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
+from operator import and_
 
 from . import catalog
-from .core import FiniteLattice, _UnionFind, cached, canonical_form
+from .core import FiniteLattice, cached, canonical_form, iter_bits
 from .errors import SizeLimit
 
 CONGRUENCE_CAP = 16
@@ -74,17 +82,6 @@ class Congruence:
         return True
 
 
-def _canonical_blocks(parent_find, n):
-    index = {}
-    out = []
-    for e in range(n):
-        root = parent_find(e)
-        if root not in index:
-            index[root] = len(index)
-        out.append(index[root])
-    return Congruence(tuple(out))
-
-
 def identity_congruence(n: int) -> Congruence:
     return Congruence(tuple(range(n)))
 
@@ -93,41 +90,52 @@ def all_congruence(n: int) -> Congruence:
     return Congruence((0,) * n)
 
 
+@cached
+def _dependency(L: FiniteLattice) -> tuple:
+    """``(jdown, closure)``: per element x, the mask of the join-irreducibles
+    below x; per join-irreducible p, the mask of its D*-closure, the q with
+    q D* p.  The q with q D p are the OR over x of
+    ``jdown[p v x] & ~jdown[p_* v x]``, O(|J| n) mask operations, and one
+    Warshall pass over J closes them."""
+    J = [p for p in range(L.n) if len(L.lower_covers(p)) == 1]
+    jmask = sum(1 << p for p in J)
+    jdown = tuple(d & jmask for d in L.down)
+    closure = {}
+    for p in J:
+        mask = 1 << p
+        for a, b in zip(L.join[p], L.join[L.lower_covers(p)[0]]):
+            if a != b:
+                mask |= jdown[a] & ~jdown[b]
+        closure[p] = mask
+    for k in J:
+        for p in J:
+            if closure[p] >> k & 1:
+                closure[p] |= closure[k]
+    return jdown, closure
+
+
+def _congruence(L: FiniteLattice, collapsed) -> Congruence:
+    """The congruence whose collapsed join-irreducibles are the D-closed
+    mask ``collapsed``: x's block is keyed by the join-irreducibles below x
+    that it keeps, whose join is the block's least element."""
+    keep = ~collapsed
+    index = {}
+    return Congruence(tuple(index.setdefault(d & keep, len(index)) for d in _dependency(L)[0]))
+
+
 def principal_congruence(L: FiniteLattice, a, b) -> Congruence:
-    """Smallest congruence identifying a and b: merge, then keep merging
-    translated pairs (x v c, y v c) and (x ^ c, y ^ c) until stable."""
-    uf = _UnionFind(L.n)
-    work = []
-    if uf.union(a, b):
-        work.append((a, b))
-    while work:
-        x, y = work.pop()
-        for c in range(L.n):
-            for u, v in ((L.join[x][c], L.join[y][c]), (L.meet[x][c], L.meet[y][c])):
-                if uf.union(u, v):
-                    work.append((u, v))
-    return _canonical_blocks(uf.find, L.n)
+    """Smallest congruence identifying a and b: the D*-closure of the
+    join-irreducibles below a v b and not below a ^ b."""
+    jdown, closure = _dependency(L)
+    collapsed = 0
+    for p in iter_bits(jdown[L.join[a][b]] & ~jdown[L.meet[a][b]]):
+        collapsed |= closure[p]
+    return _congruence(L, collapsed)
 
 
-def join_congruences(c1: Congruence, c2: Congruence) -> Congruence:
-    """Partition join; for congruences of a common lattice the result is
-    again a congruence."""
-    n = c1.n
-    uf = _UnionFind(n)
-    for c in (c1, c2):
-        first_of_block = {}
-        for e, b in enumerate(c.block_index):
-            if b in first_of_block:
-                uf.union(first_of_block[b], e)
-            else:
-                first_of_block[b] = e
-    return _canonical_blocks(uf.find, n)
-
-
-def _join_irreducible_congruences(L: FiniteLattice) -> list:
-    """J(Con L): the distinct con(j_*, j) over the join-irreducible j."""
-    return list(dict.fromkeys(principal_congruence(L, L.lower_covers(j)[0], j)
-                              for j in range(L.n) if len(L.lower_covers(j)) == 1))
+def _join_irreducible_masks(L: FiniteLattice) -> list:
+    """J(Con L) as collapsed masks: the distinct closures, con(p_*, p)."""
+    return list(dict.fromkeys(_dependency(L)[1].values()))
 
 
 def _congruence_order(c: Congruence):
@@ -135,27 +143,31 @@ def _congruence_order(c: Congruence):
 
 
 def all_congruences(L: FiniteLattice) -> list:
-    """The full congruence lattice: identity plus the join-closure of the
-    join-irreducible congruences (2^(n-1) of them on an n-chain, hence the cap)."""
+    """The full congruence lattice: the union-closure of the join-irreducible
+    congruences' masks, the empty one included (2^(n-1) of them on an
+    n-chain, hence the cap)."""
     if L.n > CONGRUENCE_CAP:
         raise SizeLimit(L.n, CONGRUENCE_CAP, "congruence computation")
-    gens = _join_irreducible_congruences(L)
-    found = {identity_congruence(L.n)}
-    frontier = list(found)
+    gens = _join_irreducible_masks(L)
+    found = {0}
+    frontier = [0]
     while frontier:
-        c = frontier.pop()
+        s = frontier.pop()
         for g in gens:
-            j = join_congruences(c, g)
-            if j not in found:
-                found.add(j)
-                frontier.append(j)
-    return sorted(found, key=_congruence_order)
+            t = s | g
+            if t not in found:
+                found.add(t)
+                frontier.append(t)
+    return sorted((_congruence(L, s) for s in found), key=_congruence_order)
 
 
 def quotient(L: FiniteLattice, c: Congruence) -> FiniteLattice:
     """Lattice of congruence blocks with the induced order.  Every block is
     an interval, so [x] <= [y] iff the least element of [x] lies below the
-    least element of [y]."""
+    least element of [y].  The identity's quotient is L itself, whose
+    labels and order it would copy."""
+    if c.is_identity():
+        return L
     blocks = sorted((sorted(b) for b in c.blocks()), key=min)
     labels = ["+".join(L.labels[e] for e in members) for members in blocks]
     least = [reduce(lambda a, b: L.meet[a][b], members) for members in blocks]
@@ -165,32 +177,35 @@ def quotient(L: FiniteLattice, c: Congruence) -> FiniteLattice:
 
 def is_subdirectly_irreducible(L: FiniteLattice) -> bool:
     """True iff the congruence lattice has a unique atom (monolith): the
-    atoms of Con L are the minimal join-irreducible congruences."""
-    gens = _join_irreducible_congruences(L)
-    atoms = [c for c in gens if not any(d != c and d.refines(c) for d in gens)]
-    return len(atoms) == 1
+    atoms of Con L are the minimal join-irreducible congruences, so there is
+    one iff the closures share a join-irreducible, whose closure is then the
+    least of them."""
+    gens = _join_irreducible_masks(L)
+    return bool(gens) and reduce(and_, gens) != 0
 
 
 def meet_irreducible_congruences(L: FiniteLattice) -> list:
     """Congruences with exactly one upper cover in the congruence lattice:
-    for each join-irreducible psi, the join of the join-irreducibles not
-    above psi."""
-    gens = _join_irreducible_congruences(L)
-    bottom = identity_congruence(L.n)
-    kappa = {reduce(join_congruences, [phi for phi in gens if not psi.refines(phi)], bottom)
-             for psi in gens}
-    return sorted(kappa, key=_congruence_order)
+    for each join-irreducible congruence con(p_*, p), the one collapsing
+    every q whose closure misses p."""
+    closure = _dependency(L)[1]
+    collapsed = {sum(1 << q for q, c in closure.items() if not c >> p & 1) for p in closure}
+    return sorted((_congruence(L, s) for s in collapsed), key=_congruence_order)
 
 
 def si_factors(L: FiniteLattice) -> list:
     """Quotients by all meet-irreducible congruences, deduplicated up to
-    isomorphism."""
+    isomorphism.  Lattices of equal size at most 2 are isomorphic, so only
+    the first quotient of each such size is built."""
     seen = {}
+    small = set()
     for c in meet_irreducible_congruences(L):
+        if c.block_count in small:
+            continue
+        if c.block_count <= 2:
+            small.add(c.block_count)
         q = quotient(L, c)
-        key = canonical_form(q)
-        if key not in seen:
-            seen[key] = q
+        seen.setdefault(canonical_form(q), q)
     return [seen[k] for k in sorted(seen)]
 
 

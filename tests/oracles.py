@@ -5,10 +5,14 @@ exhaustive relation matrices and labelled growth for enumeration, Bell-scan
 partition filters for congruences and Dec, a 2^n subset scan for
 sublattices, an any-member scan for the order of a quotient.  None of it
 shares code paths with the algorithms under test beyond the meet/join tables
-themselves, except the congruence-lattice referee: it closes every principal
-congruence under joins with the library's ``principal_congruence`` and
-``join_congruences`` (both checked against the Bell scan) and reads
-meet-irreducibility and the monolith off the whole of Con L by cover scans;
+themselves, except: the congruence referee, the translate-and-merge
+union-find closure that the dependency relation on J(L) replaced, which
+closes every principal congruence under partition joins and reads
+meet-irreducibility and the monolith off the whole of Con L by cover scans
+(it shares only ``Congruence`` and core's union-find with the library; the
+Bell scan checks the library's ``all_congruences`` directly); the
+V(N5) referee, which quotients by each of those meet-irreducibles with the
+library's ``quotient`` and dedupes them by its ``canonical_form``;
 and the canonical-term referee, which states Freese-Jezek-Nation's
 conditions directly but decides each inequality with the library's ``leq``
 (Whitman's procedure, checked on its own by the word-problem tests); and
@@ -42,6 +46,7 @@ from latcheck.core import (FiniteLattice, _UnionFind, canonical_form, dual, indu
 from latcheck.decomp import GJDecomposition
 from latcheck.errors import NotALattice, NotDistributive, ParseError
 from latcheck.freeterm import gen, join, meet
+from latcheck.variety import Congruence, identity_congruence, quotient
 
 
 def brute_isomorphic(A: FiniteLattice, B: FiniteLattice) -> bool:
@@ -307,23 +312,63 @@ def compatible_partitions(L: FiniteLattice):
     return out
 
 
+def _canonical_blocks(parent_find, n):
+    index = {}
+    out = []
+    for e in range(n):
+        root = parent_find(e)
+        if root not in index:
+            index[root] = len(index)
+        out.append(index[root])
+    return Congruence(tuple(out))
+
+
+def principal_congruence_oracle(L: FiniteLattice, a, b):
+    """Smallest congruence identifying a and b: merge, then keep merging
+    translated pairs (x v c, y v c) and (x ^ c, y ^ c) until stable."""
+    uf = _UnionFind(L.n)
+    work = []
+    if uf.union(a, b):
+        work.append((a, b))
+    while work:
+        x, y = work.pop()
+        for c in range(L.n):
+            for u, v in ((L.join[x][c], L.join[y][c]), (L.meet[x][c], L.meet[y][c])):
+                if uf.union(u, v):
+                    work.append((u, v))
+    return _canonical_blocks(uf.find, L.n)
+
+
+def join_congruences_oracle(c1, c2):
+    """Partition join; for congruences of a common lattice the result is
+    again a congruence."""
+    n = c1.n
+    uf = _UnionFind(n)
+    for c in (c1, c2):
+        first_of_block = {}
+        for e, b in enumerate(c.block_index):
+            if b in first_of_block:
+                uf.union(first_of_block[b], e)
+            else:
+                first_of_block[b] = e
+    return _canonical_blocks(uf.find, n)
+
+
 def congruence_closure_oracle(L: FiniteLattice):
     """Con L as the identity plus the join-closure of every principal
     congruence, sorted smallest first as ``all_congruences`` sorts it."""
-    from latcheck.variety import identity_congruence, join_congruences, principal_congruence
-
     found = {identity_congruence(L.n)}
     frontier = []
     for a in range(L.n):
         for b in range(a + 1, L.n):
-            c = principal_congruence(L, a, b)
+            c = principal_congruence_oracle(L, a, b)
             if c not in found:
                 found.add(c)
                 frontier.append(c)
     while frontier:
         c = frontier.pop()
         for d in list(found):
-            j = join_congruences(c, d)
+            j = join_congruences_oracle(c, d)
             if j not in found:
                 found.add(j)
                 frontier.append(j)
@@ -345,6 +390,21 @@ def is_subdirectly_irreducible_oracle(L: FiniteLattice) -> bool:
     """A unique atom in Con L, by scanning all of Con L."""
     cons = congruence_closure_oracle(L)
     return len(_upper_covers_in(cons, cons[0])) == 1
+
+
+def n5_variety_oracle(L: FiniteLattice):
+    """``(member, factor labels, offending labels or None)`` for V(N5): the
+    quotients by every meet-irreducible congruence of the whole of Con L,
+    one per canonical form in form order, each checked against 1, 2 and
+    N5."""
+    allowed = {canonical_form(K) for K in (catalog.chain(1), catalog.chain(2), catalog.get("N5"))}
+    seen = {}
+    for c in meet_irreducible_congruences_oracle(L):
+        q = quotient(L, c)
+        seen.setdefault(canonical_form(q), q)
+    factors = [seen[k] for k in sorted(seen)]
+    offending = next((q.labels for q in factors if canonical_form(q) not in allowed), None)
+    return offending is None, [q.labels for q in factors], offending
 
 
 def _subset_is_sublattice(L, s):

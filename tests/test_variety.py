@@ -10,6 +10,7 @@ from latcheck.errors import SizeLimit
 from latcheck.laws import semidistributive
 from latcheck.variety import (
     all_congruences,
+    identity_congruence,
     in_n5_variety,
     is_subdirectly_irreducible,
     meet_irreducible_congruences,
@@ -24,6 +25,8 @@ from oracles import (
     congruence_closure_oracle,
     is_subdirectly_irreducible_oracle,
     meet_irreducible_congruences_oracle,
+    n5_variety_oracle,
+    principal_congruence_oracle,
     quotient_order_oracle,
 )
 
@@ -55,7 +58,6 @@ def test_principal_chain_bottom_pair():
 
 def test_congruence_counts_against_partition_oracle():
     for name in ("chain(3)", "N5", "M3", "grid(2,2)", "L4"):
-        L = catalog.get(name) if "(" not in name or name.startswith(("chain", "grid", "ninf")) else None
         L = catalog.get(name)
         got = {frozenset(c.blocks()) for c in all_congruences(L)}
         want = set(compatible_partitions(L))
@@ -209,6 +211,50 @@ def test_join_irreducible_route_matches_closure_referee(source):
         assert all_congruences(L) == congruence_closure_oracle(L)
         assert set(meet_irreducible_congruences(L)) == set(meet_irreducible_congruences_oracle(L))
         assert is_subdirectly_irreducible(L) == is_subdirectly_irreducible_oracle(L)
+
+
+def _with_duals(source):
+    lattices = ([catalog.get(name) for name in REFEREE_CATALOG] if source == "catalog"
+                else all_lattices(source))
+    return [*lattices, *map(dual, lattices)]
+
+
+@pytest.mark.parametrize("source", [*range(1, 8), "catalog"])
+def test_principal_congruence_matches_union_find_referee(source):
+    """Every con(a, b), read off the dependency relation on J(L), against
+    the translate-and-merge closure, over every ordered pair."""
+    for L in _with_duals(source):
+        for a in range(L.n):
+            for b in range(L.n):
+                assert principal_congruence(L, a, b) == principal_congruence_oracle(L, a, b), \
+                    (L.labels, a, b)
+
+
+@pytest.mark.parametrize("source", [*range(1, 9), "catalog"])
+def test_membership_matches_quotient_referee(source):
+    """The decision, its factors' labels in order and the offending factor's
+    labels, against the quotients by every meet-irreducible congruence of
+    the whole of Con L."""
+    for L in _with_duals(source):
+        d = in_n5_variety(L)
+        got = (d.member, [f.labels for f in d.factors],
+               None if d.offending is None else d.offending.labels)
+        assert got == n5_variety_oracle(L), L.labels
+
+
+def test_one_quotient_per_two_block_factor(monkeypatch):
+    """chain(100) x chain(4) has 102 meet-irreducible congruences, each with
+    two blocks; the factor list is built from the first alone, and the
+    identity's quotient is the lattice itself."""
+    calls = []
+    real = variety.quotient
+    monkeypatch.setattr(variety, "quotient", lambda L, c: calls.append(c) or real(L, c))
+    L = direct_product(catalog.chain(100), catalog.chain(4))
+    decision = in_n5_variety(L)
+    assert decision.member and [f.n for f in decision.factors] == [2]
+    assert len(calls) == 1
+    assert len(meet_irreducible_congruences(L)) == 102
+    assert real(L, identity_congruence(L.n)) is L
 
 
 def test_meet_irreducible_have_unique_cover():
