@@ -386,12 +386,18 @@ def intervals(L: FiniteLattice, allowed):
                 yield mask
 
 
-def is_interval(L: FiniteLattice, mask) -> bool:
-    """True iff the nonempty ``mask`` is an interval (a convex sublattice):
-    all of [meet of mask, join of mask]."""
+def bounds(L: FiniteLattice, mask) -> tuple:
+    """(meet, join) of the members of the nonempty ``mask``."""
     lo = hi = (mask & -mask).bit_length() - 1
     for a in iter_bits(mask):
         lo, hi = L.meet[lo][a], L.join[hi][a]
+    return lo, hi
+
+
+def is_interval(L: FiniteLattice, mask) -> bool:
+    """True iff the nonempty ``mask`` is an interval (a convex sublattice):
+    all of [meet of mask, join of mask]."""
+    lo, hi = bounds(L, mask)
     return mask == L.up[lo] & L.down[hi]
 
 

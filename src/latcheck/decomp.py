@@ -5,9 +5,17 @@ A set partition is distributive when every block is a convex distributive
 sublattice and, for each pair of distinct blocks, the union either fails to
 be a sublattice, fails to be convex, or is itself a convex distributive
 sublattice.  A convex sublattice of a finite lattice is an interval, so both
-tests read off intervals (:func:`core.intervals`).  Dec is the minimum block
-count over such partitions, computed exactly by branch and bound over the
-blocks through the lowest unassigned element, one budget node per step.
+tests read off intervals.  Dec is the minimum block count over such
+partitions, computed exactly by branch and bound over the blocks through the
+lowest unassigned element, one budget node per step.
+
+Which intervals are distributive is read off one table per lattice
+(:func:`_nondistributive`), built from two standard facts (G. Birkhoff,
+*Lattice Theory*, 3rd ed., 1967, Ch. II; G. Gratzer, *Lattice Theory:
+Foundation*, 2011): a finite lattice is modular iff it is upper and lower
+semimodular, and a modular lattice of finite length is distributive iff it
+has no cover-preserving diamond M3.  An interval keeps the covers of L, so
+both read on L's covers.
 
 The Galvin-Jonsson classifier needs no search: it reads the blocks off the
 components of the incomparability graph in one pass (:func:`gj_classify`).
@@ -19,8 +27,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import catalog, laws
-from .core import (FiniteLattice, _Budget, _UnionFind, cached, canonical_form, induced,
-                   intervals, is_interval, is_sublattice_set, iter_bits)
+from .core import (FiniteLattice, _Budget, _UnionFind, bounds, cached, canonical_form, induced,
+                   is_interval, is_sublattice_set, iter_bits)
 from .errors import NotAPartition, NotDistributive
 
 
@@ -52,24 +60,53 @@ class PartitionCheck:
         return self.holds
 
 
-def is_distributive_sublattice(L: FiniteLattice, mask) -> bool:
-    """Distributivity of the sublattice ``mask`` of L; every lattice with
-    fewer than five elements is distributive, and larger masks are tested
-    at most once per lattice."""
-    return mask.bit_count() < 5 or _distributive_mask(L, mask)
+def _bad_spans(c, covers, back, op):
+    """The y = a op b, over distinct covers a, b of c in one direction
+    (``covers[c]`` a mask), that either do not cover both a and b back, or
+    cover back a third cover of c (``back[y]`` the mask of y's covers in the
+    other direction): every interval holding c and y then holds a failure
+    of semimodularity or a diamond M3 on c and y."""
+    mine = covers[c]
+    for a, b in itertools.combinations(iter_bits(mine), 2):
+        y = op[a][b]
+        shared = back[y] & mine
+        if not shared >> a & shared >> b & 1 or shared.bit_count() > 2:
+            yield y
 
 
 @cached
-def _distributive_mask(L: FiniteLattice, mask) -> bool:
-    """The distributive law on the sublattice ``mask``, read on L's tables
-    and kept by :func:`core.cached`."""
-    return bool(laws._distributive_on(L, tuple(iter_bits(mask))))
+def _nondistributive(L: FiniteLattice) -> tuple:
+    """Per element lo, the mask of the hi for which the interval [lo, hi] is
+    not distributive.  An interval keeps L's covers, so it is not
+    distributive iff it holds a bad span (c, y): c's upper covers a != b
+    with y = a v b not covering both (upper semimodularity fails), c's
+    lower covers with y = a ^ b not covered by both (lower semimodularity
+    fails, the span is (y, c)), or y covering three upper covers of c (a
+    diamond).  ``bad[lo]`` is the OR of ``up[y]`` over the spans (lo, y),
+    OR-ed with ``bad[c]`` for each upper cover c of lo.  A lattice with
+    fewer than five elements is distributive and builds nothing."""
+    n, up = L.n, L.up
+    bad = [0] * n
+    if n < 5:
+        return tuple(bad)
+    upper = [sum(1 << c for c in L.upper_covers(a)) for a in range(n)]
+    lower = [sum(1 << c for c in L.lower_covers(a)) for a in range(n)]
+    for c in range(n):
+        for y in _bad_spans(c, upper, lower, L.join):
+            bad[c] |= up[y]
+        for y in _bad_spans(c, lower, upper, L.meet):
+            bad[y] |= up[c]
+    for lo in sorted(range(n), key=lambda a: up[a].bit_count()):
+        for c in L.upper_covers(lo):
+            bad[lo] |= bad[c]
+    return tuple(bad)
 
 
-def _pair_ok(L, m1, m2):
-    """The pairwise condition on two block masks: the union is not a convex
-    sublattice (an interval), or it is a distributive one."""
-    return not is_interval(L, m1 | m2) or is_distributive_sublattice(L, m1 | m2)
+def is_distributive_sublattice(L: FiniteLattice, mask) -> bool:
+    """Distributivity of the interval ``mask`` of L: the bit of its greatest
+    element in the :func:`_nondistributive` row of its least."""
+    lo, hi = bounds(L, mask)
+    return not _nondistributive(L)[lo] >> hi & 1
 
 
 def is_distributive_partition(L: FiniteLattice, blocks) -> PartitionCheck:
@@ -97,7 +134,7 @@ def is_distributive_partition(L: FiniteLattice, blocks) -> PartitionCheck:
             continue
         return PartitionCheck(False, clause, (tuple(sorted(b)),))
     for (b1, m1), (b2, m2) in itertools.combinations(blocks, 2):
-        if not _pair_ok(L, m1, m2):
+        if is_interval(L, m1 | m2) and not is_distributive_sublattice(L, m1 | m2):
             return PartitionCheck(
                 False,
                 "union of blocks is a convex sublattice but not distributive",
@@ -106,26 +143,24 @@ def is_distributive_partition(L: FiniteLattice, blocks) -> PartitionCheck:
     return PartitionCheck(True)
 
 
-def _candidate_blocks(L, e, free):
-    """The convex distributive sublattices through e inside ``free``, largest
-    first: the intervals through e, each tested for distributivity only when
-    the search reaches it."""
-    through = sorted((m for m in intervals(L, free) if m >> e & 1),
-                     key=lambda m: (-m.bit_count(), m))
-    return (m for m in through if is_distributive_sublattice(L, m))
-
-
 def _minimum_partitions(L, budget, keep_ties):
     """Branch and bound over partitions into convex distributive blocks, each
     through the lowest unassigned element, spending one node of ``budget``
     per search node.  Returns the minimum block count and the partitions
     kept: without ties the search prunes on strict improvement and keeps the
     first minimum partition; with ties it keeps every partition of the best
-    count so far, clearing the list whenever a smaller count appears."""
+    count so far, clearing the list whenever a smaller count appears.
+
+    A block is an interval [lo, hi] and carries its bounds.  The candidates
+    through e are the [a, b] with a <= e <= b inside the free elements and
+    not marked in :func:`_nondistributive`, largest first; the union of two
+    blocks is an interval iff it is all of [lo1 ^ lo2, hi1 v hi2], and then
+    that row of the table gives its distributivity."""
     budget = _Budget.of(budget)
     best = L.n + 1
     found = []
-    full = L.full_mask
+    full, up, down, meet, join = L.full_mask, L.up, L.down, L.meet, L.join
+    bad = _nondistributive(L)
     # one more block must beat the best count, or with ties at least match it
     margin = 0 if keep_ties else 1
 
@@ -136,16 +171,27 @@ def _minimum_partitions(L, budget, keep_ties):
             if len(blocks) < best:
                 best = len(blocks)
                 found.clear()
-            found.append(list(blocks))
+            found.append([m for m, _, _ in blocks])
             return
         if len(blocks) + 1 + margin > best:
             return
         free = full & ~assigned
         e = (free & -free).bit_length() - 1
-        for cand in _candidate_blocks(L, e, free):
-            if all(_pair_ok(L, cand, b) for b in blocks):
-                blocks.append(cand)
-                rec(assigned | cand, blocks)
+        candidates = []
+        for a in iter_bits(down[e] & free):
+            for b in iter_bits(up[e] & free & ~bad[a]):
+                m = up[a] & down[b]
+                if not m & assigned:
+                    candidates.append((-m.bit_count(), m, a, b))
+        candidates.sort()
+        for _, m, lo, hi in candidates:
+            for m2, lo2, hi2 in blocks:
+                lo3, hi3 = meet[lo][lo2], join[hi][hi2]
+                if bad[lo3] >> hi3 & 1 and up[lo3] & down[hi3] == m | m2:
+                    break
+            else:
+                blocks.append((m, lo, hi))
+                rec(assigned | m, blocks)
                 blocks.pop()
 
     rec(0, [])

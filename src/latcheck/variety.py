@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import combinations
 from operator import and_
 
 from . import catalog
-from .core import FiniteLattice, cached, canonical_form, iter_bits
+from .core import FiniteLattice, atoms, cached, canonical_form, iter_bits
 from .errors import SizeLimit
 
 CONGRUENCE_CAP = 16
@@ -193,19 +194,41 @@ def meet_irreducible_congruences(L: FiniteLattice) -> list:
     return sorted((_congruence(L, s) for s in collapsed), key=_congruence_order)
 
 
+def _is_m3(L: FiniteLattice, c: Congruence) -> bool:
+    """Whether the five-block quotient L/c is M3 rather than N5: its three
+    join-irreducibles, the classes of the p in J(L) not congruent to p_*,
+    are pairwise incomparable (p v q is congruent to neither p nor q)."""
+    ps = [p for p in _dependency(L)[1] if not c.same(p, L.lower_covers(p)[0])]
+    return not any(c.same(L.join[p][q], p) or c.same(L.join[p][q], q)
+                   for p, q in combinations(ps, 2))
+
+
+@cache
+def _small_si_forms() -> dict:
+    """Canonical forms of the subdirectly irreducible lattices with fewer
+    than six elements, by name."""
+    return {name: canonical_form(catalog.get(name)) for name in ("chain(2)", "N5", "M3")}
+
+
 def si_factors(L: FiniteLattice) -> list:
-    """Quotients by all meet-irreducible congruences, deduplicated up to
-    isomorphism.  Lattices of equal size at most 2 are isomorphic, so only
-    the first quotient of each such size is built."""
+    """Quotients by all meet-irreducible congruences, one per isomorphism
+    class, in canonical-form order.  An SI lattice has 2, 5 or at least 6
+    elements, since one with at most four is distributive and 2 is the only
+    SI distributive lattice; with five it is N5 or M3 (:func:`_is_m3`).  So
+    the class of a quotient with 2 or 5 blocks is known before it is built:
+    only the first of each is built, and only quotients with six or more
+    blocks are canonicalised."""
+    small = _small_si_forms()
     seen = {}
-    small = set()
     for c in meet_irreducible_congruences(L):
-        if c.block_count in small:
-            continue
-        if c.block_count <= 2:
-            small.add(c.block_count)
-        q = quotient(L, c)
-        seen.setdefault(canonical_form(q), q)
+        k = c.block_count
+        if k == 2 or k == 5:
+            form = small["chain(2)" if k == 2 else "M3" if _is_m3(L, c) else "N5"]
+            if form not in seen:
+                seen[form] = quotient(L, c)
+        else:
+            q = quotient(L, c)
+            seen.setdefault(canonical_form(q), q)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -219,23 +242,16 @@ class VarietyDecision:
         return self.member
 
 
-@cache
-def _si_forms() -> frozenset:
-    """Canonical forms of the subdirectly irreducible members of the
-    pentagon's variety, plus the trivial lattice."""
-    return frozenset(canonical_form(L) for L in
-                     (catalog.chain(1), catalog.chain(2), catalog.get("N5")))
-
-
 @cached
 def in_n5_variety(L: FiniteLattice) -> VarietyDecision:
     """Exact membership in the variety generated by the pentagon, with the
     subdirectly irreducible factor list as certificate.  The decision is
     kept by :func:`core.cached`, so the factors are computed once per
     lattice."""
-    allowed = _si_forms()
     factors = tuple(si_factors(L))
     for q in factors:
-        if canonical_form(q) not in allowed:
+        # the SI members are 2 and N5; of the SI lattices with five
+        # elements, N5 has two atoms and M3 three
+        if q.n > 2 and not (q.n == 5 and len(atoms(q)) == 2):
             return VarietyDecision(False, factors, q)
     return VarietyDecision(True, factors)

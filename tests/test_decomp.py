@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from latcheck import catalog, decomp
-from latcheck.core import CoverDiagram, build_lattice, direct_product, dual, induced, intervals, iter_bits
+from latcheck import catalog, decomp, laws
+from latcheck.core import (CoverDiagram, _Budget, build_lattice, direct_product, dual, induced,
+                           intervals, is_interval, iter_bits)
 from latcheck.decomp import (
     dec,
     gj_classify,
@@ -18,6 +19,7 @@ from latcheck.decomp import (
 from latcheck.enumeration import all_lattices
 from latcheck.errors import NotAPartition, NotDistributive, SearchBudgetExceeded
 from latcheck.laws import distributive, is_finite_free_sublattice, whitman
+from latcheck.theorems import degeneracy_lemma_check
 
 from oracles import (
     N5_MINIMUM_PARTITIONS,
@@ -123,47 +125,76 @@ def test_dec_matches_bell_oracle():
 
 
 def test_distributive_sublattice_matches_induced_oracle():
-    """Distributivity read on L's tables over an interval agrees with the
-    two-law referee on the induced lattice, for every interval of every
-    lattice with n <= 7 and of the catalog, and survives the memo."""
-    lattices = [L for n in range(1, 8) for L in all_lattices(n)]
+    """The non-distributivity table agrees with the two-law referee on the
+    induced lattice, for every interval of every lattice with n <= 8 and of
+    its dual, of the catalog, of N5 x 2 x 3 and of N5 x N5."""
+    n5 = catalog.get("N5")
+    lattices = [L for n in range(1, 9) for L in all_lattices(n)]
     lattices += [catalog.get(name) for name in catalog.FIXED_NAMES]
-    for L in lattices:
+    lattices += [direct_product(direct_product(n5, catalog.chain(2)), catalog.chain(3)),
+                 direct_product(n5, n5)]
+    for L in lattices + [dual(L) for L in lattices]:
         for m in intervals(L, L.full_mask):
             expected = distributive_oracle(induced(L, iter_bits(m)))
             assert is_distributive_sublattice(L, m) == expected, (L.labels, m)
-            assert is_distributive_sublattice(L, m) == expected
+
+
+def _no_scan(L, elems):
+    raise AssertionError("distributive-law scan")
 
 
 def test_distributivity_memo_keeps_masks_apart(monkeypatch):
-    """N5 x 2 holds the pentagon N5 x {0} and a five-element chain: each
-    mask's verdict is its own, whichever is asked first, and each is read
-    on the tables once; a mask under five elements is not stored."""
-    scans = []
-
-    def spy(L, elems):
-        scans.append(elems)
-        return real(L, elems)
-
-    real = decomp.laws._distributive_on
-    monkeypatch.setattr(decomp.laws, "_distributive_on", spy)
+    """N5 x 2 holds the pentagon N5 x {0} and the distributive interval
+    [(a, 0), (1, 1)] = 3 x 2, a on N5's long side: each interval's verdict
+    is its own, whichever is asked first, from one table per lattice, and
+    no distributive-law scan runs."""
+    monkeypatch.setattr(laws, "_distributive_on", _no_scan)
     n5 = catalog.get("N5")
     long_side = [n5.bottom]  # N5's four-element chain, by greatest depth
     while long_side[-1] != n5.top:
         long_side.append(max(n5.upper_covers(long_side[-1]), key=lambda b: n5.depths()[b]))
     # (a, i) is element 2a + i of N5 x 2
     pentagon = sum(1 << 2 * a for a in range(5))
-    chain = sum(1 << 2 * a for a in long_side) | 1 << 2 * n5.top + 1
-    masks = (pentagon, chain)
+    grid = sum(3 << 2 * a for a in long_side[1:])
+    masks = (pentagon, grid)
     for first in (0, 1):
         L = direct_product(n5, catalog.chain(2))
-        scans.clear()
         for _ in range(2):
             for m in masks[first:] + masks[:first]:
-                assert is_distributive_sublattice(L, m) == (m == chain)
-        assert len(scans) == 2
-        assert is_distributive_sublattice(L, 1 << L.bottom | 1 << L.top)
-        assert len(scans) == 2 and len(L._cache) == 2
+                assert is_interval(L, m)
+                assert is_distributive_sublattice(L, m) == (m == grid)
+        assert is_distributive_sublattice(L, L.full_mask) is False
+        assert is_distributive_sublattice(L, 1 << L.top)
+        assert sum(key[0] == "latcheck.decomp._nondistributive" for key in L._cache) == 1
+
+
+def test_dec_runs_no_distributive_law_scan(monkeypatch):
+    """Dec, the minimum partitions and the degeneracy lemma read every
+    interval's distributivity off the table: with the law scan made to
+    raise, they run on the catalog and on every lattice with n <= 7."""
+    monkeypatch.setattr(laws, "_distributive_on", _no_scan)
+    lattices = [L for n in range(1, 8) for L in all_lattices(n)]
+    lattices += [catalog.get(name) for name in catalog.FIXED_NAMES]
+    checked = 0
+    for L in lattices:
+        dec(L)
+        minimum_distributive_partitions(L)
+        report = degeneracy_lemma_check(L, membership=lambda L: (True, None))
+        checked += report.hypothesis_instances > 0
+    assert checked > 0
+
+
+def test_dec_search_effort_pinned():
+    """Budget nodes spent by dec / minimum_distributive_partitions, as
+    measured before the table replaced the per-interval scans; the search
+    order is unchanged, so the node counts are too."""
+    for name, spent in (("stacked_n5", (168, 360)), ("L15", (121, 309)),
+                        ("L13", (42, 121)), ("N5", (13, 24))):
+        L = catalog.get(name)
+        budgets = _Budget(1000), _Budget(1000)
+        dec(L, budgets[0])
+        minimum_distributive_partitions(L, budgets[1])
+        assert tuple(1000 - b.left for b in budgets) == spent, name
 
 
 def test_dec_laws_small():

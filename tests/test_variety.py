@@ -257,6 +257,35 @@ def test_one_quotient_per_two_block_factor(monkeypatch):
     assert real(L, identity_congruence(L.n)) is L
 
 
+def test_one_quotient_per_five_block_factor(monkeypatch):
+    """N5 x N5 x N5 has three meet-irreducible congruences with five blocks
+    and six with two; each five-block class is told apart from M3 on the
+    congruence, so one quotient is built per class."""
+    calls = []
+    real = variety.quotient
+    monkeypatch.setattr(variety, "quotient", lambda L, c: calls.append(c) or real(L, c))
+    n5 = catalog.get("N5")
+    L = direct_product(direct_product(n5, n5), n5)
+    sizes = sorted(c.block_count for c in meet_irreducible_congruences(L))
+    assert L.n == 125 and sizes == [2] * 6 + [5] * 3
+    decision = in_n5_variety(L)
+    assert decision.member and [f.n for f in decision.factors] == [2, 5]
+    assert len(calls) == 2
+
+
+def test_five_block_factors_told_apart():
+    """N5 x M3 has both an N5 and an M3 factor, each five blocks; the
+    congruence test keeps them apart, and the factors, their order and the
+    offending one match the quotient referee."""
+    n5, m3 = catalog.get("N5"), catalog.get("M3")
+    for L in (direct_product(n5, m3), direct_product(m3, catalog.chain(2))):
+        d = in_n5_variety(L)
+        got = (d.member, [f.labels for f in d.factors],
+               None if d.offending is None else d.offending.labels)
+        assert got == n5_variety_oracle(L), L.labels
+    assert [f.n for f in in_n5_variety(direct_product(n5, m3)).factors] == [2, 5, 5]
+
+
 def test_meet_irreducible_have_unique_cover():
     for name in ("N5", "chain(4)", "grid(2,2)", "L4"):
         L = catalog.get(name)
