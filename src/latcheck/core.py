@@ -83,32 +83,6 @@ def iter_bits(mask):
         mask ^= low
 
 
-class _UnionFind:
-    """Disjoint sets on 0..n-1 with path halving; a union keeps the smaller
-    root, so every root is the least member of its set."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
-
-
 def cached(fn):
     """``fn(L, *args)`` memoised in ``L._cache``, the one per-lattice memo,
     under its module-qualified name and ``args``; a hit costs one dict
@@ -645,10 +619,13 @@ def _canonical_search(up, classes) -> tuple:
 
 
 def matrix_bytes(up, perm=None) -> bytes:
-    """Size byte plus the row-major bits of the order matrix of ``up`` under
-    ``perm`` (identity by default)."""
-    order = list(perm) if perm is not None else list(range(len(up)))
-    packed = bytearray([len(up)])
+    """The size, then the row-major bits of the order matrix of ``up`` under
+    ``perm`` (identity by default).  A size n below 255 is one byte, and
+    from 255 on the three bytes 255, n >> 8, n & 255, so forms still sort
+    by size first."""
+    n = len(up)
+    order = list(perm) if perm is not None else list(range(n))
+    packed = bytearray([n] if n < 255 else [255, n >> 8, n & 255])
     acc = 0
     count = 0
     for a in order:

@@ -17,8 +17,10 @@ semimodular, and a modular lattice of finite length is distributive iff it
 has no cover-preserving diamond M3.  An interval keeps the covers of L, so
 both read on L's covers.
 
-The Galvin-Jonsson classifier needs no search: it reads the blocks off the
-components of the incomparability graph in one pass (:func:`gj_classify`).
+The Galvin-Jonsson classifier needs no search and no canonical form: it
+splits one linear extension into the components of the incomparability
+graph and reads each block's shape off its join-irreducibles
+(:func:`gj_classify`).
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import catalog, laws
-from .core import (FiniteLattice, _Budget, _UnionFind, bounds, cached, canonical_form, induced,
-                   is_interval, is_sublattice_set, iter_bits)
+from . import laws
+from .core import FiniteLattice, _Budget, bounds, cached, is_interval, is_sublattice_set, iter_bits
 from .errors import NotAPartition, NotDistributive
 
 
@@ -230,18 +231,22 @@ class GJDecomposition:
     shapes: tuple  # tags from {"chain", "two_times_chain", "boolean3"}
 
 
-def _shape_tag(L, elems):
-    """The shape of the block ``elems``, an interval [u, v] whose elements
-    other than u and v form one incomparability component: "two_times_chain",
-    "boolean3", or None when it is neither."""
-    k, odd = divmod(len(elems), 2)
-    if odd:
-        return None
-    form = canonical_form(induced(L, elems))
-    if form == canonical_form(catalog.grid(k)):
-        return "two_times_chain"
-    if k == 4 and form == canonical_form(catalog.get("B3")):
+def _shape_tag(D, inner):
+    """The shape of the block [meet C, join C] of the incomparability
+    component C = ``inner``: "two_times_chain", "boolean3", or None when it
+    is neither.  The block is an interval, so it keeps D's covers and its
+    join-irreducibles are the members of C with one lower cover in D.  A
+    finite distributive lattice is the lattice of down-sets of its
+    join-irreducibles (Birkhoff, *Lattice Theory*, Ch. III), so the block is
+    2 x k iff they are a chain plus one point incomparable to all of it,
+    and the cube iff they are three pairwise incomparable points."""
+    join_irr = [x for x in inner if len(D.lower_covers(x)) == 1]
+    apart = [pair for pair in itertools.combinations(join_irr, 2) if D.incomparable(*pair)]
+    if len(join_irr) == 3 == len(apart):
         return "boolean3"
+    # one point in every incomparable pair, and one pair per other point
+    if len(apart) == len(join_irr) - 1 and set(join_irr).intersection(*apart):
+        return "two_times_chain"
     return None
 
 
@@ -251,25 +256,28 @@ def gj_classify(D: FiniteLattice):
     distributive input.
 
     The blocks are read off the components of the incomparability graph,
-    which any poset orders linearly (sorted here by height).  A component C
-    with two or more elements has the single components {meet C} below it
-    and {join C} above it, and a 2 x k grid (k >= 2) or the cube is one such
-    component between a bottom and a top, so C's block must be the interval
-    [meet C, join C].  The single-element components left over form maximal
-    runs, one chain block each.  This is the unique decomposition with the
-    fewest blocks."""
+    which are consecutive runs of any linear extension: listed by down-set
+    size, a component starts where everything listed before lies below
+    everything from there on, one suffix AND of the ``down`` masks.  A
+    component C with two or more elements has the single components
+    {meet C} below it and {join C} above it, and a 2 x k grid (k >= 2) or
+    the cube is one such component between a bottom and a top, so C's
+    block must be the interval [meet C, join C].  The single-element
+    components left over form maximal runs, one chain block each.  This is
+    the unique decomposition with the fewest blocks."""
     if not laws.holds(D, "distributive"):
         raise NotDistributive("gj_classify expects a distributive lattice")
-    uf = _UnionFind(D.n)
-    for a in range(D.n):
-        for b in range(a + 1, D.n):
-            if D.incomparable(a, b):
-                uf.union(a, b)
-    groups = {}
-    for e in range(D.n):
-        groups.setdefault(uf.find(e), []).append(e)
-    heights = D.heights()
-    comps = sorted(groups.values(), key=lambda c: heights[c[0]])
+    down = D.down
+    order = sorted(range(D.n), key=lambda a: down[a].bit_count())
+    under = [D.full_mask] * (D.n + 1)  # under[i]: below all of order[i:]
+    for i in range(D.n - 1, -1, -1):
+        under[i] = under[i + 1] & down[order[i]]
+    comps, listed = [], 0
+    for i, e in enumerate(order):
+        if not listed & ~under[i]:
+            comps.append([])
+        comps[-1].append(e)
+        listed |= 1 << e
     blocks, shapes = [], []
     start = 0  # the first component not yet in a block
     for i, c in enumerate(comps):
@@ -280,11 +288,10 @@ def gj_classify(D: FiniteLattice):
         if i - 1 > start:
             blocks.append(tuple(sorted(e for (e,) in comps[start:i - 1])))
             shapes.append("chain")
-        elems = tuple(sorted(comps[i - 1] + c + comps[i + 1]))
-        shape = _shape_tag(D, elems)
+        shape = _shape_tag(D, c)
         if shape is None:
             return None
-        blocks.append(elems)
+        blocks.append(tuple(sorted(comps[i - 1] + c + comps[i + 1])))
         shapes.append(shape)
         start = i + 2
     if start < len(comps):

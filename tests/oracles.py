@@ -9,8 +9,8 @@ themselves, except: the congruence referee, the translate-and-merge
 union-find closure that the dependency relation on J(L) replaced, which
 closes every principal congruence under partition joins and reads
 meet-irreducibility and the monolith off the whole of Con L by cover scans
-(it shares only ``Congruence`` and core's union-find with the library; the
-Bell scan checks the library's ``all_congruences`` directly); the
+(it shares only ``Congruence`` with the library; the Bell scan checks the
+library's ``all_congruences`` directly); the
 V(N5) referee, which quotients by each of those meet-irreducibles with the
 library's ``quotient`` and dedupes them by its ``canonical_form``;
 and the canonical-term referee, which states Freese-Jezek-Nation's
@@ -23,6 +23,8 @@ alone; and the canonical-form search as it stood before it pruned by
 found automorphisms and re-tightened after an improvement;
 and the Galvin-Jonsson referee, the range search the classifier replaced,
 which tags its ranges with the library's ``induced`` and ``canonical_form``;
+the union-find (:class:`_UnionFind`), which the library no longer uses, is
+these two referees' own;
 and the hand-written hypothesis scans that the L15, twelve-element,
 staircase and cube checks replaced with configurations, which decide the
 L15 lemma's conclusion with the library's ``find_embedding``, find the
@@ -41,12 +43,38 @@ from __future__ import annotations
 import itertools
 
 from latcheck import catalog, embed, laws
-from latcheck.core import (FiniteLattice, _UnionFind, canonical_form, dual, induced, matrix_bytes,
+from latcheck.core import (FiniteLattice, canonical_form, dual, induced, matrix_bytes,
                            _refined_classes, _seed_signature)
 from latcheck.decomp import GJDecomposition
 from latcheck.errors import NotALattice, NotDistributive, ParseError
 from latcheck.freeterm import gen, join, meet
 from latcheck.variety import Congruence, identity_congruence, quotient
+
+
+class _UnionFind:
+    """Disjoint sets on 0..n-1 with path halving; a union keeps the smaller
+    root, so every root is the least member of its set."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        if ry < rx:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        return True
 
 
 def brute_isomorphic(A: FiniteLattice, B: FiniteLattice) -> bool:

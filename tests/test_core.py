@@ -364,6 +364,22 @@ def test_symmetric_products_canonical_form_fast(name):
     assert EmbeddingWitness(M, L, mapping).is_valid()
 
 
+def test_canonical_form_from_256_elements():
+    # the size was one byte, so n >= 256 raised ValueError; from 255 on it
+    # is the bytes 255, n >> 8, n & 255, so forms still sort by size first
+    G = catalog.grid(130)
+    form = canonical_form(G)
+    assert form[:3] == bytes([255, 1, 4])
+    M = _relabelled(G, random.Random(37))
+    assert are_isomorphic(M, G) and canonical_form(M) == form
+    assert EmbeddingWitness(M, G, isomorphism(M, G)).is_valid()
+    sizes = (253, 254, 255, 256, 300)
+    forms = [canonical_form(catalog.chain(k)) for k in sizes]
+    assert [f[:1] if k < 255 else f[:3] for k, f in zip(sizes, forms)] == [
+        bytes([253]), bytes([254]), bytes([255, 0, 255]), bytes([255, 1, 0]), bytes([255, 1, 44])]
+    assert forms == sorted(forms)
+
+
 def test_isomorphism_gives_bijective_witness():
     n5 = catalog.get("N5")
     d = dual(n5)

@@ -368,3 +368,13 @@ def test_gj_stacked_squares():
     out = gj_classify(D)
     assert out.shapes == ("two_times_chain",) * 16
     assert [len(b) for b in out.blocks] == [4] * 16
+
+
+def test_gj_block_of_300_elements():
+    """grid(2,150) is one two_times_chain block; its shape is read off its
+    join-irreducibles, with no canonical form, whose one-byte size raised
+    ValueError from 256 elements."""
+    D = catalog.grid(150)
+    out = gj_classify(D)
+    assert out.shapes == ("two_times_chain",)
+    assert out.blocks == (tuple(range(300)),)

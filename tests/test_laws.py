@@ -165,6 +165,21 @@ def test_doubly_reducible_from_covers_matches_pair_scan():
     assert doubly_reducible_elements(hourglass()) == (hourglass().index_of("m"),)
 
 
+def test_whitman_forbids_doubly_reducible_elements():
+    """A lattice satisfying W has no doubly reducible element: on every
+    lattice with n <= 9, the catalog and their duals, W holds only where
+    doubly_reducible_elements is empty, and both verdicts occur."""
+    lattices = [L for n in range(1, 10) for L in all_lattices(n)]
+    lattices += [catalog.get(name) for name in catalog.FIXED_NAMES]
+    seen = set()
+    for L in lattices + [dual(L) for L in lattices]:
+        w = holds(L, "whitman")
+        if w:
+            assert doubly_reducible_elements(L) == (), L.labels
+        seen.add(w)
+    assert seen == {True, False}
+
+
 def test_whitman_decided_once_per_lattice(monkeypatch):
     """run_profile gates cube, dec_bound and degeneracy on W: it and
     law_profile compute the W verdict once per lattice and run no scan;

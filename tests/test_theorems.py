@@ -119,6 +119,14 @@ def test_cube_check_pentagon_vacuous():
     assert rep.holds and rep.vacuous
 
 
+def test_unnamed_report_past_255_elements():
+    # an unnamed report is named by its canonical form, whose one-byte size
+    # raised ValueError from 256 elements
+    rep = theorems.run_check(catalog.grid(130), "cube")
+    assert rep.lattice == "sha:" + canonical_form(catalog.grid(130)).hex()[:16]
+    assert rep.lattice.startswith("sha:ff0104") and rep.holds
+
+
 def test_cube_witness_on_cube_atoms():
     b3 = catalog.get("B3")
     i = b3.index_of

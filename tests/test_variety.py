@@ -1,10 +1,13 @@
 """Congruences, quotients, subdirect irreducibility, pentagon-variety
 membership."""
 
+from itertools import combinations
+
 import pytest
 
 from latcheck import catalog, embed, theorems, variety
-from latcheck.core import are_isomorphic, canonical_form, direct_product, dual, is_sublattice_set
+from latcheck.core import (CoverDiagram, _Budget, are_isomorphic, build_lattice, canonical_form,
+                           direct_product, dual, induced, is_sublattice_set, iter_bits, sublattices)
 from latcheck.enumeration import all_lattices
 from latcheck.errors import SizeLimit
 from latcheck.laws import semidistributive
@@ -294,3 +297,66 @@ def test_meet_irreducible_have_unique_cover():
             above = [d for d in cons if d != c and c.refines(d)]
             covers = [d for d in above if not any(e != d and e.refines(d) for e in above)]
             assert len(covers) == 1
+
+
+def test_kept_join_irreducibles_decide_membership():
+    """The facts behind si_factors' five-block shortcut, stated on J(L).
+    The meet-irreducible congruence paired with p keeps apart from their
+    lower covers exactly the q whose D*-closure holds p, and the classes of
+    those q are the quotient's join-irreducibles, ordered as in L.  An SI
+    lattice with one join-irreducible is 2 and one with three, two of them
+    comparable, is N5; so L is in V(N5) iff every kept set is one of those,
+    and the least block count over the other kept sets is the offending
+    factor's size.  On every lattice with n <= 8, the catalog and duals."""
+    lattices = [L for n in range(1, 9) for L in all_lattices(n)]
+    lattices += [catalog.get(name) for name in catalog.FIXED_NAMES]
+    outcomes = set()
+    for L in lattices + [dual(L) for L in lattices]:
+        closure = variety._dependency(L)[1]
+        lower = {p: L.lower_covers(p)[0] for p in closure}
+        meet_irreducible = meet_irreducible_congruences(L)
+        other_sizes = []
+        for p in closure:
+            kept = [q for q in closure if closure[q] >> p & 1]
+            # the largest congruence keeping p apart from p_*
+            separating = [c for c in meet_irreducible if not c.same(p, lower[p])]
+            (psi,) = [c for c in separating if all(d.refines(c) for d in separating)]
+            assert kept == [q for q in closure if not psi.same(q, lower[q])], L.labels
+            Q = quotient(L, psi)
+            block = {e: i for i, b in enumerate(sorted(psi.blocks(), key=min)) for e in b}
+            assert sorted(block[q] for q in kept) == [x for x in range(Q.n)
+                                                       if len(Q.lower_covers(x)) == 1]
+            assert all(L.leq(a, b) == Q.leq(block[a], block[b]) for a in kept for b in kept)
+            if not (len(kept) == 1 or len(kept) == 3
+                    and any(L.leq(a, b) or L.leq(b, a) for a, b in combinations(kept, 2))):
+                other_sizes.append(psi.block_count)
+        d = in_n5_variety(L)
+        assert d.member == (not other_sizes), L.labels
+        if other_sizes:
+            assert min(other_sizes) == d.offending.n, L.labels
+        outcomes.add(d.member)
+    assert outcomes == {True, False}
+
+
+def test_si_members_of_the_pentagon_variety():
+    """SI(HS(N5)) = {2, N5}: the SI factors of every sublattice of N5."""
+    n5 = catalog.get("N5")
+    forms = {canonical_form(q) for m in sublattices(n5, n5.full_mask, _Budget())
+             for q in si_factors(induced(n5, iter_bits(m)))}
+    assert forms == {canonical_form(catalog.chain(2)), canonical_form(n5)}
+
+
+def test_si_factor_from_256_blocks():
+    """A chain c0 < ... < c129 with a side element s_i over each c_(i-1)
+    and under c_(i+2): overlapping pentagons, n = 257, subdirectly
+    irreducible, so its own quotient is a factor to canonicalise; the
+    canonical form wrote its size in one byte and raised ValueError."""
+    m = 129
+    labels = [f"c{i}" for i in range(m + 1)] + [f"s{i}" for i in range(1, m - 1)]
+    covers = [(f"c{i}", f"c{i + 1}") for i in range(m)]
+    covers += [(f"c{i - 1}", f"s{i}") for i in range(1, m - 1)]
+    covers += [(f"s{i}", f"c{i + 2}") for i in range(1, m - 1)]
+    L = build_lattice(CoverDiagram(tuple(labels), tuple(covers)))
+    assert L.n == 257 and is_subdirectly_irreducible(L)
+    d = in_n5_variety(L)
+    assert not d.member and [f.n for f in d.factors] == [2, 257] and d.offending.n == 257
