@@ -357,24 +357,21 @@ def cmd_freelat(args):
         results = {"canonical": freeterm.format_term(freeterm.canonicalize(t))}
         return "freelat canon", repr(args.term), results, []
     # embed
+    from . import laws
+
     L, name = load_lattice(args.file)
-    found = freeterm.find_free_embedding(
-        L, n_gens=args.gens, max_depth=args.depth, max_size=args.term_size,
-        budget=args.budget,
-    )
-    results = {
-        "name": name,
-        "generators": args.gens,
-        "depth": args.depth,
-        "term_size": args.term_size,
-        "found": found is not None,
-    }
+    found = freeterm.find_free_embedding(L, budget=args.budget)
+    results = {"name": name, "found": found is not None}
     if found is not None:
+        results["generators"] = {g: L.labels[k] for g, k in freeterm.free_generators(L)}
         results["witness"] = {
             L.labels[a]: freeterm.format_term(t) for a, t in sorted(found.items())
         }
     else:
-        results["note"] = "inconclusive at this bound; not a refutation"
+        failure = laws.free_sublattice_failure(L)
+        results["reason"] = (
+            f"fails {failure[0]} at ({', '.join(L.labels[e] for e in failure[1])})" if failure
+            else "satisfies W and SD; no verified witness was built")
     return "freelat embed", args.file, results, []
 
 
@@ -476,11 +473,8 @@ def build_parser():
     f = fsub.add_parser("canon", help="canonical form of a term")
     f.add_argument("term")
     _add_common(f, suppress=True)
-    f = fsub.add_parser("embed", help="search a free-lattice embedding")
+    f = fsub.add_parser("embed", help="build a free-lattice embedding witness")
     f.add_argument("file")
-    f.add_argument("--gens", type=int, default=3)
-    f.add_argument("--depth", type=int, default=4)
-    f.add_argument("--size", dest="term_size", type=int, default=7)
     _add_common(f, suppress=True)
     c.set_defaults(fn=cmd_freelat)
 

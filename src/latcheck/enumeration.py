@@ -25,9 +25,11 @@ dropped.
 
 A child's covers, heights, depths and degrees come from the parent's arrays,
 and the seed signature, refinement and canonical-form search read them
-directly, so a :class:`FiniteLattice` is built only for a kept child,
-relabelled to its canonical form, with that form and the identity
-permutation in its cache.
+directly.  A :class:`FiniteLattice` is built for each kept child, relabelled
+to its canonical form, with that form and the identity permutation in its
+cache, and also for each canonical-parent test whose slot n - 2 holds
+another coatom than c: `_deletes_to` builds the deletion and computes its
+canonical form (97 times for n <= 9).
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Words in the free lattice over named generators: Whitman's decision
 procedure for the word problem, canonical forms, evaluation into finite
-lattices, and bounded search for free-lattice embeddings of finite lattices.
+lattices, and free-lattice embedding witnesses for finite lattices, built
+as sections of the map of a free lattice onto them.
 
 Terms are hash-consed, so canonical terms compare by identity.  Each term
 carries a 64-bit sketch, its values under 64 fixed maps of the generators
@@ -8,10 +9,10 @@ into the two-element lattice; as those maps extend to homomorphisms, a bit
 set in s's sketch and clear in t's proves s is not below t, and `leq`
 refutes such pairs without recursing.  The pairs Whitman's recursion
 decides are memoised.  `canonicalize` alone says what a canonical term is
-(Freese, Jezek & Nation's characterisation, tested pairwise), and the
-embedding search's term pool is the closure of the generators under it.
-The word problem needs no finite lattice, so `core` is imported only by the
-embedding search.
+(Freese, Jezek & Nation's characterisation, tested pairwise), and every
+witness term is canonicalised by it.  The word problem needs no finite
+lattice, so `core` and `laws` are imported only by the witness
+construction.
 """
 
 from __future__ import annotations
@@ -233,123 +234,96 @@ def verify_free_embedding(L: FiniteLattice, terms) -> bool:
     return True
 
 
-# -- canonical term pools and embedding search -------------------------------
+# -- free-lattice witnesses ----------------------------------------------------
 
 
-def canonical_terms(gen_names, max_size, max_depth, budget):
-    """All canonical terms over the given generators with at most max_size
-    generator occurrences and the given depth, sorted small-first: the
-    closure of the generators under the canonical meet and join of two
-    terms.  It misses none, as a canonical t1 | ... | tk is the canonical
-    join of t1 and t2 | ... | tk, which is canonical, smaller and no deeper
-    (dually for meets).  Only the pool's sizes and pairs within the size
-    bound are visited, each pair spending a node of ``budget``."""
-    pool = [gen(g) for g in gen_names]
-    by_size = {1: list(range(len(pool)))}  # size -> pool indices, ascending
-    seen = set(pool)
-    for i, a in enumerate(pool):  # the pool grows as it is scanned
-        # a size first reached while a is scanned holds only terms after a
-        for size in sorted(s for s in by_size if s <= max_size - a.size):
-            for j in by_size[size]:
-                if j > i:
-                    break
-                budget.spend("free embedding search")
-                b = pool[j]
-                # comparable terms meet and join to themselves
-                if leq(a, b) or leq(b, a):
-                    continue
-                for op in (meet, join):
-                    t = canonicalize(op(a, b))
-                    if t.size <= max_size and t.depth <= max_depth and t not in seen:
-                        seen.add(t)
-                        by_size.setdefault(t.size, []).append(len(pool))
-                        pool.append(t)
-    pool.sort(key=lambda t: (t.size, term_key(t)))
-    return pool
+def free_generators(L: FiniteLattice) -> list:
+    """The generators of L's witness as (name, element) pairs: the
+    join-irreducibles in index order, after 0 if 0 has at most one upper
+    cover (else 0 is a meet of atoms), named x, y, z if at most three,
+    else g0, g1, ..."""
+    elems = [a for a in range(L.n) if len(L.lower_covers(a)) == 1]
+    if len(L.upper_covers(L.bottom)) <= 1:
+        elems.insert(0, L.bottom)
+    names = "xyz" if len(elems) <= 3 else [f"g{i}" for i in range(len(elems))]
+    return list(zip(names, elems))
 
 
-def _derivation_plan(L, gens):
-    """Table operations that produce every element from the generators."""
-    known = list(gens)
-    known_set = set(gens)
-    plan = []
-    while len(known_set) < L.n:
-        progressed = False
-        for i, a in enumerate(known):
-            for b in known[: i + 1]:
-                for op, table in (("meet", L.meet), ("join", L.join)):
-                    c = table[a][b]
-                    if c not in known_set:
-                        plan.append((c, op, a, b))
-                        known.append(c)
-                        known_set.add(c)
-                        progressed = True
-        if not progressed:
-            raise AssertionError("generating set does not generate")
-    return plan
+def find_free_embedding(L: FiniteLattice, budget=None):
+    """A verified free-lattice embedding witness for L, element -> canonical
+    term, spending one node of ``budget`` (``default_budget()`` by default,
+    or a shared budget) per term built per round; None if L fails W or a
+    semidistributive law, which every sublattice of a free lattice keeps.
 
+    A finite bounded W lattice is projective (A. Kostinsky, *Pacific J.
+    Math.* 40 (1972)), so x_k -> k, over ``free_generators(L)``, has a
+    section g.  The lower bounds beta on J(L) come from join covers in
+    rounds (A. Day, *Canad. J. Math.* 31 (1979); Freese, Jezek & Nation,
+    Ch. II); g starts at beta and joins in, below each meet-reducible y,
+    the meet of g at y's canonical meetands kappa_v(y).  This g is the
+    module's own construction, so a W and SD lattice also gets None if beta
+    (not lower bounded) or g does not settle, or g fails verification."""
+    from functools import reduce
 
-def find_free_embedding(L: FiniteLattice, n_gens=3, max_depth=4, max_size=7,
-                        budget=None):
-    """Bounded search for a free-lattice embedding witness: terms over
-    ``n_gens`` generators are assigned to a minimal generating set of L (the
-    first in size-lex order), the rest derived through the tables, within
-    ``budget`` nodes (``default_budget()`` by default, or a shared budget),
-    one per pair in the term pool, per seed set tried and per term tried.
-    Returns element -> term, or None when the bounded search exhausts
-    (inconclusive, not a refutation)."""
-    from itertools import combinations
+    from .core import _Budget, iter_bits
+    from .laws import is_finite_free_sublattice
 
-    from .core import _Budget, generated_sublattice
-
-    names = [chr(ord("x") + i) for i in range(n_gens)] if n_gens <= 3 else [
-        f"g{i}" for i in range(n_gens)
-    ]
+    if not is_finite_free_sublattice(L):
+        return None
     budget = _Budget.of(budget)
-    pool = canonical_terms(names, max_size, max_depth, budget)
-    full = frozenset(range(L.n))
-    for seeds in (s for k in range(1, L.n + 1) for s in combinations(range(L.n), k)):
+    n, up, leq_l, join_l = L.n, L.up, L.leq, L.join
+    gens = free_generators(L)
+    irr = [k for _, k in gens if k != L.bottom]
+    by_height = sorted(range(n), key=L.heights().__getitem__)
+
+    def canon(op, args):
         budget.spend("free embedding search")
-        if generated_sublattice(L, seeds) == full:
-            gens_of_L = list(seeds)
-            break
-    plan = _derivation_plan(L, gens_of_L)
+        return canonicalize(op(*args))
 
-    def compatible(assigned, g, t):
-        for g2, t2 in assigned.items():
-            if leq(t, t2) != L.leq(g, g2) or leq(t2, t) != L.leq(g2, g):
-                return False
-        return True
-
-    def complete(assigned):
-        terms = dict(assigned)
-        for c, op, a, b in plan:
-            f = meet if op == "meet" else join
-            terms[c] = canonicalize(f(terms[a], terms[b]))
-        full = [terms[a] for a in range(L.n)]
-        if len({id(t) for t in full}) != L.n:
-            return None
-        if verify_free_embedding(L, terms):
-            return {a: terms[a] for a in range(L.n)}
+    def settle(step, value, rounds):
+        for _ in range(rounds):
+            value, last = step(value), value
+            if value == last:
+                return value
         return None
 
-    def rec(k, assigned):
-        if k == len(gens_of_L):
-            return complete(assigned)
-        g = gens_of_L[k]
-        for t in pool:
-            budget.spend("free embedding search")
-            if t in assigned.values():
-                continue
-            if compatible(assigned, g, t):
-                assigned[g] = t
-                found = rec(k + 1, assigned)
-                if found is not None:
-                    return found
-                del assigned[g]
-        return None
+    def extend(beta):  # beta on every element, read off its lower covers
+        ext = [canon(meet, [gen(name) for name, _ in gens])] * n
+        for u in by_height[1:]:
+            below = [ext[c] for c in L.lower_covers(u)]
+            ext[u] = canon(join, [beta[u]] + below if u in beta else below)
+        return ext
 
-    return rec(0, {})
+    start = {p: canon(meet, [gen(name) for name, k in gens if leq_l(p, k)]) for p in irr}
+
+    def minimal(p, q):  # the minimal u not above p with p <= q v u
+        mask = ~up[p] & sum(1 << u for u, t in enumerate(join_l[q]) if up[p] >> t & 1)
+        return [u for u in iter_bits(mask) if L.down[u] & mask == 1 << u]
+
+    covers = {p: [(q, u) for q in irr if not leq_l(p, q) for u in minimal(p, q)] for p in irr}
+
+    def beta_round(beta):
+        ext = extend(beta)
+        return {p: canon(meet, [start[p]] + [join(beta[q], ext[u]) for q, u in covers[p]])
+                for p in irr}
+
+    beta = settle(beta_round, start, len(irr) + 1)
+    if beta is None:
+        return None
+    lower = extend(beta)
+    # kappa_v(y) for each upper cover v of y: the join of the elements above y, not above v
+    kappas = [(y, [reduce(lambda a, b: join_l[a][b], iter_bits(up[y] & ~up[v]), y)
+                   for v in L.upper_covers(y)])
+              for y in range(n) if len(L.upper_covers(y)) > 1]
+
+    def g_pass(g):
+        meets = [(y, meet(*[g[k] for k in ks])) for y, ks in kappas]
+        return [canon(join, [lower[x]] + [m for y, m in meets if leq_l(y, x)])
+                for x in range(n)]
+
+    g = settle(g_pass, lower, n + 1)
+    witness = g and dict(enumerate(g))
+    return witness if witness and verify_free_embedding(L, witness) else None
 
 
 # -- surface syntax -----------------------------------------------------------

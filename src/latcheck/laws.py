@@ -216,6 +216,16 @@ def is_finite_free_sublattice(L: FiniteLattice) -> bool:
     return holds(L, "sd_join") and holds(L, "sd_meet") and holds(L, "whitman")
 
 
+def free_sublattice_failure(L: FiniteLattice):
+    """The first of W, SD-join and SD-meet that L fails, as (law, witness)
+    with the witness of `whitman` or `semidistributive`, or None when L is a
+    finite sublattice of a free lattice."""
+    for law in ("whitman", "sd_join", "sd_meet"):
+        if not holds(L, law):
+            return law, _check(L, law).witness
+    return None
+
+
 def law_profile(L: FiniteLattice) -> LawProfile:
     p = {law: holds(L, law) for law in _LAWS}
     return LawProfile(**p, doubly_reducible=doubly_reducible_elements(L), length=length(L),

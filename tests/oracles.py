@@ -35,7 +35,10 @@ the library's ``find_embedding``; and the word problem's plain Whitman
 recursion, the cover, height and depth referee, which reads only the order
 relation, and the character-at-a-time term parser that the one-pass
 tokeniser replaced, which interns through the library's ``gen``, ``meet``
-and ``join``.
+and ``join``; and the canonical term pool that the free-lattice witness
+construction replaced, the closure of the generators under the library's
+``canonicalize`` of binary meets and joins, kept as a source of canonical
+terms for the canonical-form tests.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from latcheck.core import (FiniteLattice, canonical_form, dual, induced, matrix_
                            _refined_classes, _seed_signature)
 from latcheck.decomp import GJDecomposition
 from latcheck.errors import NotALattice, NotDistributive, ParseError
-from latcheck.freeterm import gen, join, meet
+from latcheck.freeterm import canonicalize, gen, join, leq, meet, term_key
 from latcheck.variety import Congruence, identity_congruence, quotient
 
 
@@ -643,6 +646,38 @@ def whitman_leq_oracle(s, t) -> bool:
         return s.name == t.name
     return (s.kind == "meet" and any(whitman_leq_oracle(si, t) for si in s.args)
             or t.kind == "join" and any(whitman_leq_oracle(s, tj) for tj in t.args))
+
+
+def canonical_terms(gen_names, max_size, max_depth, budget):
+    """All canonical terms over the given generators with at most max_size
+    generator occurrences and the given depth, sorted small-first: the
+    closure of the generators under the canonical meet and join of two
+    terms.  It misses none, as a canonical t1 | ... | tk is the canonical
+    join of t1 and t2 | ... | tk, which is canonical, smaller and no deeper
+    (dually for meets).  Only the pool's sizes and pairs within the size
+    bound are visited, each pair spending a node of ``budget``."""
+    pool = [gen(g) for g in gen_names]
+    by_size = {1: list(range(len(pool)))}  # size -> pool indices, ascending
+    seen = set(pool)
+    for i, a in enumerate(pool):  # the pool grows as it is scanned
+        # a size first reached while a is scanned holds only terms after a
+        for size in sorted(s for s in by_size if s <= max_size - a.size):
+            for j in by_size[size]:
+                if j > i:
+                    break
+                budget.spend("free embedding search")
+                b = pool[j]
+                # comparable terms meet and join to themselves
+                if leq(a, b) or leq(b, a):
+                    continue
+                for op in (meet, join):
+                    t = canonicalize(op(a, b))
+                    if t.size <= max_size and t.depth <= max_depth and t not in seen:
+                        seen.add(t)
+                        by_size.setdefault(t.size, []).append(len(pool))
+                        pool.append(t)
+    pool.sort(key=lambda t: (t.size, term_key(t)))
+    return pool
 
 
 def parse_term_oracle(text: str):

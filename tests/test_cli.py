@@ -248,7 +248,7 @@ def test_freelat_commands(tmp_path):
     assert json.loads(proc.stdout)["results"]["canonical"] == "x | y"
 
     path = write_catalog_file(tmp_path, "chain(2)")
-    proc = run_cli(["freelat", "embed", path, "--size", "4"])
+    proc = run_cli(["freelat", "embed", path])
     doc = json.loads(proc.stdout)
     assert doc["results"]["found"] is True
 
@@ -316,11 +316,28 @@ def test_freelat_embed_reads_budget_env(tmp_path):
     assert json.loads(proc.stdout)["results"]["found"] is True
 
 
-def test_freelat_embed_five_generators_exits_budget(tmp_path):
+def test_freelat_embed_has_no_caps(tmp_path):
     path = write_catalog_file(tmp_path, "N5")
-    proc = run_cli(["freelat", "embed", path, "--gens", "5", "--budget", "10000"])
-    assert proc.returncode == cli.EXIT_BUDGET
-    assert proc.stderr == "error: free embedding search exceeded node budget 10000\n"
+    for option in ("--gens", "--depth", "--size"):
+        assert run_cli(["freelat", "embed", path, option, "3"]).returncode == cli.EXIT_INPUT
+
+
+def test_freelat_embed_reports_generators_or_reason(tmp_path, monkeypatch, capsys):
+    """A witness comes with the element each generator maps to; without
+    one, the reason says which law fails (see test_freeterm for M3), or
+    that none does."""
+    from latcheck import freeterm
+
+    path = write_catalog_file(tmp_path, "N5")
+    assert cli.main(["freelat", "embed", path]) == cli.EXIT_OK
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert list(results) == ["name", "found", "generators", "witness"]
+    assert results["generators"] == {"x": "x2", "y": "x3", "z": "x4"}
+    monkeypatch.setattr(freeterm, "find_free_embedding", lambda L, budget=None: None)
+    assert cli.main(["freelat", "embed", path]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"] == {
+        "name": "N5", "found": False,
+        "reason": "satisfies W and SD; no verified witness was built"}
 
 
 def test_check_runs_each_semidistributive_scan_once(tmp_path, monkeypatch, capsys):
@@ -428,7 +445,9 @@ PINNED_REPORT_DIGESTS = {
     "find-forbidden": "9ee3da7b06e62676e1604b236bb635792f42d700dfd54e202814abc22a199603",
     "freelat leq": "b77be08859694aaeafcd6ec4fe1651ef8ced03d0c8a4b843b413dbe711d12267",
     "freelat canon": "d12757d588acf394ee58cb80cdfe0d458b920a5449237306f2cec65290767800",
-    "freelat embed": "b9f5c43ab7f4ec9f7a3a0cb5d6ff4b6a6926807c2adc5f6583d0b0255b544ccc",
+    # re-recorded when the witness construction replaced the capped search:
+    # the same five terms, with generators in place of the caps
+    "freelat embed": "7df24178db3436eaa439e1c2c4a41347c3bf99eb6bdb923242c6a91385753933",
     "verify-theorems": "7e21523472abbc52141492d87bced70355c14005e87453531da74e62d9d442b0",
 }
 

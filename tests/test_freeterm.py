@@ -1,17 +1,18 @@
 """Free-lattice terms: the word-problem decision, canonical forms,
-evaluation, embedding verification and bounded search."""
+evaluation, embedding verification and the witness construction."""
 
 import hashlib
+import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latcheck import catalog, freeterm
-from latcheck.core import _Budget
+from latcheck import catalog, cli, freeterm, laws
+from latcheck.core import _Budget, dual
 from latcheck.errors import BadParameter, ParseError, SearchBudgetExceeded, UnassignedGenerator
 from latcheck.freeterm import (
-    canonical_terms,
     canonicalize,
     evaluate,
     find_free_embedding,
@@ -26,7 +27,7 @@ from latcheck.freeterm import (
     verify_free_embedding,
 )
 
-from oracles import is_canonical_oracle, parse_term_oracle, whitman_leq_oracle
+from oracles import canonical_terms, is_canonical_oracle, parse_term_oracle, whitman_leq_oracle
 
 x, y, z = gen("x"), gen("y"), gen("z")
 
@@ -165,71 +166,118 @@ def test_verify_chain2_embedding():
 def test_pentagon_witness_search():
     n5 = catalog.get("N5")
     w = find_free_embedding(n5)
-    assert w is not None
     assert verify_free_embedding(n5, w)
+    # the five terms the capped term-pool search found
+    assert {n5.labels[a]: format_term(t) for a, t in w.items()} == {
+        "x1": "x | y & z", "x2": "x", "x3": "y & (x | y & z)", "x4": "x & y | y & z",
+        "x5": "x & y"}
+    assert freeterm.free_generators(n5) == [("x", 1), ("y", 2), ("z", 3)]
 
 
-def test_diamond_search_exhausts():
-    assert find_free_embedding(catalog.get("M3"), max_size=4) is None
+def test_diamond_search_exhausts(tmp_path, capsys):
+    """M3 gets no witness, and the report names a law it fails: it satisfies
+    W but not SD-join, with its three atoms as the witness."""
+    m3 = catalog.get("M3")
+    assert find_free_embedding(m3) is None
+    assert laws.free_sublattice_failure(m3) == ("sd_join", (1, 2, 3))
+    path = str(tmp_path / "M3.json")
+    cli.write_lattice_file(path, cli.diagram_of(m3, name="M3"))
+    assert cli.main(["freelat", "embed", path]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"] == {
+        "name": "M3", "found": False, "reason": "fails sd_join at (a, b, c)"}
 
 
 def test_free_embedding_budget():
     with pytest.raises(SearchBudgetExceeded) as exc:
-        find_free_embedding(catalog.get("stacked_n5"), budget=1000)
-    assert exc.value.budget == 1000
-    assert str(exc.value) == "free embedding search exceeded node budget 1000"
+        find_free_embedding(catalog.get("stacked_n5"), budget=50)
+    assert exc.value.budget == 50
+    assert str(exc.value) == "free embedding search exceeded node budget 50"
 
 
-def test_term_pool_spends_the_budget():
-    """The term pool is built under the search's budget, one node per pair
-    within the size bound, so five generators exhaust a small budget
-    instead of building the pool unbounded."""
-    with pytest.raises(SearchBudgetExceeded) as exc:
-        find_free_embedding(catalog.get("N5"), n_gens=5, budget=10_000)
-    assert str(exc.value) == "free embedding search exceeded node budget 10000"
-
-
-def test_term_pool_visits_only_pairs_within_the_size_bound():
-    budget = _Budget(10_000)
-    pool = canonical_terms(["x", "y", "z"], 7, 4, budget)
-    assert len(pool) == 127
-    # one node per unordered pair (self-pairs included) with sizes summing
-    # to at most 7, over the 127 terms of the pool
-    sizes = sorted(t.size for t in pool)
-    pairs = sum(1 for i, s in enumerate(sizes) for r in sizes[: i + 1] if s + r <= 7)
-    assert budget.total - budget.left == pairs == 717
-
-
-def test_term_pool_cost_does_not_grow_with_the_size_bound():
-    """The pool scans only the sizes it has, so a size bound far above every
-    term's size costs one node per pair of terms and nothing more: the 25
-    terms of depth at most 2 over three generators, whose largest has size
-    6, and their 325 unordered pairs, self-pairs included."""
-    budget = _Budget(1000)
-    pool = canonical_terms(["x", "y", "z"], 10**12, 2, budget)
-    assert pool == canonical_terms(["x", "y", "z"], 6, 2, _Budget())
-    assert len(pool) == 25 and budget.total - budget.left == 25 * 26 // 2
-
-
-def test_generating_set_scan_spends_the_budget():
-    """The scan for a minimal generating set spends the search's budget, so
-    a long chain (whose only generating set is all of it) exhausts a small
-    budget at once instead of trying every smaller subset first."""
-    with pytest.raises(SearchBudgetExceeded) as exc:
-        find_free_embedding(catalog.chain(22), budget=1000)
-    assert exc.value.budget == 1000
-
-
-def test_free_sublattices_up_to_five_get_witnesses():
+def lattices_up_to_nine_and_catalog():
     from latcheck.enumeration import all_lattices
-    from latcheck.laws import is_finite_free_sublattice
 
-    for n in range(1, 6):
+    for n in range(1, 10):
         for L in all_lattices(n):
-            if is_finite_free_sublattice(L):
-                w = find_free_embedding(L)
-                assert w is not None, L.labels
-                assert verify_free_embedding(L, w)
+            yield L
+            yield dual(L)
+    for name in catalog.FIXED_NAMES:
+        yield catalog.get(name)
+        yield dual(catalog.get(name))
+
+
+def assert_witness(L, w):
+    """w checked without the library's ``leq``: by plain Whitman recursion,
+    the order both ways, and g(a ^ b) = g(a) & g(b) and g(a v b) = g(a) | g(b)
+    (g(a ^ b) <= g(a), g(b) <= g(a v b) is part of the order); and each
+    term evaluating to its element under x_k -> k."""
+    ts = [w[a] for a in range(L.n)]
+    for a in range(L.n):
+        for b in range(L.n):
+            assert whitman_leq_oracle(ts[a], ts[b]) == L.leq(a, b)
+            if a < b:
+                assert whitman_leq_oracle(meet(ts[a], ts[b]), ts[L.meet[a][b]])
+                assert whitman_leq_oracle(ts[L.join[a][b]], join(ts[a], ts[b]))
+    assignment = dict(freeterm.free_generators(L))
+    assert [evaluate(t, L, assignment) for t in ts] == list(range(L.n))
+
+
+def test_free_sublattices_up_to_nine_get_witnesses():
+    """Every lattice with n <= 9, every catalog lattice and their duals get
+    a witness exactly when they satisfy W and both semidistributive laws:
+    235 with n <= 9 and 13 in the catalog, each with its dual."""
+    witnessed = 0
+    for L in lattices_up_to_nine_and_catalog():
+        w = find_free_embedding(L)
+        assert (w is not None) == laws.is_finite_free_sublattice(L), L.cover_pairs()
+        if w is not None:
+            assert_witness(L, w)
+            witnessed += 1
+    assert witnessed == 2 * (235 + 13)
+
+
+@pytest.mark.parametrize("name", ["stacked_n5", "L13", "L15"])
+def test_witness_is_fast(name):
+    L = catalog.get(name)
+    started = time.perf_counter()
+    w = find_free_embedding(L)
+    assert time.perf_counter() - started < 0.1
+    assert_witness(L, w)
+
+
+def failure_holds(L, law, witness):
+    """Whether ``witness`` shows L failing ``law``, read straight off the
+    meet and join tables."""
+    meet_t, join_t = L.meet, L.join
+    le = lambda a, b: meet_t[a][b] == a  # noqa: E731
+    if law == "whitman":
+        a, b, c, d = witness
+        m, j = meet_t[a][b], join_t[c][d]
+        return le(m, j) and not (le(a, j) or le(b, j) or le(m, c) or le(m, d))
+    op, co = (join_t, meet_t) if law == "sd_join" else (meet_t, join_t)
+    a, b, c = witness
+    return op[a][b] == op[a][c] != op[a][co[b][c]]
+
+
+def test_reported_failures_hold_on_the_tables():
+    """The law a non-free lattice reports fails at the reported tuple, and
+    the laws before it in the order W, SD-join, SD-meet hold.  No lattice
+    with n <= 6 fails W, so the one with n = 7 that does is added."""
+    from latcheck.enumeration import all_lattices
+
+    order = ("whitman", "sd_join", "sd_meet")
+    cases = [catalog.get(name) for name in ("M3", "L1", "L2", "L3", "L4", "L5")]
+    cases += [L for n in range(1, 7) for L in all_lattices(n)
+              if not laws.is_finite_free_sublattice(L)]
+    cases += [L for L in all_lattices(7) if not laws.holds(L, "whitman")]
+    seen = set()
+    for L in cases:
+        law, witness = laws.free_sublattice_failure(L)
+        assert find_free_embedding(L) is None
+        assert failure_holds(L, law, witness), (law, witness)
+        assert all(laws.holds(L, earlier) for earlier in order[:order.index(law)])
+        seen.add(law)
+    assert seen == set(order)
 
 
 def test_parse_and_format_roundtrip():
