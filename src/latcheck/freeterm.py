@@ -219,7 +219,9 @@ def evaluate(t: FreeTerm, L: FiniteLattice, assignment: dict) -> int:
 
 def verify_free_embedding(L: FiniteLattice, terms) -> bool:
     """True iff element -> term is order-preserving and order-reflecting and
-    sends the meet/join tables to term-level meets and joins."""
+    sends the meet/join tables to term-level meets and joins.  The order
+    check already gives g(a ^ b) <= g(a) ^ g(b) and g(a) v g(b) <= g(a v b),
+    so only the other direction of each equality is tested."""
     ts = [terms[a] for a in range(L.n)]
     for a in range(L.n):
         for b in range(L.n):
@@ -227,9 +229,9 @@ def verify_free_embedding(L: FiniteLattice, terms) -> bool:
                 return False
     for a in range(L.n):
         for b in range(a + 1, L.n):
-            if not term_equal(ts[L.meet[a][b]], meet(ts[a], ts[b])):
+            if not leq(meet(ts[a], ts[b]), ts[L.meet[a][b]]):
                 return False
-            if not term_equal(ts[L.join[a][b]], join(ts[a], ts[b])):
+            if not leq(ts[L.join[a][b]], join(ts[a], ts[b])):
                 return False
     return True
 

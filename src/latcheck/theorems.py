@@ -73,8 +73,7 @@ def variety_membership(L):
     d = variety.in_n5_variety(L)
     if d:
         return True, None
-    off = d.offending
-    return False, f"not in the pentagon variety (SI factor of size {off.n})"
+    return False, f"not in the pentagon variety (SI factor of size {d.offending_size})"
 
 
 def profile_membership(prof):

@@ -24,12 +24,20 @@ and L is subdirectly irreducible iff the closures have a common member (the
 monolith collapses it).  ``all_congruences`` returns the whole of Con L for
 API callers, as the union-closure of the closures; only it is size-capped,
 since Con L can be exponential in n.
+
+The q whose closure holds p are p's kept set: the join-irreducibles that
+the meet-irreducible congruence paired with p keeps apart from their lower
+covers, whose classes are the quotient's join-irreducibles, ordered as in
+L.  An SI lattice with one join-irreducible is 2, and one with three, two of
+them comparable, is N5, so the membership verdict and the offending factor's
+size are read off the kept sets with no quotient; the factor list, the
+certificate, is built only when it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, reduce
+from dataclasses import dataclass, field
+from functools import cache, cached_property, reduce
 from itertools import combinations
 from operator import and_
 
@@ -185,22 +193,32 @@ def is_subdirectly_irreducible(L: FiniteLattice) -> bool:
     return bool(gens) and reduce(and_, gens) != 0
 
 
+def _kept_sets(L: FiniteLattice) -> list:
+    """The distinct kept sets, as masks: per join-irreducible p, the q whose
+    D*-closure holds p, which the meet-irreducible congruence paired with p
+    keeps apart from their lower covers."""
+    closure = _dependency(L)[1]
+    return list(dict.fromkeys(sum(1 << q for q, c in closure.items() if c >> p & 1)
+                              for p in closure))
+
+
 def meet_irreducible_congruences(L: FiniteLattice) -> list:
     """Congruences with exactly one upper cover in the congruence lattice:
     for each join-irreducible congruence con(p_*, p), the one collapsing
-    every q whose closure misses p."""
-    closure = _dependency(L)[1]
-    collapsed = {sum(1 << q for q, c in closure.items() if not c >> p & 1) for p in closure}
-    return sorted((_congruence(L, s) for s in collapsed), key=_congruence_order)
+    every q outside p's kept set."""
+    return sorted((_congruence(L, ~kept) for kept in _kept_sets(L)), key=_congruence_order)
 
 
-def _is_m3(L: FiniteLattice, c: Congruence) -> bool:
-    """Whether the five-block quotient L/c is M3 rather than N5: its three
-    join-irreducibles, the classes of the p in J(L) not congruent to p_*,
-    are pairwise incomparable (p v q is congruent to neither p nor q)."""
-    ps = [p for p in _dependency(L)[1] if not c.same(p, L.lower_covers(p)[0])]
-    return not any(c.same(L.join[p][q], p) or c.same(L.join[p][q], q)
-                   for p, q in combinations(ps, 2))
+def _member_class(L: FiniteLattice, kept) -> str | None:
+    """The SI member of V(N5) that the quotient keeping ``kept`` is, if it
+    is one: an SI lattice with one join-irreducible is 2, and one with
+    three, two of them comparable, is N5."""
+    ps = list(iter_bits(kept))
+    if len(ps) == 1:
+        return "chain(2)"
+    if len(ps) == 3 and any(L.leq(a, b) or L.leq(b, a) for a, b in combinations(ps, 2)):
+        return "N5"
+    return None
 
 
 @cache
@@ -212,46 +230,63 @@ def _small_si_forms() -> dict:
 
 def si_factors(L: FiniteLattice) -> list:
     """Quotients by all meet-irreducible congruences, one per isomorphism
-    class, in canonical-form order.  An SI lattice has 2, 5 or at least 6
-    elements, since one with at most four is distributive and 2 is the only
-    SI distributive lattice; with five it is N5 or M3 (:func:`_is_m3`).  So
-    the class of a quotient with 2 or 5 blocks is known before it is built:
-    only the first of each is built, and only quotients with six or more
-    blocks are canonicalised."""
+    class, in canonical-form order.  The class of a quotient is read off its
+    kept set where that settles it: one element gives 2, three with a
+    comparable pair N5, and three pairwise incomparable with five blocks
+    M3.  Only the first congruence of each of those classes is turned into
+    a quotient, and only the other quotients are canonicalised."""
     small = _small_si_forms()
+    kept_of = {_congruence(L, ~kept): kept for kept in _kept_sets(L)}
     seen = {}
-    for c in meet_irreducible_congruences(L):
-        k = c.block_count
-        if k == 2 or k == 5:
-            form = small["chain(2)" if k == 2 else "M3" if _is_m3(L, c) else "N5"]
-            if form not in seen:
-                seen[form] = quotient(L, c)
-        else:
+    for c in sorted(kept_of, key=_congruence_order):
+        kept = kept_of[c]
+        name = _member_class(L, kept) or (
+            "M3" if kept.bit_count() == 3 and c.block_count == 5 else None)
+        if name is None:
             q = quotient(L, c)
             seen.setdefault(canonical_form(q), q)
+        elif small[name] not in seen:
+            seen[small[name]] = quotient(L, c)
     return [seen[k] for k in sorted(seen)]
 
 
 @dataclass(frozen=True)
 class VarietyDecision:
-    member: bool
-    factors: tuple
-    offending: FiniteLattice | None = None
+    """Membership in V(N5) with the size of the offending SI factor (None
+    for a member).  The certificate, ``factors`` and ``offending``, is built
+    by one :func:`si_factors` call on first read and then kept."""
+
+    lattice: FiniteLattice = field(repr=False, compare=False)
+    offending_size: int | None
+
+    @property
+    def member(self) -> bool:
+        return self.offending_size is None
 
     def __bool__(self):
         return self.member
 
+    @cached_property
+    def factors(self) -> tuple:
+        return tuple(si_factors(self.lattice))
+
+    @cached_property
+    def offending(self) -> FiniteLattice | None:
+        # the SI members are 2 and N5; of the SI lattices with five
+        # elements, N5 has two atoms and M3 three
+        return None if self.member else next(
+            q for q in self.factors if q.n > 2 and not (q.n == 5 and len(atoms(q)) == 2))
+
 
 @cached
 def in_n5_variety(L: FiniteLattice) -> VarietyDecision:
-    """Exact membership in the variety generated by the pentagon, with the
-    subdirectly irreducible factor list as certificate.  The decision is
-    kept by :func:`core.cached`, so the factors are computed once per
+    """Exact membership in the variety generated by the pentagon, decided
+    from the kept sets with no quotient: L is a member iff every kept set is
+    that of 2 or N5, and otherwise the offending factor's size is the least
+    block count over the other kept sets.  The decision is kept by
+    :func:`core.cached`, so its certificate is built at most once per
     lattice."""
-    factors = tuple(si_factors(L))
-    for q in factors:
-        # the SI members are 2 and N5; of the SI lattices with five
-        # elements, N5 has two atoms and M3 three
-        if q.n > 2 and not (q.n == 5 and len(atoms(q)) == 2):
-            return VarietyDecision(False, factors, q)
-    return VarietyDecision(True, factors)
+    jdown = _dependency(L)[0]
+    sizes = [len({d & kept for d in jdown}) for kept in _kept_sets(L)
+             if _member_class(L, kept) is None]
+    return VarietyDecision(L, min(sizes, default=None))

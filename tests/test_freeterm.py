@@ -163,6 +163,17 @@ def test_verify_chain2_embedding():
     assert not verify_free_embedding(c2, {0: join(x, y), 1: meet(x, y)})
 
 
+def test_verify_rejects_order_embedding_that_breaks_a_join():
+    """B2 -> {x ^ y, x, y, x v y v z} is an order-embedding with a ^ b sent
+    to x ^ y, but a v b is not sent to x v y; the dual map breaks a meet."""
+    b2 = catalog.grid(2)
+    bottom, top = b2.bottom, b2.top
+    a, b = [e for e in range(4) if e not in (bottom, top)]
+    assert not verify_free_embedding(b2, {bottom: meet(x, y), a: x, b: y, top: join(x, y, z)})
+    assert not verify_free_embedding(b2, {bottom: meet(x, y, z), a: x, b: y, top: join(x, y)})
+    assert verify_free_embedding(b2, {bottom: meet(x, y), a: x, b: y, top: join(x, y)})
+
+
 def test_pentagon_witness_search():
     n5 = catalog.get("N5")
     w = find_free_embedding(n5)

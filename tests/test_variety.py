@@ -174,17 +174,36 @@ def test_membership_product_multiplicative():
 
 
 def test_membership_decided_once_per_lattice(monkeypatch):
-    """The decision is kept in the lattice's cache: a direct call and then
-    the N-full gate on the same lattice compute its SI factors once."""
+    """The verdict and the N-full gate read the kept sets and build no
+    quotient, for a member and a non-member; the certificate is built by
+    one si_factors call on the first read of ``factors`` and then kept in
+    the decision, which the lattice's cache keeps."""
     calls = []
-    real = variety.si_factors
-    monkeypatch.setattr(variety, "si_factors", lambda L: calls.append(L) or real(L))
-    L = direct_product(catalog.get("N5"), catalog.chain(2))
-    decision = in_n5_variety(L)
-    reports = theorems.run_profile(L, "N-full")
-    assert decision.member and not any(r.skipped for r in reports)
-    assert in_n5_variety(L) is decision
-    assert calls == [L]
+    real_factors, real_quotient = variety.si_factors, variety.quotient
+    monkeypatch.setattr(variety, "si_factors",
+                        lambda L: calls.append("si_factors") or real_factors(L))
+    monkeypatch.setattr(variety, "quotient",
+                        lambda L, c: calls.append("quotient") or real_quotient(L, c))
+    n5 = catalog.get("N5")
+    member, non_member = direct_product(n5, catalog.chain(2)), direct_product(n5, catalog.get("M3"))
+    reports = {}
+    for L in (member, non_member):
+        decision = in_n5_variety(L)
+        reports[L] = theorems.run_profile(L, "N-full")
+        assert in_n5_variety(L) is decision
+    gate = theorems.variety_membership(non_member)
+    assert calls == []
+    assert in_n5_variety(member) and not any(r.skipped for r in reports[member])
+    # N5 x M3 fails W and has doubly reducible elements, so every N-full
+    # check is skipped before the gate's reason is read
+    assert not in_n5_variety(non_member) and all(r.skipped for r in reports[non_member])
+    assert gate == (False, "not in the pentagon variety (SI factor of size 5)")
+    decision = in_n5_variety(non_member)
+    factors = decision.factors
+    assert calls.count("si_factors") == 1
+    calls.clear()
+    assert decision.factors is factors and decision.offending.n == 5
+    assert calls == []
 
 
 def test_size_cap():
@@ -235,14 +254,22 @@ def test_principal_congruence_matches_union_find_referee(source):
 
 @pytest.mark.parametrize("source", [*range(1, 9), "catalog"])
 def test_membership_matches_quotient_referee(source):
-    """The decision, its factors' labels in order and the offending factor's
-    labels, against the quotients by every meet-irreducible congruence of
-    the whole of Con L."""
+    """The decision, its factors' labels in order, the offending factor's
+    labels, the offending size the gate reads and the N-full skip reason,
+    against the quotients by every meet-irreducible congruence of the whole
+    of Con L."""
     for L in _with_duals(source):
         d = in_n5_variety(L)
         got = (d.member, [f.labels for f in d.factors],
                None if d.offending is None else d.offending.labels)
-        assert got == n5_variety_oracle(L), L.labels
+        want = n5_variety_oracle(L)
+        assert got == want, L.labels
+        size = None if want[2] is None else len(want[2])
+        reason = None if size is None else f"not in the pentagon variety (SI factor of size {size})"
+        assert d.offending_size == size and theorems.variety_membership(L) == (size is None, reason)
+        reasons = {r.skip_reason for r in theorems.run_profile(L, "N-full")}
+        assert reasons - {None, reason} <= {"fails Whitman's condition",
+                                           "has doubly reducible elements"}, L.labels
 
 
 def test_one_quotient_per_two_block_factor(monkeypatch):
@@ -346,11 +373,12 @@ def test_si_members_of_the_pentagon_variety():
     assert forms == {canonical_form(catalog.chain(2)), canonical_form(n5)}
 
 
-def test_si_factor_from_256_blocks():
+def test_si_factor_from_256_blocks(monkeypatch):
     """A chain c0 < ... < c129 with a side element s_i over each c_(i-1)
     and under c_(i+2): overlapping pentagons, n = 257, subdirectly
     irreducible, so its own quotient is a factor to canonicalise; the
-    canonical form wrote its size in one byte and raised ValueError."""
+    canonical form wrote its size in one byte and raised ValueError.  The
+    gate reads the factor's size off the kept sets, with no quotient."""
     m = 129
     labels = [f"c{i}" for i in range(m + 1)] + [f"s{i}" for i in range(1, m - 1)]
     covers = [(f"c{i}", f"c{i + 1}") for i in range(m)]
@@ -358,5 +386,11 @@ def test_si_factor_from_256_blocks():
     covers += [(f"s{i}", f"c{i + 2}") for i in range(1, m - 1)]
     L = build_lattice(CoverDiagram(tuple(labels), tuple(covers)))
     assert L.n == 257 and is_subdirectly_irreducible(L)
+    calls = []
+    real = variety.quotient
+    monkeypatch.setattr(variety, "quotient", lambda L, c: calls.append(c) or real(L, c))
+    assert theorems.variety_membership(L) == (
+        False, "not in the pentagon variety (SI factor of size 257)")
+    assert calls == []
     d = in_n5_variety(L)
     assert not d.member and [f.n for f in d.factors] == [2, 257] and d.offending.n == 257
