@@ -12,18 +12,18 @@ pairwise non-isomorphism, so a misread edge fails loudly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 
 from .core import SIZE_CAP, CoverDiagram, FiniteLattice, build_lattice
 from .errors import BadParameter, SizeLimit, UnknownName
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    diagram: CoverDiagram
-    expected: dict = field(default_factory=dict)
+class CatalogEntry(namedtuple("CatalogEntry", "name diagram expected")):
+    __slots__ = ()
+
+    def __new__(cls, name, diagram, expected=None):
+        return super().__new__(cls, name, diagram, {} if expected is None else expected)
 
     def build(self) -> FiniteLattice:
         return build_lattice(self.diagram)

@@ -12,7 +12,10 @@ timing field stays null unless --timing is passed, and then counts the wall
 time from dispatch, the command's own imports included.
 
 Each command imports only the modules it runs, inside its cmd_* function,
-so a call pays start-up for what it uses and nothing else.
+so a call pays start-up for what it uses and nothing else.  No latcheck
+module imports the standard library's data-class generator (PEP 557),
+which would load ``inspect`` and ``ast`` and run ``exec`` per record class
+at start-up; the records are named tuples and plain classes.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ def cmd_check(args):
 
     L, name = load_lattice(args.file)
     p = laws.law_profile(L)
-    results = {"name": name, "elements": L.n, **vars(p),
+    results = {"name": name, "elements": L.n, **p._asdict(),
                "dilworth_bound_holds": laws.dilworth_bound_holds(L)}
     # indices become labels in place, so the key keeps its position
     results["doubly_reducible"] = [L.labels[e] for e in p.doubly_reducible]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     BadParameter,
@@ -120,18 +120,14 @@ def _longest(n, covers, below):
     return tuple(h)
 
 
-@dataclass(frozen=True)
-class CoverDiagram:
+class CoverDiagram(namedtuple("CoverDiagram", "elements covers name")):
     """Hasse-diagram input data: ``covers`` holds pairs ``(a, b)`` meaning
     ``b`` covers ``a``."""
 
-    elements: tuple
-    covers: tuple
-    name: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "covers", tuple((a, b) for a, b in self.covers))
+    def __new__(cls, elements, covers, name=None):
+        return super().__new__(cls, tuple(elements), tuple((a, b) for a, b in covers), name)
 
     def validate(self):
         seen = set()
@@ -657,13 +653,10 @@ def isomorphism(A: FiniteLattice, B: FiniteLattice):
     return tuple(mapping)
 
 
-@dataclass(frozen=True)
-class EmbeddingWitness:
+class EmbeddingWitness(namedtuple("EmbeddingWitness", "source target map")):
     """An injective map whose image is a sublattice isomorphic to the source."""
 
-    source: FiniteLattice
-    target: FiniteLattice
-    map: tuple
+    __slots__ = ()
 
     def is_valid(self) -> bool:
         S, T, f = self.source, self.target, self.map

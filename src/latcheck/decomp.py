@@ -26,16 +26,29 @@ graph and reads each block's shape off its join-irreducibles
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import laws
 from .core import FiniteLattice, _Budget, bounds, cached, is_interval, is_sublattice_set, iter_bits
 from .errors import NotAPartition, NotDistributive
 
 
-@dataclass(frozen=True)
 class DistributivePartition:
-    blocks: tuple  # of frozensets, ordered by least member
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks):
+        self.blocks = blocks  # a tuple of frozensets, ordered by least member
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
+
+    def __repr__(self):
+        return f"DistributivePartition(blocks={self.blocks!r})"
 
     @staticmethod
     def from_blocks(blocks) -> "DistributivePartition":
@@ -51,11 +64,8 @@ class DistributivePartition:
         return tuple(tuple(sorted(b)) for b in self.blocks)
 
 
-@dataclass(frozen=True)
-class PartitionCheck:
-    holds: bool
-    clause: str | None = None
-    involved: tuple | None = None
+class PartitionCheck(namedtuple("PartitionCheck", "holds clause involved", defaults=(None, None))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.holds
@@ -222,13 +232,13 @@ def minimum_distributive_partitions(L: FiniteLattice, budget=None):
 # -- Galvin-Jonsson shape classification -------------------------------------
 
 
-@dataclass(frozen=True)
-class GJDecomposition:
+class GJDecomposition(namedtuple("GJDecomposition", "blocks shapes")):
     """Linear-sum decomposition of a finite distributive lattice into blocks
-    each shaped like a chain, 2 x chain, or the Boolean cube."""
+    each shaped like a chain, 2 x chain, or the Boolean cube: ``blocks``
+    holds ascending index tuples, bottom block first, and ``shapes`` their
+    tags from {"chain", "two_times_chain", "boolean3"}."""
 
-    blocks: tuple  # of ascending index tuples, listed bottom block first
-    shapes: tuple  # tags from {"chain", "two_times_chain", "boolean3"}
+    __slots__ = ()
 
 
 def _shape_tag(D, inner):

@@ -15,7 +15,7 @@ search tree, spends one node of the budget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import catalog, laws
 from .core import EmbeddingWitness, FiniteLattice, _Budget, cached
@@ -181,12 +181,10 @@ def find_embedding(pattern: FiniteLattice, host: FiniteLattice, budget=None):
     return next(iter_embeddings(pattern, host, budget), None)
 
 
-@dataclass(frozen=True)
-class ForbiddenProfile:
+class ForbiddenProfile(namedtuple("ForbiddenProfile", "name patterns")):
     """A named set of catalog lattices that must not occur as sublattices."""
 
-    name: str
-    patterns: tuple
+    __slots__ = ()
 
     def lattices(self):
         return [(p, catalog.get(p)) for p in self.patterns]

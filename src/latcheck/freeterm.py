@@ -65,7 +65,8 @@ def _gen_sketch(name):
 
 
 def _make(kind, name, args):
-    key = (kind, name) if kind == "gen" else (kind, args)
+    # a generator is kept under its bare name, which no (kind, args) key equals
+    key = name if kind == "gen" else (kind, args)
     t = _INTERN.get(key)
     if t is None:
         t = object.__new__(FreeTerm)
@@ -93,14 +94,21 @@ def _make(kind, name, args):
 
 
 def gen(name: str) -> FreeTerm:
-    return _make("gen", name, None)
+    """The generator ``name``, which starts with a letter or "_", as an
+    identifier of the surface syntax does."""
+    t = _INTERN.get(name)
+    if t is None:
+        if not (name[:1].isalpha() or name[:1] == "_"):
+            raise BadParameter(f"generator name {name!r} does not start with a letter or '_'")
+        t = _make("gen", name, None)
+    return t
 
 
 def _combine(kind, args) -> FreeTerm:
     """The ``kind`` ("join" or "meet") of ``args``; one argument is itself."""
     if not args:
         raise BadParameter(f"{kind} needs at least one argument")
-    return args[0] if len(args) == 1 else _make(kind, None, args)
+    return args[0] if len(args) == 1 else _make(kind, None, tuple(args))
 
 
 def join(*args) -> FreeTerm:
@@ -369,25 +377,29 @@ def parse_term(text: str) -> FreeTerm:
     stack = []
     joinands, meetands, opened = [], [], None
     want_factor = True
+    interned = _INTERN.get  # only gen() files string keys, all identifiers
     for pos, tok in enumerate(tokens):
         if want_factor:
-            if tok == "(":
-                stack.append((joinands, meetands, opened))
-                joinands, meetands, opened = [], [], pos
-                continue
-            if not (tok[0].isalpha() or tok[0] == "_"):
-                raise _parse_error(text, f"unexpected token {tok!r}", pos, pos)
-            meetands.append(gen(tok))
+            t = interned(tok)
+            if t is None:
+                if tok == "(":
+                    stack.append((joinands, meetands, opened))
+                    joinands, meetands, opened = [], [], pos
+                    continue
+                if not (tok[0].isalpha() or tok[0] == "_"):
+                    raise _parse_error(text, f"unexpected token {tok!r}", pos, pos)
+                t = gen(tok)
+            meetands.append(t)
             want_factor = False
         elif tok == "&":
             want_factor = True
         elif tok == "|":
-            joinands.append(meet(*meetands))
+            joinands.append(_combine("meet", meetands))
             meetands = []
             want_factor = True
         elif tok == ")" and opened is not None:
-            joinands.append(meet(*meetands))
-            t = join(*joinands)
+            joinands.append(_combine("meet", meetands))
+            t = _combine("join", joinands)
             joinands, meetands, opened = stack.pop()
             meetands.append(t)
         elif opened is None:
@@ -398,8 +410,8 @@ def parse_term(text: str) -> FreeTerm:
         raise _parse_error(text, "unexpected end of term", len(tokens), len(tokens))
     if opened is not None:
         raise _parse_error(text, "missing closing parenthesis", opened, len(tokens))
-    joinands.append(meet(*meetands))
-    return join(*joinands)
+    joinands.append(_combine("meet", meetands))
+    return _combine("join", joinands)
 
 
 def format_term(t: FreeTerm) -> str:

@@ -15,32 +15,22 @@ reducible elements are read off the cached covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import FiniteLattice, cached, iter_bits
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(namedtuple("Check", "holds witness", defaults=(None,))):
     """Predicate outcome with the first counterexample when it fails."""
 
-    holds: bool
-    witness: tuple | None = None
+    __slots__ = ()
 
     def __bool__(self):
         return self.holds
 
 
-@dataclass(frozen=True)
-class LawProfile:
-    whitman: bool
-    sd_join: bool
-    sd_meet: bool
-    distributive: bool
-    modular: bool
-    doubly_reducible: tuple
-    length: int
-    free_sublattice_finite: bool
+LawProfile = namedtuple("LawProfile", "whitman sd_join sd_meet distributive modular "
+                                      "doubly_reducible length free_sublattice_finite")
 
 
 def _whitman_holds(L: FiniteLattice) -> bool:

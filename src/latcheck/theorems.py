@@ -25,7 +25,6 @@ degeneracy lemma's convex sublattices are intervals, listed directly by
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
 
 from . import catalog, embed, laws, variety
 from .core import (
@@ -45,23 +44,45 @@ from .decomp import dec, is_distributive_sublattice
 from .errors import HypothesisViolated, LatcheckError, UnknownProfile
 
 
-@dataclass
 class TheoremReport:
-    theorem: str
-    lattice: str
-    hypothesis_instances: int = 0
-    conclusion_violations: list = field(default_factory=list)
-    vacuous: bool = False
-    skipped: bool = False
-    skip_reason: str | None = None
-    details: dict = field(default_factory=dict)
+    """One check's outcome on one lattice, filled in by the check.  Reports
+    compare by their fields and are not hashable, as they change."""
+
+    __slots__ = ("theorem", "lattice", "hypothesis_instances", "conclusion_violations",
+                 "vacuous", "skipped", "skip_reason", "details")
+
+    def __init__(self, theorem, lattice, hypothesis_instances=0, conclusion_violations=None,
+                 vacuous=False, skipped=False, skip_reason=None, details=None):
+        self.theorem = theorem
+        self.lattice = lattice
+        self.hypothesis_instances = hypothesis_instances
+        self.conclusion_violations = [] if conclusion_violations is None else conclusion_violations
+        self.vacuous = vacuous
+        self.skipped = skipped
+        self.skip_reason = skip_reason
+        self.details = {} if details is None else details
+
+    def _fields(self):
+        return [(f, getattr(self, f)) for f in self.__slots__]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "TheoremReport(" + ", ".join(f"{f}={v!r}" for f, v in self._fields()) + ")"
 
     @property
     def holds(self):
         return not self.skipped and not self.conclusion_violations
 
     def to_dict(self):
-        return asdict(self)
+        """The fields in order, deep-copied, so changing the dict leaves the
+        report as it is."""
+        import copy
+
+        return copy.deepcopy(dict(self._fields()))
 
 
 def _name_of(L, name):

@@ -36,7 +36,7 @@ certificate, is built only when it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, cached_property, reduce
 from itertools import combinations
 from operator import and_
@@ -48,12 +48,11 @@ from .errors import SizeLimit
 CONGRUENCE_CAP = 16
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(namedtuple("Congruence", "block_index")):
     """A meet/join-compatible partition, stored as a block index per element
     (blocks numbered by first occurrence)."""
 
-    block_index: tuple
+    __slots__ = ()
 
     @property
     def n(self):
@@ -250,14 +249,26 @@ def si_factors(L: FiniteLattice) -> list:
     return [seen[k] for k in sorted(seen)]
 
 
-@dataclass(frozen=True)
 class VarietyDecision:
     """Membership in V(N5) with the size of the offending SI factor (None
     for a member).  The certificate, ``factors`` and ``offending``, is built
-    by one :func:`si_factors` call on first read and then kept."""
+    by one :func:`si_factors` call on first read and then kept.  Equality,
+    hash and repr read ``offending_size`` alone, never the lattice."""
 
-    lattice: FiniteLattice = field(repr=False, compare=False)
-    offending_size: int | None
+    def __init__(self, lattice: FiniteLattice, offending_size: int | None):
+        self.lattice = lattice
+        self.offending_size = offending_size
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.offending_size == other.offending_size
+
+    def __hash__(self):
+        return hash(self.offending_size)
+
+    def __repr__(self):
+        return f"VarietyDecision(offending_size={self.offending_size!r})"
 
     @property
     def member(self) -> bool:

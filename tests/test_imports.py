@@ -103,6 +103,60 @@ def test_check_loads_only_what_it_runs(tmp_path):
                          "latcheck.enumeration"}
 
 
+# runs in a fresh interpreter: imports every latcheck submodule, then prints
+# on stderr what that added to sys.modules
+ALL_MODULES_PROBE = """
+import json, os, sys
+before = set(sys.modules)
+import latcheck
+for f in sorted(os.listdir(os.path.dirname(latcheck.__file__))):
+    if f.endswith(".py") and f != "__init__.py":
+        __import__("latcheck." + f[:-3])
+print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
+"""
+
+# dataclasses imports inspect, ast, dis, tokenize, linecache and copy, and
+# each frozen @dataclass runs exec at class creation: start-up a one-shot
+# CLI call pays for on every verdict
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+def test_no_import_path_loads_dataclasses(tmp_path):
+    cli.write_lattice_file(str(tmp_path / "N5.json"),
+                           cli.diagram_of(catalog.get("N5"), name="N5"))
+    everything = loaded_modules(probe=ALL_MODULES_PROBE)
+    assert "latcheck.theorems" in everything and "latcheck.freeterm" in everything
+    assert not everything & SLOW_IMPORTS
+    for argv in (("check", "N5.json"), ("variety", "N5.json"), ("dec", "N5.json"),
+                 ("find-forbidden", "N5.json", "--profile", "N"),
+                 ("verify-theorems", "--size", "4"), ("freelat", "embed", "N5.json")):
+        loaded = loaded_modules(*argv, cwd=tmp_path)
+        assert "latcheck.cli" in loaded, argv
+        assert not loaded & SLOW_IMPORTS, argv
+
+
+def test_no_dataclasses_or_typing_import():
+    # site may load typing before any test runs, so only the sources can
+    # show that latcheck does not import it
+    package = os.path.join(SRC, "latcheck")
+    found = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename)) as f:
+            tree = ast.parse(f.read(), filename)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{filename}:{node.lineno} {m}" for m in names
+                      if m.split(".")[0] in ("dataclasses", "typing")]
+    assert not found
+
+
 def test_enumerate_without_filters_loads_no_predicate_module():
     loaded = loaded_modules("enumerate", "--size", "4")
     assert "latcheck.enumeration" in loaded
