@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
     SearchBudgetExceeded,
     SizeLimit,
+    node_count,
 )
 
 # CoverDiagram and FiniteLattice in annotations are core's; annotations are
@@ -492,6 +493,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     started = time.perf_counter()
     try:
+        # a bad budget is an input error on every command, searching or not
+        if args.budget is not None:
+            node_count(args.budget, "search node budget")
+        if os.environ.get("LATCHECK_BUDGET"):
+            node_count(os.environ["LATCHECK_BUDGET"], "LATCHECK_BUDGET")
         command, input_desc, results, violations = args.fn(args)
         emit(args, command, input_desc, results, violations, started)
     except (SearchBudgetExceeded, SizeLimit) as exc:

@@ -26,7 +26,6 @@ import os
 from collections import namedtuple
 
 from .errors import (
-    BadParameter,
     CyclicCovers,
     DuplicateLabel,
     EmptySeeds,
@@ -34,23 +33,17 @@ from .errors import (
     NotALattice,
     SearchBudgetExceeded,
     SizeLimit,
+    node_count,
 )
 
 SIZE_CAP = 400  # elements of a direct product or a catalog family
 DEFAULT_BUDGET = 20_000_000
 
 
-def _node_count(value, what):
-    """``value`` as a node count; BadParameter unless a non-negative integer."""
-    if not str(value).strip().isdecimal():
-        raise BadParameter(f"{what} must be a non-negative integer, got {value!r}")
-    return int(value)
-
-
 def default_budget():
     """``LATCHECK_BUDGET`` when it is set, else DEFAULT_BUDGET."""
     env = os.environ.get("LATCHECK_BUDGET")
-    return _node_count(env, "LATCHECK_BUDGET") if env else DEFAULT_BUDGET
+    return node_count(env, "LATCHECK_BUDGET") if env else DEFAULT_BUDGET
 
 
 class _Budget:
@@ -62,7 +55,7 @@ class _Budget:
 
     def __init__(self, nodes=None):
         self.left = self.total = (default_budget() if nodes is None
-                                  else _node_count(nodes, "search node budget"))
+                                  else node_count(nodes, "search node budget"))
 
     @classmethod
     def of(cls, budget):

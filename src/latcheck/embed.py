@@ -46,23 +46,42 @@ def _levels(order, leq, apart, facts, ascending=()):
     return levels
 
 
+def _statistics(L: FiniteLattice):
+    """Seven per-element statistics of ``L``, one column each: height,
+    depth, |up-set|, |down-set|, the numbers of upper and lower covers, and
+    the number of incomparable elements.  A sublattice embedding f can only
+    raise each of them, so a host element with a smaller value than a is
+    never f(a).  Heights, depths and the set sizes: f is injective and
+    keeps and reflects order.  Incomparables: f takes a pair a || c to a
+    pair f(a) || f(c), on distinct elements.  Lower covers: if b1 ... bk
+    are the lower covers of a, then bi v bj = a and so f(bi) v f(bj) = f(a)
+    for i != j; each f(bi) < f(a) lies below some lower cover of f(a), and
+    no two below the same one, whose join would stay below it, so f(a) has
+    at least k lower covers.  Upper covers follow dually."""
+    n, ups, downs = L.n, [u.bit_count() for u in L.up], [w.bit_count() for w in L.down]
+    return (L.heights(), L.depths(), ups, downs,
+            [len(L.upper_covers(a)) for a in range(n)],
+            [len(L.lower_covers(a)) for a in range(n)],
+            [n + 1 - u - w for u, w in zip(ups, downs)])
+
+
 @cached
 def _plan(pattern: FiniteLattice):
     """The pattern side of the search, built once per pattern and kept by
-    :func:`core.cached`: each element's (height, depth, |up-set|,
-    |down-set|), and the :func:`_levels` of its order, meet and join facts
-    in the search's element order (most-constrained cover degree first)."""
-    n, ph, pd = pattern.n, pattern.heights(), pattern.depths()
+    :func:`core.cached`: each element's seven :func:`_statistics`, which
+    its image must reach, and the :func:`_levels` of its order, meet and
+    join facts in the search's element order (most-constrained cover degree
+    first)."""
+    n, ph = pattern.n, pattern.heights()
     order = sorted(
         range(n),
         key=lambda a: (-(len(pattern.upper_covers(a)) + len(pattern.lower_covers(a))),
                        ph[a], a),
     )
-    stats = [(ph[a], pd[a], pattern.up[a].bit_count(), pattern.down[a].bit_count())
-             for a in range(n)]
     facts = [(t, x, y, pt[x][y]) for x, y in itertools.combinations(range(n), 2)
              for t, pt in enumerate((pattern.meet, pattern.join)) if pt[x][y] not in (x, y)]
-    return stats, _levels(order, pattern.leq, pattern.incomparable, facts)
+    return list(zip(*_statistics(pattern))), _levels(order, pattern.leq, pattern.incomparable,
+                                                     facts)
 
 
 def configuration(names, leq=(), apart=(), facts=(), ascending=(), pattern=None):
@@ -71,10 +90,10 @@ def configuration(names, leq=(), apart=(), facts=(), ascending=(), pattern=None)
     y for each pair in ``apart``, x op y = z for each (op, x, y, z) in
     ``facts``, op "meet" or "join", and x on a lower host index than y for
     each (x, y) in ``ascending``, x placed before y, which lists each set of
-    interchangeable elements once; every host element is feasible for each.
-    With a ``pattern``, the first pattern.n names are its elements, placed
-    first as by its own plan, and each pair and fact involves a later
-    name."""
+    interchangeable elements once; every host element is feasible for each,
+    so the plan holds no statistics.  With a ``pattern``, the first
+    pattern.n names are its elements, placed first as by its own plan, with
+    its statistics, and each pair and fact involves a later name."""
     stats, levels = _plan(pattern) if pattern is not None else ([], [])
     p, index = len(stats), {x: i for i, x in enumerate(names)}
     le = {(index[x], index[y]) for x, y in leq}
@@ -84,17 +103,17 @@ def configuration(names, leq=(), apart=(), facts=(), ascending=(), pattern=None)
     facts = [(("meet", "join").index(t), index[x], index[y], index[z]) for t, x, y, z in facts]
     order = [lv[0] for lv in levels] + list(range(p, len(names)))
     rest = _levels(order, lambda a, b: (a, b) in le, lambda a, b: (a, b) in ap, facts, asc)[p:]
-    return stats + [(0, 0, 0, 0)] * (len(names) - p), levels + rest
+    return stats, levels + rest
 
 
 @cached
 def _host_tables(host: FiniteLattice):
-    """For the host's heights, depths, and up- and down-set sizes, each
-    ``ge``: ``ge[v]`` is the mask of the elements whose value is at least v,
-    for v = 0..n.  Built once per host and kept by :func:`core.cached`."""
+    """For each of the host's seven :func:`_statistics`, ``ge``: ``ge[v]``
+    is the mask of the elements whose value is at least v, for v = 0..n.
+    Built once per host, and only for a plan with statistics, and kept by
+    :func:`core.cached`."""
     tables = []
-    for values in (host.heights(), host.depths(), [u.bit_count() for u in host.up],
-                   [w.bit_count() for w in host.down]):
+    for values in _statistics(host):
         ge = [0] * (host.n + 1)
         for h, v in enumerate(values):
             ge[v] |= 1 << h
@@ -109,17 +128,21 @@ def iter_matches(plan, host: FiniteLattice, budget=None, images=None):
     that keeps its facts, as the tuple of their images; with ``images``, one
     host element per plan element, only that placement, if it keeps them.
 
-    Backtracking over the plan's levels (see :func:`_levels`).  Each level
-    computes its candidates as one host bitmask: the element's feasible
-    images (height, depth and up- and down-set sizes at least its own)
-    outside the image, below the images of the placed elements above it,
-    above those below it, comparable to none of the placed elements
-    incomparable to it, and past those it must follow in host index; when
-    it is x op y with x and y placed, its image is forced to the host's
-    x op y.  Each candidate, in ascending order, is then checked against
-    the level's remaining meet and join facts and against every pending
-    x op y, whose host value must not yet be in the image: its z is placed
-    later, on an element outside the image.
+    Backtracking over the plan's levels (see :func:`_levels`).  An element
+    with statistics may go only to host elements where each of its seven
+    :func:`_statistics` is at least its own, read off the host's
+    :func:`_host_tables`; a plan with none, such as a configuration of
+    names only, reads no host table, and every host element is feasible.
+    When some element has no feasible image, the search ends before its
+    first node.  Each level computes its candidates as one host bitmask:
+    the element's feasible images outside the image, below the images of
+    the placed elements above it, above those below it, comparable to none
+    of the placed elements incomparable to it, and past those it must
+    follow in host index; when it is x op y with x and y placed, its image
+    is forced to the host's x op y.  Each candidate, in ascending order, is
+    then checked against the level's remaining meet and join facts and
+    against every pending x op y, whose host value must not yet be in the
+    image: its z is placed later, on an element outside the image.
 
     The budget, a node count or a :class:`core._Budget` shared with other
     searches, counts one node per candidate tried; the feasibility masks
@@ -131,11 +154,16 @@ def iter_matches(plan, host: FiniteLattice, budget=None, images=None):
     if m > host.n:
         return
     budget = _Budget.of(budget)
-    # every statistic of a plan element is at most m <= host.n
-    ge_h, ge_d, ge_u, ge_w = _host_tables(host)
-    feasible = [ge_h[h] & ge_d[d] & ge_u[u] & ge_w[w] for h, d, u, w in stats]
+    feasible = [host.full_mask] * m
+    if stats:
+        # every statistic of a plan element is at most m <= host.n
+        g0, g1, g2, g3, g4, g5, g6 = _host_tables(host)
+        feasible[:len(stats)] = [g0[h] & g1[d] & g2[u] & g3[w] & g4[uc] & g5[lc] & g6[i]
+                                 for h, d, u, w, uc, lc, i in stats]
     if images is not None:
         feasible = [mask & (1 << x) for mask, x in zip(feasible, images)]
+    if not all(feasible):
+        return
     f, ups, downs, tables = [0] * m, host.up, host.down, (host.meet, host.join)
     spend = budget.spend
 

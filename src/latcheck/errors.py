@@ -66,6 +66,13 @@ class BadParameter(LatcheckError):
     pass
 
 
+def node_count(value, what):
+    """``value`` as a node count; BadParameter unless a non-negative integer."""
+    if not str(value).strip().isdecimal():
+        raise BadParameter(f"{what} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 class UnknownProfile(LatcheckError):
     def __init__(self, name):
         self.name = name

@@ -10,8 +10,8 @@ import time
 
 import pytest
 
-from latcheck import catalog, cli
-from latcheck.core import are_isomorphic, build_lattice, direct_product
+from latcheck import catalog, cli, embed
+from latcheck.core import CoverDiagram, are_isomorphic, build_lattice, direct_product
 from latcheck.errors import ParseError
 
 
@@ -19,11 +19,11 @@ from latcheck.errors import ParseError
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
-def run_cli(args, **env):
+def run_cli(args, cwd=None, **env):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "latcheck.cli", *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True, text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=path, **env),
     )
     return proc
 
@@ -137,6 +137,56 @@ def test_variety_size_cap_exits_budget(tmp_path):
     proc = run_cli(["--budget", "3", "variety", str(path)])
     assert proc.returncode == cli.EXIT_BUDGET
     assert proc.stderr == "error: embedding search exceeded node budget 3\n"
+
+
+def _is_embedding_by_covers(pattern, covers, f):
+    """``f`` (pattern element -> host label) is injective, keeps and
+    reflects the order, and keeps meets and joins, read on the host's down-
+    and up-sets as closed from its cover pairs alone."""
+    lower, upper = {}, {}
+    for a, b in covers:
+        lower.setdefault(b, []).append(a)
+        upper.setdefault(a, []).append(b)
+
+    def closed(x, step, memo):
+        if x not in memo:
+            memo[x] = frozenset({x}).union(*(closed(y, step, memo) for y in step.get(x, ())))
+        return memo[x]
+
+    down, up = {}, {}
+    n = pattern.n
+    return len(set(f)) == n and all(
+        pattern.leq(a, b) == (f[a] in closed(f[b], lower, down))
+        and closed(f[pattern.meet[a][b]], lower, down)
+        == closed(f[a], lower, down) & closed(f[b], lower, down)
+        and closed(f[pattern.join[a][b]], upper, up)
+        == closed(f[a], upper, up) & closed(f[b], upper, up)
+        for a in range(n) for b in range(n))
+
+
+def test_variety_decides_a_large_subdirectly_irreducible_lattice(tmp_path):
+    """The 257-element SI lattice of test_variety::test_si_factor_from_256_blocks,
+    a chain c0 < ... < c129 with a side element s_i over each c_(i-1) and
+    under c_(i+2), is decided on the default budget, where its
+    forbidden-pattern cross-check ran the budget out; its L3 hit is checked
+    on the file's cover pairs with no use of the embedding search."""
+    m = 129
+    labels = [f"c{i}" for i in range(m + 1)] + [f"s{i}" for i in range(1, m - 1)]
+    covers = [(f"c{i}", f"c{i + 1}") for i in range(m)]
+    covers += [(f"c{i - 1}", f"s{i}") for i in range(1, m - 1)]
+    covers += [(f"s{i}", f"c{i + 2}") for i in range(1, m - 1)]
+    path = str(tmp_path / "si257.json")
+    cli.write_lattice_file(path, CoverDiagram(tuple(labels), tuple(covers), name="si257"))
+    proc = run_cli(["variety", path], LATCHECK_BUDGET="")  # empty: the default budget
+    assert proc.returncode == cli.EXIT_OK
+    results = json.loads(proc.stdout)["results"]
+    assert results["member"] is False and results["si_factor_sizes"] == [2, 257]
+    assert results["cross_check"]["forbidden_profile_hits"] == ["L3"]
+    L = cli.load_lattice(path)[0]
+    [(name, witness)] = embed.contains_forbidden(L, embed.profile("N"))
+    f = [L.labels[x] for x in witness.map]
+    assert name == "L3" and _is_embedding_by_covers(catalog.get("L3"), covers, f)
+    assert not _is_embedding_by_covers(catalog.get("L3"), covers, f[::-1])
 
 
 def test_deep_term_exits_budget_without_traceback():
@@ -264,7 +314,9 @@ def test_usage_error_exit():
 
 
 def test_budget_exit_code(tmp_path):
-    path = write_catalog_file(tmp_path, "stacked_n5")
+    n5 = catalog.get("N5")
+    path = str(tmp_path / "N5xN5.json")
+    cli.write_lattice_file(path, cli.diagram_of(direct_product(n5, n5), name="N5xN5"))
     proc = run_cli(["find-forbidden", path, "--profile", "N", "--budget", "3"])
     assert proc.returncode == cli.EXIT_BUDGET
 
@@ -290,6 +342,25 @@ def test_bad_budget_is_an_input_error(args, env, message):
     proc = run_cli([*args, "verify-theorems", "--size", "4", "--theorem", "cube"], **env)
     assert proc.returncode == cli.EXIT_INPUT
     assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "N5.json"], ["dec", "N5.json"], ["variety", "N5.json"],
+    ["find-forbidden", "N5.json", "--profile", "N"], ["verify-theorems", "--size", "4"],
+    ["enumerate", "--size", "3"], ["catalog", "--name", "N5"],
+    ["freelat", "leq", "x", "x | y"], ["freelat", "canon", "x & x"],
+    ["freelat", "embed", "N5.json"],
+], ids=lambda command: " ".join(command[:2]) if command[0] == "freelat" else command[0])
+def test_every_command_rejects_a_bad_budget(tmp_path, command):
+    """Before dispatch, so a command that never searches rejects it too."""
+    write_catalog_file(tmp_path, "N5")
+    for args, env, message in [
+        (["--budget", "-1"], {}, "search node budget must be a non-negative integer, got -1"),
+        ([], {"LATCHECK_BUDGET": "-5"}, "LATCHECK_BUDGET must be a non-negative integer, got '-5'"),
+    ]:
+        proc = run_cli([*args, *command], cwd=tmp_path, **env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_INPUT, "",
+                                                               f"error: {message}\n")
 
 
 def test_dec_has_no_size_cap_and_spends_budget(tmp_path):

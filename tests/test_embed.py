@@ -42,9 +42,13 @@ def test_order_embedded_pentagon_that_is_not_closed_is_rejected():
     assert embed.find_embedding(catalog.get("N5"), b3) is None
 
 
+def n5_squared():
+    return direct_product(catalog.get("N5"), catalog.get("N5"))
+
+
 def test_budget_exhaustion_raises():
     with pytest.raises(SearchBudgetExceeded):
-        embed.find_embedding(catalog.get("L11"), catalog.get("stacked_n5"), budget=3)
+        embed.find_embedding(catalog.get("L11"), n5_squared(), budget=3)
 
 
 def test_forbidden_profile_stacked_clean():
@@ -83,7 +87,7 @@ def test_skipped_patterns_spend_no_budget(spent):
     assert spent[0] == 0
     # semidistributive but not modular: M3 and L1-L5 are skipped, and only
     # the searches for L6-L15 spend nodes
-    host = catalog.get("stacked_n5")
+    host = n5_squared()
     assert embed.contains_forbidden(host, embed.profile("N")) == []
     pruned, spent[0] = spent[0], 0
     for i in range(6, 16):
@@ -146,7 +150,7 @@ def test_all_witnesses_are_valid_sublattices():
 # them, one per candidate tried, and the maps.  The maps, and so the digest,
 # are those of the search that charged every feasible image (233,879 nodes).
 EMBEDDING_SEARCH_PIN = ("a6f0841099da408c585df4158481f4e696b5f308bacb7f0bcff7892514a6c538",
-                        6720, 81_330, 15_843)
+                        6720, 42_365, 15_843)
 
 
 @pytest.fixture
@@ -183,12 +187,12 @@ def test_embedding_search_pinned(spent):
     assert (digest.hexdigest(), pairs, nodes, maps) == EMBEDDING_SEARCH_PIN
 
 
-@pytest.mark.parametrize("pattern, host", [("N5", "stacked_n5"), ("L11", "stacked_n5"),
+@pytest.mark.parametrize("pattern, host", [("N5", "stacked_n5"), ("L11", "N5xN5"),
                                            ("L15", "L15")])
 def test_budget_of_exactly_the_nodes_spent_suffices(spent, pattern, host):
     """A search completes on a budget equal to the nodes it spends, and
     raises one node short of it."""
-    p, h = catalog.get(pattern), catalog.get(host)
+    p, h = catalog.get(pattern), n5_squared() if host == "N5xN5" else catalog.get(host)
     spent[0] = 0
     found = [w.map for w in embed.iter_embeddings(p, h)]
     nodes = spent[0]
@@ -199,10 +203,11 @@ def test_budget_of_exactly_the_nodes_spent_suffices(spent, pattern, host):
 
 def test_pending_join_refutes_before_it_is_placed(spent):
     """In the pattern, 6 = 2 v 3 lies strictly below the top 7, which is
-    placed first; in the host, every two incomparable elements below the
-    top join to the top.  The pending fact for 2 v 3 refutes a map as soon
-    as 2 and 3 are placed: 6 nodes, one each for the top and the bottom,
-    then two for each of the two images of 2, one for it and one for 3.
+    placed first, and 2 and 3 are atoms with two upper covers each; in the
+    host, the atoms with two upper covers are 2 and 3, and they join to the
+    top.  The pending fact for 2 v 3 refutes a map as soon as 2 and 3 are
+    placed: 6 nodes, one each for the top and the bottom, then two for each
+    of the two images of 2, one for it and one for 3.
     Waiting until 6 is placed would spend as many: 6 is placed right after
     3, and its one candidate, the host's top, is already an image."""
     def lattice(n, covers):
@@ -211,8 +216,8 @@ def test_pending_join_refutes_before_it_is_placed(spent):
 
     pattern = lattice(8, [(0, 1), (0, 2), (0, 3), (1, 7), (2, 4), (2, 6), (3, 5), (3, 6),
                           (4, 7), (5, 7), (6, 7)])
-    host = lattice(9, [(0, 1), (0, 2), (0, 3), (1, 8), (2, 4), (3, 5), (4, 6), (5, 7),
-                       (6, 8), (7, 8)])
+    host = lattice(9, [(0, 1), (0, 2), (0, 3), (1, 7), (2, 4), (2, 5), (3, 6), (3, 7),
+                       (4, 8), (5, 8), (6, 8), (7, 8)])
     assert embed.find_embedding(pattern, host) is None
     assert spent[0] == 6
 
@@ -231,4 +236,29 @@ def test_every_embedding_yielded_exactly_once():
             assert len(got) == len(set(got))
             assert set(got) == set(sublattice_embeddings_oracle(p, host))
             total += len(got)
+    assert total > 0
+
+
+def test_images_have_at_least_the_covers_and_incomparables_of_their_elements():
+    """The premise of the cover and incomparable statistics, apart from the
+    search: under every embedding the subset oracle finds, on the patterns
+    and hosts of test_every_embedding_yielded_exactly_once, each image has
+    at least as many upper covers, lower covers and incomparable elements
+    as its pattern element."""
+    def counts(L):
+        return [(len(L.upper_covers(a)), len(L.lower_covers(a)),
+                 sum(L.incomparable(a, c) for c in range(L.n))) for a in range(L.n)]
+
+    pats = ([catalog.chain(1), catalog.chain(2), catalog.chain(3), catalog.chain(4),
+             catalog.grid(2), catalog.get("N5"), catalog.get("M3")]
+            + [catalog.get(f"L{i}") for i in range(1, 16)] + [catalog.grid(5)])
+    pattern_counts = [(p, counts(p)) for p in pats]
+    total = 0
+    for host in [L for n in range(1, 8) for L in all_lattices(n)]:
+        host_counts = counts(host)
+        for p, want in pattern_counts:
+            for f in sublattice_embeddings_oracle(p, host):
+                for a, image in enumerate(f):
+                    assert all(h >= w for h, w in zip(host_counts[image], want[a])), (p, host, f)
+                total += 1
     assert total > 0

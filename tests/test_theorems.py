@@ -9,7 +9,8 @@ import json
 import pytest
 
 from latcheck import catalog, core, embed, laws, theorems
-from latcheck.core import dual, are_isomorphic, canonical_form, induced, iter_bits
+from latcheck.core import (dual, are_isomorphic, canonical_form, direct_product, induced,
+                           iter_bits)
 from latcheck.decomp import dec, minimum_distributive_partitions
 from latcheck.enumeration import all_lattices
 from latcheck.errors import (HypothesisViolated, LatcheckError, SearchBudgetExceeded,
@@ -230,11 +231,12 @@ def _shared_budget_cases():
     """Per public call, a callable of a budget and each search it runs, as a
     callable of a budget: the cube check's four forms and sizes, the L15
     lemma's hypothesis and L15 searches, the Dec bound's closure scan and
-    each Dec(K), profile N on stacked_n5, which skips M3 and L1-L5, and the
+    each Dec(K), profile N on N5 x N5, which skips M3 and L1-L5, and the
     cor62 profile run on ninf(4): its forbidden-pattern gate and three
     checks."""
-    grid, l15, ninf, stacked = (catalog.grid(7), catalog.get("L15"), catalog.ninf(2),
-                                catalog.get("stacked_n5"))
+    grid, l15, ninf = catalog.grid(7), catalog.get("L15"), catalog.ninf(2)
+    n5 = catalog.get("N5")
+    n5_squared = direct_product(n5, n5)
     loose = theorems._loose_sublattices(ninf, False, core._Budget())
     ninf4, cor62 = catalog.ninf(4), theorems.PROFILE_CHECKS["cor62"]
     return {
@@ -249,8 +251,8 @@ def _shared_budget_cases():
                       [lambda b: theorems._loose_sublattices(ninf, False, b)]
                       + [lambda b, K=K: dec(induced(ninf, K), b) for K, _ in loose]),
         "contains_forbidden": (
-            lambda b: embed.contains_forbidden(stacked, embed.profile("N"), b),
-            [lambda b, i=i: embed.find_embedding(catalog.get(f"L{i}"), stacked, b)
+            lambda b: embed.contains_forbidden(n5_squared, embed.profile("N"), b),
+            [lambda b, i=i: embed.find_embedding(catalog.get(f"L{i}"), n5_squared, b)
              for i in range(6, 16)]),
         "run_profile": (
             lambda b: theorems.run_profile(ninf4, "cor62", budget=b),
@@ -277,12 +279,12 @@ def test_searches_of_one_call_share_one_budget(case):
 
 def test_profile_run_spends_one_budget():
     """A budget bounds a whole profile run: the seven N-full checks on the
-    2 x 7 grid spend 2,447 nodes in all, the Dec bound 1,152 of them."""
+    2 x 7 grid spend 2,441 nodes in all, the Dec bound 1,152 of them."""
     grid = catalog.grid(7)
-    assert len(theorems.run_profile(grid, "N-full", budget=2447)) == 7
+    assert len(theorems.run_profile(grid, "N-full", budget=2441)) == 7
     with pytest.raises(SearchBudgetExceeded) as exc:
-        theorems.run_profile(grid, "N-full", budget=2446)
-    assert exc.value.budget == 2446
+        theorems.run_profile(grid, "N-full", budget=2440)
+    assert exc.value.budget == 2440
 
 
 def test_hypothesis_configurations_match_oracles(monkeypatch):
