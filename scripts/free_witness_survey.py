@@ -3,7 +3,8 @@
 satisfy Whitman's condition and both semidistributive laws, and those of
 them that get a verified witness from `freeterm.find_free_embedding`.  The
 lattices are streamed depth-first through `enumeration._children` from the
-representatives with nine elements, and none is kept.
+representatives with nine elements, each child carrying the automorphism
+generators that prune its own children, and none is kept.
 
 Usage: python scripts/free_witness_survey.py [--max-size N]
 """
@@ -13,7 +14,6 @@ import sys
 from collections import Counter
 
 from latcheck import enumeration
-from latcheck.core import FiniteLattice
 from latcheck.freeterm import find_free_embedding
 from latcheck.laws import is_finite_free_sublattice
 
@@ -28,9 +28,7 @@ def main():
 
     def visit(R):
         n = R.n + 1
-        for form, up in enumeration._children(R):
-            L = FiniteLattice(tuple(f"e{i}" for i in range(n)), up)
-            L._cache.update(canon=form, canon_perm=tuple(range(n)))
+        for L in enumeration._children(R):
             counts[n]["lattices"] += 1
             if is_finite_free_sublattice(L):
                 counts[n]["w_sd"] += 1

@@ -12,7 +12,9 @@ timing field stays null unless --timing is passed, and then counts the wall
 time from dispatch, the command's own imports included.
 
 Each command imports only the modules it runs, inside its cmd_* function,
-so a call pays start-up for what it uses and nothing else.  No latcheck
+and the parser holds only the root and the command argv names (every
+command only for root help or an unknown command), so a call pays
+start-up for what it uses and nothing else.  No latcheck
 module imports the standard library's data-class generator (PEP 557),
 which would load ``inspect`` and ``ast`` and run ``exec`` per record class
 at start-up; the records are named tuples and plain classes.
@@ -414,61 +416,42 @@ def _add_common(parser, suppress=False):
                         help="search node budget (default from LATCHECK_BUDGET)")
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="latcheck",
-        description="Finite lattice computations for sublattices of free "
-                    "lattices in the pentagon variety.",
-    )
-    _add_common(p)
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    def add_parser(name, **kw):
-        c = sub.add_parser(name, **kw)
-        _add_common(c, suppress=True)
-        return c
-
-    c = add_parser("check", help="full law profile of a lattice file")
+def _file_args(c):
     c.add_argument("file")
-    c.set_defaults(fn=cmd_check)
 
-    c = add_parser("dec", help="Dec value and witness partition")
+
+def _dec_args(c):
     c.add_argument("file")
     c.add_argument("--all-witnesses", action="store_true")
-    c.set_defaults(fn=cmd_dec)
 
-    c = add_parser("variety", help="pentagon-variety membership")
-    c.add_argument("file")
-    c.set_defaults(fn=cmd_variety)
 
-    c = add_parser("find-forbidden", help="forbidden-sublattice hits")
+def _find_forbidden_args(c):
     c.add_argument("file")
     c.add_argument("--profile", required=True, choices=_Choices("embed", "PROFILES", sorted),
                    metavar="PROFILE", help="one of %(choices)s")
-    c.set_defaults(fn=cmd_find_forbidden)
 
-    c = add_parser("verify-theorems", help="run the theorem harness over "
-                                               "enumerated lattices")
+
+def _verify_theorems_args(c):
     c.add_argument("--size", type=int, default=6)
     c.add_argument("--theorem", choices=_Choices("theorems", "ALL_CHECK_IDS"), default=None,
                    metavar="THEOREM", help="one of %(choices)s")
     c.add_argument("--profile", choices=_Choices("theorems", "PROFILE_CHECKS", sorted),
                    default="N-full", metavar="PROFILE", help="one of %(choices)s")
-    c.set_defaults(fn=cmd_verify_theorems)
 
-    c = add_parser("enumerate", help="enumerate lattices up to isomorphism")
+
+def _enumerate_args(c):
     c.add_argument("--size", type=int, required=True)
     c.add_argument("--filter", default="",
                    help="comma list from: sd, whitman, distributive, in_n5, profile(NAME)")
     c.add_argument("--emit", default=None, help="write each lattice to this directory")
-    c.set_defaults(fn=cmd_enumerate)
 
-    c = add_parser("catalog", help="export built-in lattices")
+
+def _catalog_args(c):
     c.add_argument("--name", default=None)
     c.add_argument("--emit", default=None)
-    c.set_defaults(fn=cmd_catalog)
 
-    c = add_parser("freelat", help="free-lattice word problem")
+
+def _freelat_args(c):
     fsub = c.add_subparsers(dest="freelat_cmd", required=True)
     f = fsub.add_parser("leq", help="decide term order")
     f.add_argument("left")
@@ -480,13 +463,63 @@ def build_parser():
     f = fsub.add_parser("embed", help="build a free-lattice embedding witness")
     f.add_argument("file")
     _add_common(f, suppress=True)
-    c.set_defaults(fn=cmd_freelat)
 
+
+# the one list of commands: name -> (help, command function, arguments)
+_COMMANDS = {
+    "check": ("full law profile of a lattice file", cmd_check, _file_args),
+    "dec": ("Dec value and witness partition", cmd_dec, _dec_args),
+    "variety": ("pentagon-variety membership", cmd_variety, _file_args),
+    "find-forbidden": ("forbidden-sublattice hits", cmd_find_forbidden,
+                       _find_forbidden_args),
+    "verify-theorems": ("run the theorem harness over enumerated lattices",
+                        cmd_verify_theorems, _verify_theorems_args),
+    "enumerate": ("enumerate lattices up to isomorphism", cmd_enumerate, _enumerate_args),
+    "catalog": ("export built-in lattices", cmd_catalog, _catalog_args),
+    "freelat": ("free-lattice word problem", cmd_freelat, _freelat_args),
+}
+
+
+def _named_command(argv):
+    """The command ``argv`` names after the root options, or None when its
+    root options are anything but --pretty, --timing and --budget with a
+    value, or its first other word is no command."""
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--budget":
+            next(rest, None)
+        elif arg not in ("--pretty", "--timing") and not arg.startswith("--budget="):
+            return arg if arg in _COMMANDS else None
+    return None
+
+
+def build_parser(argv=None):
+    """The parser for ``argv``: the root and only the command it names, or
+    every command when it names none (``argv`` None included), so that
+    root help and the unknown-command error list them all.  The root's
+    usage line names every command either way."""
+    p = argparse.ArgumentParser(
+        prog="latcheck",
+        description="Finite lattice computations for sublattices of free "
+                    "lattices in the pentagon variety.",
+    )
+    _add_common(p)
+    name = None if argv is None else _named_command(argv)
+    # argparse's own metavar lists the parsers it holds, and a missing
+    # command is reported as "cmd" only without an explicit one
+    sub = p.add_subparsers(dest="cmd", required=True,
+                           metavar=None if name is None else "{%s}" % ",".join(_COMMANDS))
+    for cmd, (help_text, fn, add_args) in _COMMANDS.items():
+        if name in (None, cmd):
+            c = sub.add_parser(cmd, help=help_text)
+            _add_common(c, suppress=True)
+            add_args(c)
+            c.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -502,23 +502,53 @@ def canonical_form(L: FiniteLattice) -> bytes:
     ties the best gives an automorphism (the best's element in each slot to
     this leaf's), and a sibling that an automorphism fixing the prefix maps
     from a tried sibling is skipped, since its subtree is that sibling's
-    image.  The form and its permutation are kept in ``L``'s cache as the
-    entries ``canon`` and ``canon_perm``, not through :func:`cached`: the
-    enumeration seeds both for each lattice it builds, and
-    :func:`isomorphism` reads the permutation.
+    image.  The form, its permutation and those automorphisms, which
+    generate Aut(L), are kept in ``L``'s cache as the entries ``canon``,
+    ``canon_perm`` and ``canon_gens``, not through :func:`cached`: the
+    enumeration seeds all three for each lattice it builds, reads the
+    generators of each parent, and :func:`isomorphism` reads the
+    permutation.
     """
     if "canon" not in L._cache:
         upper = [L.upper_covers(a) for a in range(L.n)]
         lower = [L.lower_covers(a) for a in range(L.n)]
         sig = _seed_signature(L.heights(), L.depths(), map(len, upper), map(len, lower))
-        perm = _canonical_search(L.up, _refined_classes(sig, upper, lower))
-        L._cache.update(canon=matrix_bytes(L.up, perm), canon_perm=perm)
+        gens = []
+        perm = _canonical_search(L.up, _refined_classes(sig, upper, lower), gens)
+        L._cache.update(canon=matrix_bytes(L.up, perm), canon_perm=perm,
+                        canon_gens=tuple(map(tuple, gens)))
     return L._cache["canon"]
 
 
-def _canonical_search(up, classes) -> tuple:
+def _orbit(mask, gens):
+    """The union of the orbits, under the group that ``gens`` generate, of
+    the elements of ``mask``."""
+    todo = mask
+    while todo:
+        x = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        for g in gens:
+            if not mask >> g[x] & 1:
+                mask |= 1 << g[x]
+                todo |= 1 << g[x]
+    return mask
+
+
+def _canonical_search(up, classes, autos=None) -> tuple:
     """The search behind :func:`canonical_form`: the labelling, respecting
-    the refined ``classes``, whose order matrix on ``up`` is least."""
+    the refined ``classes``, whose order matrix on ``up`` is least.
+
+    Each leaf that ties the best appends its automorphism to ``autos``
+    when a list is given, and those automorphisms generate the whole group.
+    At each prefix of the best leaf's path, every sibling of the best's next
+    element in its orbit under the prefix's stabiliser is either searched,
+    and its subtree gives a tying leaf whose automorphism maps the one to
+    the other, or skipped as the image of a tried sibling under
+    automorphisms already found.  So the automorphisms found that fix the
+    prefix are transitive on that orbit, and by induction up the path, as
+    in Schreier-Sims, they generate each stabiliser, the last being the
+    whole group.
+    """
     n = len(up)
     # slot i must be filled from slot_class[i]
     slot_class = []
@@ -527,7 +557,8 @@ def _canonical_search(up, classes) -> tuple:
 
     best_steps = None
     best_perm = None
-    autos = []  # automorphisms found at leaves that tie the best
+    if autos is None:
+        autos = []
     perm = []
     used = set()
     steps = []
@@ -542,19 +573,6 @@ def _canonical_search(up, classes) -> tuple:
             col |= (up[w] >> v & 1) << i
             row |= (upv >> w & 1) << i
         return (col << k) | row
-
-    def orbit(mask, gens):
-        # mask closed under ``gens``: its elements' orbits under the group
-        # they generate
-        todo = mask
-        while todo:
-            x = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            for g in gens:
-                if not mask >> g[x] & 1:
-                    mask |= 1 << g[x]
-                    todo |= 1 << g[x]
-        return mask
 
     def rec(k, tight):
         # tight means steps so far equal best_steps[:k]; only then may we
@@ -588,7 +606,7 @@ def _canonical_search(up, classes) -> tuple:
                 # subtree onto the subtree of each sibling in its orbit
                 gens += [g for g in autos[known:] if all(g[w] == w for w in perm)]
                 known = len(autos)
-                tried = orbit(tried, gens)
+                tried = _orbit(tried, gens)
             if tried >> v & 1:
                 continue
             perm.append(v)
@@ -600,7 +618,7 @@ def _canonical_search(up, classes) -> tuple:
             steps.pop()
             used.remove(v)
             perm.pop()
-            tried = orbit(tried | 1 << v, gens)
+            tried = _orbit(tried | 1 << v, gens)
         return improved
 
     rec(0, True)

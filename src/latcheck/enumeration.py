@@ -12,30 +12,32 @@ down-set is already inside), and an ideal D gives a lattice iff every
 element of R - {1} meets D in a principal down-set; that element's meet
 with c is then the top of that down-set.
 
-Each child is kept only from its canonical parent: the canonical labelling
-puts a coatom in slot n - 2, since its height is the greatest after the
-top's, and a child with new coatom c is accepted iff deleting the element
-in that slot leaves a lattice isomorphic to R.  That is certainly so when
-the slot holds c itself; otherwise the deletion is compared with R's
-canonical form.  Two necessary tests run first: before refinement, c's
-(height, number of lower covers) is at least every other coatom's; before
-the search, c lies in the second-to-last refined class.  Every class then
-comes from one parent, and siblings that repeat a canonical form are
-dropped.
+Augmentations are taken up to R's automorphisms: an ideal is tried only if
+it is the least mask in its orbit under the generators that
+:func:`~latcheck.core.canonical_form` keeps for R, since automorphic ideals
+give isomorphic children.  A child is kept only from its canonical parent:
+the canonical labelling puts a coatom in slot n - 2, since its height is
+the greatest after the top's, and a child with new coatom c is accepted
+iff c lies in that element's orbit under the automorphisms its own
+canonical-form search found, which generate its whole group.  Two
+necessary tests run first: before refinement, c's (height, number of lower
+covers) is at least every other coatom's; before the search, c lies in the
+second-to-last refined class.  Every class then comes from one parent and
+one orbit of ideals, so it is searched and accepted once.
 
 A child's covers, heights, depths and degrees come from the parent's arrays,
 and the seed signature, refinement and canonical-form search read them
-directly.  A :class:`FiniteLattice` is built for each kept child, relabelled
-to its canonical form, with that form and the identity permutation in its
-cache, and also for each canonical-parent test whose slot n - 2 holds
-another coatom than c: `_deletes_to` builds the deletion and computes its
-canonical form (97 times for n <= 9).
+directly.  A :class:`FiniteLattice` is built only for each kept child,
+relabelled to its canonical form, with that form, the identity permutation
+and its automorphism generators in its cache.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .core import (FiniteLattice, canonical_form, iter_bits, matrix_bytes, _canonical_search,
-                   _refined_classes, _seed_signature)
+                   _orbit, _refined_classes, _seed_signature)
 from .errors import BadParameter, SizeLimit
 
 ENUM_CAP = 9
@@ -43,22 +45,54 @@ ENUM_CAP = 9
 _CACHE = {}
 
 
-def _deletes_to(up, perm, form):
-    """True iff deleting the element in slot n - 2 of the labelling ``perm``
-    of ``up`` leaves a lattice whose canonical form is ``form``."""
-    rest = perm[:-2] + perm[-1:]
-    pos = {a: i for i, a in enumerate(rest)}
-    sub = [sum(1 << pos[b] for b in iter_bits(up[a]) if b in pos) for a in rest]
-    return canonical_form(FiniteLattice(rest, sub)) == form
+@functools.lru_cache(maxsize=None)
+def _names(n):
+    """The labels e0..e(n-1) and the identity permutation, which every kept
+    child with n elements shares."""
+    return tuple(f"e{i}" for i in range(n)), tuple(range(n))
+
+
+def _kept(form, up, gens):
+    """A kept child as a lattice in its canonical labelling, with its form,
+    the identity permutation and its automorphism generators cached."""
+    labels, identity = _names(len(up))
+    L = FiniteLattice(labels, up)
+    L._cache.update(canon=form, canon_perm=identity, canon_gens=gens)
+    return L
+
+
+def _ideals(down, gens):
+    """The order ideals of R - {1} that hold R's bottom, given R's
+    down-sets, each the least mask of its orbit under the automorphisms
+    ``gens`` of R, ascending."""
+    c = len(down) - 1
+    ideals = [1]
+    for x in range(1, c):
+        below = down[x] & ~(1 << x)
+        ideals += [D | 1 << x for D in ideals if below & ~D == 0]
+    # ideals ascend, so the first of each orbit is its least mask
+    skip = set()
+    for D in ideals:
+        if D in skip:
+            continue
+        orbit = [D]
+        skip.add(D)
+        for E in orbit:
+            for g in gens:
+                F = sum(1 << g[x] for x in iter_bits(E))
+                if F not in skip:
+                    skip.add(F)
+                    orbit.append(F)
+        yield D
 
 
 def _children(R):
-    """(canonical form, order relabelled to it) of each child of ``R`` that
-    is kept: R plus one new coatom, accepted from R as its canonical parent,
-    one per isomorphism class."""
+    """Each child of ``R`` that is kept, as a lattice built by
+    :func:`_kept`: R plus one new coatom, accepted from R as its canonical
+    parent, one per isomorphism class."""
     n = R.n + 1
     c, top = n - 2, n - 1  # the new coatom takes R's top's index
-    parent_form = canonical_form(R)
+    canonical_form(R)  # caches R's automorphism generators
     down = R.down
     downs = set(down[:c])
     # R's lower covers and heights on R - {1}, whose indices the child
@@ -67,13 +101,7 @@ def _children(R):
     heights = R.heights()[:c]
     coatoms = R.lower_covers(c)
 
-    ideals = [1]
-    for x in range(1, c):
-        below = down[x] & ~(1 << x)
-        ideals += [D | 1 << x for D in ideals if below & ~D == 0]
-
-    seen = set()
-    for D in ideals:
+    for D in _ideals(down, R._cache["canon_gens"]):
         if any(down[a] & D not in downs for a in range(c)):
             continue
         lows = tuple(x for x in iter_bits(D) if R.up[x] & D == 1 << x)
@@ -101,32 +129,24 @@ def _children(R):
         classes = _refined_classes(sig, upper, lows_all)
         if c not in classes[-2]:
             continue
-        perm = _canonical_search(up, classes)
-        if perm[c] != c and not _deletes_to(up, perm, parent_form):
+        autos = []
+        perm = _canonical_search(up, classes, autos)
+        if not _orbit(1 << perm[c], autos) >> c & 1:
             continue
-        form = matrix_bytes(up, perm)
-        if form in seen:
-            continue
-        seen.add(form)
         pos = [0] * n
         for i, a in enumerate(perm):
             pos[a] = i
-        yield form, tuple(sum(1 << pos[b] for b in iter_bits(up[a])) for a in perm)
+        yield _kept(matrix_bytes(up, perm),
+                    tuple(sum(1 << pos[b] for b in iter_bits(up[a])) for a in perm),
+                    tuple(tuple(pos[g[a]] for a in perm) for g in autos))
 
 
 def _extend(parents):
     """Every lattice with n elements up to isomorphism, in canonical-form
     order, from ``parents``: the representatives of every class with
     n - 1 >= 2 elements."""
-    n = parents[0].n + 1
-    labels = tuple(f"e{i}" for i in range(n))
-    identity = tuple(range(n))
-    results = []
-    for form, up in sorted(child for R in parents for child in _children(R)):
-        L = FiniteLattice(labels, up)
-        L._cache.update(canon=form, canon_perm=identity)
-        results.append(L)
-    return tuple(results)
+    children = [L for R in parents for L in _children(R)]
+    return tuple(sorted(children, key=lambda L: L._cache["canon"]))
 
 
 def all_lattices(n: int):

@@ -1,6 +1,7 @@
 """Independent brute-force oracles the tests check the library against.
 
-Everything here is deliberately naive: permutation search for isomorphism,
+Everything here is deliberately naive: permutation search for isomorphism
+and automorphisms,
 exhaustive relation matrices and labelled growth for enumeration, Bell-scan
 partition filters for congruences and Dec, a 2^n subset scan for
 sublattices, an any-member scan for the order of a quotient.  None of it
@@ -97,6 +98,33 @@ def brute_isomorphic(A: FiniteLattice, B: FiniteLattice) -> bool:
         ):
             return True
     return False
+
+
+def automorphisms_oracle(L: FiniteLattice) -> set:
+    """Every automorphism of ``L`` as an index tuple, by backtracking over
+    the images of 0..n-1: an element may go only to one with as many
+    elements above and below it, not yet used, and comparable both ways
+    exactly as it is to each element placed before it."""
+    n = L.n
+    sizes = [(L.up[a].bit_count(), L.down[a].bit_count()) for a in range(n)]
+    found = set()
+    image = []
+
+    def rec(a):
+        if a == n:
+            found.add(tuple(image))
+            return
+        for b in range(n):
+            if sizes[b] != sizes[a] or b in image:
+                continue
+            if all(L.leq(a, x) == L.leq(b, y) and L.leq(x, a) == L.leq(y, b)
+                   for x, y in enumerate(image)):
+                image.append(b)
+                rec(a + 1)
+                image.pop()
+
+    rec(0)
+    return found
 
 
 def matrix_lattices(n):

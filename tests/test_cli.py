@@ -561,3 +561,34 @@ def test_choices_checked_and_listed(monkeypatch, capsys):
     assert cli.main(["verify-theorems", "--help"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert all(name in out for name in (*theorems.ALL_CHECK_IDS, *theorems.PROFILE_CHECKS))
+
+
+def _parsed(parser, argv, capsys):
+    """(exit code, stdout, stderr) of ``parser`` on ``argv``, which exits."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+def test_lazy_parser_matches_the_full_parser(capsys):
+    # a parser built for argv holds the root and the one command it names;
+    # help, usage errors and exit codes are byte for byte the full parser's
+    assert cli._named_command(["--pretty", "--budget", "5", "dec", "f"]) == "dec"
+    assert cli._named_command(["--budget=5", "freelat", "leq"]) == "freelat"
+    for argv in (["-h", "check"], ["--bud", "5", "check"], ["bogus", "check"], []):
+        assert cli._named_command(argv) is None
+    code, _, err = _parsed(cli.build_parser(["check", "f"]), ["dec", "f"], capsys)
+    assert code == 2 and "invalid choice: 'dec' (choose from 'check')" in err
+    helps = [["--help"]] + [[name, "--help"] for name in cli._COMMANDS]
+    helps += [["freelat", name, "--help"] for name in ("leq", "canon", "embed")]
+    errors = [["bogus"], [], ["--budget"], ["--budget", "x", "check", "f"],
+              ["check"], ["check", "f", "--bogus"], ["freelat", "nope"],
+              ["dec", "f", "--all-witnesses", "3"]]
+    for argv in helps + errors:
+        full = _parsed(cli.build_parser(), argv, capsys)
+        assert _parsed(cli.build_parser(argv), argv, capsys) == full, argv
+        assert full[0] == (0 if argv in helps else 2), argv
+    assert cli.main(["bogus"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == _parsed(cli.build_parser(), ["bogus"], capsys)[2]
+    assert "invalid choice: 'bogus' (choose from 'check', 'dec', " in err

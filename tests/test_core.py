@@ -44,8 +44,8 @@ from latcheck.errors import (
 )
 from latcheck.enumeration import all_lattices
 
-from oracles import (brute_isomorphic, cover_queries_oracle, sublattice_masks_oracle,
-                     unpruned_canonical_search)
+from oracles import (automorphisms_oracle, brute_isomorphic, cover_queries_oracle,
+                     sublattice_masks_oracle, unpruned_canonical_search)
 
 
 def test_build_n5_meets_and_joins():
@@ -344,6 +344,36 @@ def test_pruned_search_matches_the_unpruned_referee():
     for L in lattices:
         classes = _search_classes(L)
         assert _canonical_search(L.up, classes) == unpruned_canonical_search(L.up, classes)
+
+
+def _generated(gens, n):
+    """The permutation group on 0..n-1 that ``gens`` generate."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    for p in todo:
+        for g in gens:
+            q = tuple(g[p[a]] for a in range(n))
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
+def test_cached_generators_generate_the_automorphism_group():
+    # the automorphisms the canonical search finds, which the enumeration
+    # relabels for each lattice it keeps and reads to prune and accept,
+    # generate exactly the group the brute-force oracle lists
+    n5, m3, b3 = catalog.get("N5"), catalog.get("M3"), catalog.get("B3")
+    lattices = [L for n in range(1, 9) for L in all_lattices(n)]
+    lattices += [n5, m3, b3, direct_product(n5, n5)]
+    for L in lattices:
+        canonical_form(L)
+        gens = L._cache["canon_gens"]
+        for g in gens:
+            assert all(L.up[g[a]] == sum(1 << g[b] for b in iter_bits(L.up[a]))
+                       for a in range(L.n))
+        assert _generated(gens, L.n) == automorphisms_oracle(L)
+    assert [len(_generated(L._cache["canon_gens"], L.n)) for L in lattices[-4:]] == [1, 6, 6, 2]
 
 
 @pytest.mark.parametrize("name", ["B3xB3", "N5xN5x2"])

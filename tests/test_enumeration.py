@@ -12,8 +12,8 @@ from latcheck.core import (CoverDiagram, FiniteLattice, build_lattice, canonical
 from latcheck.enumeration import all_lattices, filtered
 from latcheck.errors import BadParameter, NotALattice, SizeLimit
 
-from oracles import (brute_isomorphic, grown_labelled, grown_lattices, matrix_lattices,
-                     self_canonical_oracle)
+from oracles import (automorphisms_oracle, brute_isomorphic, grown_labelled, grown_lattices,
+                     matrix_lattices, self_canonical_oracle)
 
 
 def test_counts_small():
@@ -92,9 +92,10 @@ def test_referee_keeps_one_labelling_per_class():
         assert kept == {L.up for L in all_lattices(n)}
 
 
-def _coatom_test_children(R):
+def _coatom_test_children(R, group):
     """How many lattices R plus a new coatom c above an order ideal of
-    R - {1} has in which c's (height, number of lower covers) is at least
+    R - {1}, the least mask of its orbit under the automorphisms ``group``
+    of R, has in which c's (height, number of lower covers) is at least
     every other coatom's, each built and read as a fresh lattice."""
     m = R.n
     passing = 0
@@ -102,6 +103,8 @@ def _coatom_test_children(R):
         if not D >> R.bottom & 1 or D >> R.top & 1:
             continue
         if any(R.down[x] & ~D for x in iter_bits(D)):
+            continue
+        if any(sum(1 << g[x] for x in iter_bits(D)) < D for g in group):
             continue
         up = [R.up[a] | (D >> a & 1) << m for a in range(m)] + [1 << m | 1 << R.top]
         try:
@@ -114,13 +117,13 @@ def _coatom_test_children(R):
 
 
 def test_extension_step(monkeypatch):
-    # every child that passes the coatom test is refined exactly once, each
-    # class is accepted from exactly one parent, and the deletion test runs
-    # exactly when the search puts some other element in slot n - 2
+    # every orbit-least ideal whose child passes the coatom test is refined
+    # exactly once, every canonical search gives an accepted child, and each
+    # class is accepted from exactly one parent
     parents, forms8 = all_lattices(7), {canonical_form(L) for L in all_lattices(8)}
-    sigs, refined, perms, deleted = [], Counter(), [], []
+    sigs, refined, searches = [], Counter(), []
     real_sig, real_refine = enumeration._seed_signature, enumeration._refined_classes
-    real_search, real_delete = enumeration._canonical_search, enumeration._deletes_to
+    real_search = enumeration._canonical_search
 
     def spying_sig(*arrays):
         sigs.append(real_sig(*arrays))
@@ -130,26 +133,43 @@ def test_extension_step(monkeypatch):
         refined[id(sig)] += 1
         return real_refine(sig, upper, lower)
 
-    def searching(up, classes):
-        perms.append(real_search(up, classes))
-        return perms[-1]
-
-    def deleting(up, perm, form):
-        deleted.append(perm)
-        return real_delete(up, perm, form)
+    def searching(*args):
+        searches.append(args)
+        return real_search(*args)
 
     monkeypatch.setattr(enumeration, "_seed_signature", spying_sig)
     monkeypatch.setattr(enumeration, "_refined_classes", counting)
     monkeypatch.setattr(enumeration, "_canonical_search", searching)
-    monkeypatch.setattr(enumeration, "_deletes_to", deleting)
-    accepted = Counter(form for R in parents for form, _ in enumeration._children(R))
-    assert len(sigs) == sum(_coatom_test_children(R) for R in parents)
+    accepted = Counter(canonical_form(L) for R in parents for L in enumeration._children(R))
+    assert len(sigs) == sum(_coatom_test_children(R, automorphisms_oracle(R)) for R in parents)
     assert set(refined) == {id(sig) for sig in sigs}
     assert max(refined.values()) == 1
     assert set(accepted) == forms8
     assert set(accepted.values()) == {1}
-    assert deleted == [p for p in perms if p[-2] != len(p) - 2]
-    assert deleted
+    assert len(searches) == len(accepted)
+
+
+def test_one_search_per_class(monkeypatch):
+    # a cold enumeration through n = 9 searches once per class with
+    # n = 3..9, and takes each parent's ideals up to its automorphisms
+    searches = []
+    real_search = enumeration._canonical_search
+
+    def searching(*args):
+        searches.append(args)
+        return real_search(*args)
+
+    monkeypatch.setattr(enumeration, "_CACHE", {})
+    monkeypatch.setattr(enumeration, "_canonical_search", searching)
+    assert len(all_lattices(9)) == 1078
+    assert len(searches) == sum(len(all_lattices(n)) for n in range(3, 10)) == 1376
+    ideals = kept = 0
+    for n in range(2, 9):
+        for R in all_lattices(n):
+            canonical_form(R)
+            ideals += len(list(enumeration._ideals(R.down, ())))
+            kept += len(list(enumeration._ideals(R.down, R._cache["canon_gens"])))
+    assert (ideals, ideals - kept) == (4809, 1179)
 
 
 def test_one_step_to_ten():
@@ -159,6 +179,18 @@ def test_one_step_to_ten():
     assert len(forms) == 5994
     assert len(set(forms)) == len(forms)
     assert forms == sorted(forms)
+
+
+def test_step_to_ten_pinned():
+    # the step to n = 10, the one tier-1 step past ENUM_CAP: its forms and
+    # orders byte for byte, pinned from the enumeration that still tested
+    # each canonical parent by deleting the coatom in slot n - 2
+    h = hashlib.sha256()
+    for L in enumeration._extend(all_lattices(9)):
+        h.update(canonical_form(L))
+        h.update(repr(L.up).encode())
+    assert h.hexdigest() == (
+        "73dc5c6ceb923630972ccffe9e89b137772aad13685d8612611b3648a6697e4d")
 
 
 def test_no_duplicate_canonical_forms():
