@@ -26,21 +26,19 @@ def _levels(order, leq, apart, facts, ascending=()):
     """Per level, in ``order``: the element placed there; the earlier
     elements above, below and incomparable to it, and those it must follow
     in host index (by the predicates ``leq`` and ``apart`` and the pairs
-    ``ascending``); each (table, x, y) whose value it must be, each
-    z = x op y with z placed earlier as (table, x, y, z), and each x op y
-    whose z is still unplaced as (table, x, y), from the (table, x, y, z)
-    ``facts``.  Tables are named 0 = meet and 1 = join, so one plan serves
-    every host."""
+    ``ascending``); each (table, x, y) whose value it must be, and each
+    z = x op y with z placed earlier as (table, x, y, z), from the
+    (table, x, y, z) ``facts``.  Tables are named 0 = meet and 1 = join, so
+    one plan serves every host."""
     level = {a: k for k, a in enumerate(order)}
     levels = [(a, [b for b in order[:k] if leq(a, b)], [b for b in order[:k] if leq(b, a)],
                [c for c in order[:k] if apart(a, c)],
-               [b for b in order[:k] if (b, a) in ascending], [], [], [])
+               [b for b in order[:k] if (b, a) in ascending], [], [])
               for k, a in enumerate(order)]
     for t, x, y, z in facts:
         last = max(level[x], level[y])
         if level[z] > last:
             levels[level[z]][5].append((t, x, y))
-            levels[last][7].append((t, x, y))
         else:
             levels[last][6].append((t, x, y, z))
     return levels
@@ -140,9 +138,9 @@ def iter_matches(plan, host: FiniteLattice, budget=None, images=None):
     of the placed elements incomparable to it, and past those it must
     follow in host index; when it is x op y with x and y placed, its image
     is forced to the host's x op y.  Each candidate, in ascending order, is
-    then checked against the level's remaining meet and join facts and
-    against every pending x op y, whose host value must not yet be in the
-    image: its z is placed later, on an element outside the image.
+    then checked against the level's remaining meet and join facts.  An
+    x op y whose z is placed later is checked at z's level, where z's one
+    candidate is the host's x op y, and only if it is outside the image.
 
     The budget, a node count or a :class:`core._Budget` shared with other
     searches, counts one node per candidate tried; the feasibility masks
@@ -171,7 +169,7 @@ def iter_matches(plan, host: FiniteLattice, budget=None, images=None):
         if k == m:
             yield tuple(f)
             return
-        a, above, below, apart, after, forced, ops, pending = levels[k]
+        a, above, below, apart, after, forced, ops = levels[k]
         cand = feasible[a] & ~image
         for b in above:
             cand &= downs[f[b]]
@@ -189,8 +187,6 @@ def iter_matches(plan, host: FiniteLattice, budget=None, images=None):
             spend("embedding search")
             f[a] = low.bit_length() - 1
             if ops and not all(tables[t][f[x]][f[y]] == f[z] for t, x, y, z in ops):
-                continue
-            if pending and any((image >> tables[t][f[x]][f[y]]) & 1 for t, x, y in pending):
                 continue
             yield from rec(k + 1, image | low)
 

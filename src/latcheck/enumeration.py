@@ -52,12 +52,18 @@ def _names(n):
     return tuple(f"e{i}" for i in range(n)), tuple(range(n))
 
 
-def _kept(form, up, gens):
-    """A kept child as a lattice in its canonical labelling, with its form,
-    the identity permutation and its automorphism generators cached."""
+def _kept(form, up, perm, gens):
+    """The lattice with order ``up`` and automorphism generators ``gens``
+    in the canonical labelling ``perm`` (slot i holds element perm[i]),
+    with its form ``form``, the identity permutation and the relabelled
+    generators cached."""
+    pos = [0] * len(perm)
+    for i, a in enumerate(perm):
+        pos[a] = i
     labels, identity = _names(len(up))
-    L = FiniteLattice(labels, up)
-    L._cache.update(canon=form, canon_perm=identity, canon_gens=gens)
+    L = FiniteLattice(labels, tuple(sum(1 << pos[b] for b in iter_bits(up[a])) for a in perm))
+    L._cache.update(canon=form, canon_perm=identity,
+                    canon_gens=tuple(tuple(pos[g[a]] for a in perm) for g in gens))
     return L
 
 
@@ -89,10 +95,14 @@ def _ideals(down, gens):
 def _children(R):
     """Each child of ``R`` that is kept, as a lattice built by
     :func:`_kept`: R plus one new coatom, accepted from R as its canonical
-    parent, one per isomorphism class."""
+    parent, one per isomorphism class.  R in any labelling: the search reads
+    it in its canonical one, a linear extension with the bottom first."""
+    form = canonical_form(R)  # caches R's automorphism generators
+    perm = R._cache["canon_perm"]
+    if tuple(perm) != _names(R.n)[1]:
+        R = _kept(form, R.up, perm, R._cache["canon_gens"])
     n = R.n + 1
     c, top = n - 2, n - 1  # the new coatom takes R's top's index
-    canonical_form(R)  # caches R's automorphism generators
     down = R.down
     downs = set(down[:c])
     # R's lower covers and heights on R - {1}, whose indices the child
@@ -133,12 +143,7 @@ def _children(R):
         perm = _canonical_search(up, classes, autos)
         if not _orbit(1 << perm[c], autos) >> c & 1:
             continue
-        pos = [0] * n
-        for i, a in enumerate(perm):
-            pos[a] = i
-        yield _kept(matrix_bytes(up, perm),
-                    tuple(sum(1 << pos[b] for b in iter_bits(up[a])) for a in perm),
-                    tuple(tuple(pos[g[a]] for a in perm) for g in autos))
+        yield _kept(matrix_bytes(up, perm), up, perm, autos)
 
 
 def _extend(parents):

@@ -8,16 +8,22 @@ carries a 64-bit sketch, its values under 64 fixed maps of the generators
 into the two-element lattice; as those maps extend to homomorphisms, a bit
 set in s's sketch and clear in t's proves s is not below t, and `leq`
 refutes such pairs without recursing.  The pairs Whitman's recursion
-decides are memoised.  `canonicalize` alone says what a canonical term is
-(Freese, Jezek & Nation's characterisation, tested pairwise), and every
-witness term is canonicalised by it.  The word problem needs no finite
-lattice, so `core` and `laws` are imported only by the witness
-construction.
+decides are memoised for one outermost public call (`leq`, `term_equal`,
+`canonicalize`, `verify_free_embedding` or `find_free_embedding`): nested
+calls share the memo, and the outermost one leaves it empty, also when it
+raises.  Interned terms and canonical forms are kept for the process, so
+canonical terms compare by identity across calls.  `canonicalize` alone
+says what a canonical term is (Freese, Jezek & Nation's characterisation,
+tested pairwise), and every witness term is canonicalised by it.  The word
+problem needs no finite lattice, so `core` and `laws` are imported only by
+the witness construction.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from itertools import repeat
 
 from .errors import BadParameter, ParseError, UnassignedGenerator
 
@@ -94,12 +100,12 @@ def _make(kind, name, args):
 
 
 def gen(name: str) -> FreeTerm:
-    """The generator ``name``, which starts with a letter or "_", as an
-    identifier of the surface syntax does."""
+    """The generator ``name``, which must be one identifier of the surface
+    syntax (see :func:`parse_term`)."""
     t = _INTERN.get(name)
-    if t is None:
-        if not (name[:1].isalpha() or name[:1] == "_"):
-            raise BadParameter(f"generator name {name!r} does not start with a letter or '_'")
+    if t is None or t.kind != "gen":  # compound terms are filed under tuples
+        if not (isinstance(name, str) and _is_name(name)):
+            raise BadParameter(f"generator name {name!r} is not an identifier")
         t = _make("gen", name, None)
     return t
 
@@ -129,13 +135,30 @@ def term_key(t: FreeTerm):
     return (_KIND_RANK[t.kind], len(e), e)
 
 
+# the pairs Whitman's recursion decided in the open public call
 _LEQ = {}
+_in_call = False
 
 
-def leq(s: FreeTerm, t: FreeTerm) -> bool:
-    """Whitman's recursion deciding s <= t in the free lattice.  A pair whose
-    sketches show a two-valued map with s at 1 and t at 0 is refuted at
-    once and not memoised; the sketch never proves s <= t."""
+def _one_call(body):
+    """``body`` as a public entry point: the outermost such call owns the
+    Whitman memo and leaves it empty when it returns or raises; nested calls
+    share it."""
+    @functools.wraps(body)
+    def entry(*args, **kwargs):
+        global _in_call
+        if _in_call:
+            return body(*args, **kwargs)
+        _in_call = True
+        try:
+            return body(*args, **kwargs)
+        finally:
+            _in_call = False
+            _LEQ.clear()
+    return entry
+
+
+def _leq(s, t):
     if s is t:
         return True
     if s.sketch & ~t.sketch:
@@ -144,39 +167,41 @@ def leq(s: FreeTerm, t: FreeTerm) -> bool:
     hit = _LEQ.get(key)
     if hit is not None:
         return hit
+    # map, not generator expressions: each step is one C-level call
     if s.kind == "join":
-        res = all(leq(si, t) for si in s.args)
+        res = all(map(_leq, s.args, repeat(t)))
     elif t.kind == "meet":
-        res = all(leq(s, tj) for tj in t.args)
+        res = all(map(_leq, repeat(s), t.args))
     elif s.kind == "gen":
         if t.kind == "gen":
             res = s.name == t.name
         else:  # t is a join
-            res = any(leq(s, tj) for tj in t.args)
+            res = any(map(_leq, repeat(s), t.args))
     elif t.kind == "gen":  # s is a meet
-        res = any(leq(si, t) for si in s.args)
+        res = any(map(_leq, s.args, repeat(t)))
     else:  # s meet, t join: Whitman's condition supplies the split
-        res = any(leq(si, t) for si in s.args) or any(leq(s, tj) for tj in t.args)
+        res = any(map(_leq, s.args, repeat(t))) or any(map(_leq, repeat(s), t.args))
     _LEQ[key] = res
     return res
 
 
+@_one_call
+def leq(s: FreeTerm, t: FreeTerm) -> bool:
+    """Whitman's recursion deciding s <= t in the free lattice.  A pair whose
+    sketches show a two-valued map with s at 1 and t at 0 is refuted at
+    once and not memoised; the sketch never proves s <= t."""
+    return _leq(s, t)
+
+
+@_one_call
 def term_equal(s: FreeTerm, t: FreeTerm) -> bool:
-    return leq(s, t) and leq(t, s)
+    return _leq(s, t) and _leq(t, s)
 
 
 _CANON = {}
 
 
-def canonicalize(t: FreeTerm) -> FreeTerm:
-    """The unique canonical representative of t's equivalence class
-    (Freese, Jezek & Nation, *Free Lattices*, Ch. I).  For a join, and
-    dually for a meet: arguments canonical, same-kind arguments flattened,
-    every argument below another dropped, a meet-argument with an argument
-    of its own below the whole term replaced by that argument (then start
-    again), arguments sorted by the fixed term order.  The pairwise test
-    suffices: generators are join-prime, and a meet lies below a join only
-    if one of its arguments does or it lies below one of the join's."""
+def _canonicalize(t):
     hit = _CANON.get(t)
     if hit is not None:
         return hit
@@ -185,8 +210,8 @@ def canonicalize(t: FreeTerm) -> FreeTerm:
         return t
     kind = t.kind
     inner = "meet" if kind == "join" else "join"
-    below = leq if kind == "join" else (lambda a, b: leq(b, a))
-    args = [canonicalize(a) for a in t.args]
+    below = _leq if kind == "join" else (lambda a, b: _leq(b, a))
+    args = [_canonicalize(a) for a in t.args]
     while True:
         flat = []
         for a in args:
@@ -210,6 +235,19 @@ def canonicalize(t: FreeTerm) -> FreeTerm:
     return res
 
 
+@_one_call
+def canonicalize(t: FreeTerm) -> FreeTerm:
+    """The unique canonical representative of t's equivalence class
+    (Freese, Jezek & Nation, *Free Lattices*, Ch. I).  For a join, and
+    dually for a meet: arguments canonical, same-kind arguments flattened,
+    every argument below another dropped, a meet-argument with an argument
+    of its own below the whole term replaced by that argument (then start
+    again), arguments sorted by the fixed term order.  The pairwise test
+    suffices: generators are join-prime, and a meet lies below a join only
+    if one of its arguments does or it lies below one of the join's."""
+    return _canonicalize(t)
+
+
 def evaluate(t: FreeTerm, L: FiniteLattice, assignment: dict) -> int:
     """Structural evaluation through L's tables; generators map per
     ``assignment`` (name -> element index)."""
@@ -225,6 +263,7 @@ def evaluate(t: FreeTerm, L: FiniteLattice, assignment: dict) -> int:
     return acc
 
 
+@_one_call
 def verify_free_embedding(L: FiniteLattice, terms) -> bool:
     """True iff element -> term is order-preserving and order-reflecting and
     sends the meet/join tables to term-level meets and joins.  The order
@@ -233,13 +272,13 @@ def verify_free_embedding(L: FiniteLattice, terms) -> bool:
     ts = [terms[a] for a in range(L.n)]
     for a in range(L.n):
         for b in range(L.n):
-            if leq(ts[a], ts[b]) != L.leq(a, b):
+            if _leq(ts[a], ts[b]) != L.leq(a, b):
                 return False
     for a in range(L.n):
         for b in range(a + 1, L.n):
-            if not leq(meet(ts[a], ts[b]), ts[L.meet[a][b]]):
+            if not _leq(meet(ts[a], ts[b]), ts[L.meet[a][b]]):
                 return False
-            if not leq(ts[L.join[a][b]], join(ts[a], ts[b])):
+            if not _leq(ts[L.join[a][b]], join(ts[a], ts[b])):
                 return False
     return True
 
@@ -259,6 +298,7 @@ def free_generators(L: FiniteLattice) -> list:
     return list(zip(names, elems))
 
 
+@_one_call
 def find_free_embedding(L: FiniteLattice, budget=None):
     """A verified free-lattice embedding witness for L, element -> canonical
     term, spending one node of ``budget`` (``default_budget()`` by default,
@@ -273,8 +313,6 @@ def find_free_embedding(L: FiniteLattice, budget=None):
     the meet of g at y's canonical meetands kappa_v(y).  This g is the
     module's own construction, so a W and SD lattice also gets None if beta
     (not lower bounded) or g does not settle, or g fails verification."""
-    from functools import reduce
-
     from .core import _Budget, iter_bits
     from .laws import is_finite_free_sublattice
 
@@ -288,7 +326,7 @@ def find_free_embedding(L: FiniteLattice, budget=None):
 
     def canon(op, args):
         budget.spend("free embedding search")
-        return canonicalize(op(*args))
+        return _canonicalize(op(*args))
 
     def settle(step, value, rounds):
         for _ in range(rounds):
@@ -322,7 +360,7 @@ def find_free_embedding(L: FiniteLattice, budget=None):
         return None
     lower = extend(beta)
     # kappa_v(y) for each upper cover v of y: the join of the elements above y, not above v
-    kappas = [(y, [reduce(lambda a, b: join_l[a][b], iter_bits(up[y] & ~up[v]), y)
+    kappas = [(y, [functools.reduce(lambda a, b: join_l[a][b], iter_bits(up[y] & ~up[v]), y)
                    for v in L.upper_covers(y)])
               for y in range(n) if len(L.upper_covers(y)) > 1]
 
@@ -339,10 +377,16 @@ def find_free_embedding(L: FiniteLattice, budget=None):
 # -- surface syntax -----------------------------------------------------------
 
 
-# an operator or parenthesis, an identifier (its first character is checked
-# in the parser: [^\W\d] also takes numerics such as "²"), or any other
-# non-space character, which is always an error
+# the regular tokenisation, which error messages are read off: an operator
+# or parenthesis, an identifier (its first character is checked apart:
+# [^\W\d] also takes numerics such as "²"), or any other non-space
+# character, which is always an error
 _TOKEN = re.compile(r"[&|()]|[^\W\d][\w']*|\S")
+
+
+def _is_name(tok):
+    """True iff ``tok`` is one identifier token."""
+    return (tok[:1].isalpha() or tok[:1] == "_") and _TOKEN.fullmatch(tok) is not None
 
 
 def _parse_error(text, message, at, scan_from):
@@ -368,10 +412,14 @@ def parse_term(text: str) -> FreeTerm:
     "_" and goes on with letters, digits and other numerics, "_" and "'";
     whitespace separates tokens.  A ParseError reports the first character
     that can start no token, if the text has one, else the first grammar
-    error (a missing ")" at its "(").  The text is tokenised in one regular
-    expression pass and the tokens parsed in a loop, so nesting depth is
-    unbounded."""
-    tokens = _TOKEN.findall(text)
+    error (a missing ")" at its "(").  The tokens are the whitespace-split
+    words once operators and parentheses are spaced apart, parsed in a
+    loop, so nesting depth is unbounded.  Up to the first word that is not
+    one token of the regular tokenisation ``_TOKEN``, the two agree token
+    by token, and the parser stops at that word, so an error's position is
+    read off ``_TOKEN``."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").replace("&", " & ").replace(
+        "|", " | ").split()
     # one frame per open parenthesis: (finished meets of its expr, factors
     # of the current meets, token index of its "("), the innermost unpacked
     stack = []
@@ -386,20 +434,26 @@ def parse_term(text: str) -> FreeTerm:
                     stack.append((joinands, meetands, opened))
                     joinands, meetands, opened = [], [], pos
                     continue
-                if not (tok[0].isalpha() or tok[0] == "_"):
+                if not _is_name(tok):
                     raise _parse_error(text, f"unexpected token {tok!r}", pos, pos)
-                t = gen(tok)
+                t = _make("gen", tok, None)
             meetands.append(t)
             want_factor = False
         elif tok == "&":
             want_factor = True
         elif tok == "|":
-            joinands.append(_combine("meet", meetands))
+            args = tuple(meetands)
+            joinands.append(args[0] if len(args) == 1
+                            else interned(("meet", args)) or _make("meet", None, args))
             meetands = []
             want_factor = True
         elif tok == ")" and opened is not None:
-            joinands.append(_combine("meet", meetands))
-            t = _combine("join", joinands)
+            args = tuple(meetands)
+            t = args[0] if len(args) == 1 else interned(("meet", args)) or _make("meet", None, args)
+            if joinands:
+                joinands.append(t)
+                args = tuple(joinands)
+                t = interned(("join", args)) or _make("join", None, args)
             joinands, meetands, opened = stack.pop()
             meetands.append(t)
         elif opened is None:

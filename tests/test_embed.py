@@ -201,15 +201,14 @@ def test_budget_of_exactly_the_nodes_spent_suffices(spent, pattern, host):
         list(embed.iter_embeddings(p, h, budget=nodes - 1))
 
 
-def test_pending_join_refutes_before_it_is_placed(spent):
+def test_join_placed_later_refutes_at_its_own_level(spent):
     """In the pattern, 6 = 2 v 3 lies strictly below the top 7, which is
     placed first, and 2 and 3 are atoms with two upper covers each; in the
     host, the atoms with two upper covers are 2 and 3, and they join to the
-    top.  The pending fact for 2 v 3 refutes a map as soon as 2 and 3 are
-    placed: 6 nodes, one each for the top and the bottom, then two for each
-    of the two images of 2, one for it and one for 3.
-    Waiting until 6 is placed would spend as many: 6 is placed right after
-    3, and its one candidate, the host's top, is already an image."""
+    top.  6 is placed right after 3, and its one candidate, the host's
+    2 v 3, is the top, already an image, so it has none: 6 nodes, one each
+    for the top and the bottom, then two for each of the two images of 2,
+    one for it and one for 3, and none for 6."""
     def lattice(n, covers):
         return build_lattice(CoverDiagram(tuple(map(str, range(n))),
                                           tuple((str(a), str(b)) for a, b in covers)))

@@ -172,6 +172,22 @@ def test_one_search_per_class(monkeypatch):
     assert (ideals, ideals - kept) == (4809, 1179)
 
 
+def test_children_of_a_parent_in_any_labelling():
+    """A parent read in another labelling than its canonical one has the
+    children of its class's representative: catalog N5, whose bottom is
+    index 4, has 5, and so has every fixed catalog lattice with n <= 9."""
+    reps = {canonical_form(L): L for n in range(5, 10) for L in all_lattices(n)}
+    for name in catalog.FIXED_NAMES:
+        R = catalog.get(name)
+        if R.n > 9:
+            continue
+        got = sorted(canonical_form(L) for L in enumeration._children(R))
+        assert got == sorted(canonical_form(L) for L in enumeration._children(
+            reps[canonical_form(R)])), name
+        if name == "N5":
+            assert len(got) == 5
+
+
 def test_one_step_to_ten():
     # one extension step past ENUM_CAP: 5994 lattices on ten elements
     # (OEIS A006966), distinct and in canonical-form order

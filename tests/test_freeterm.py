@@ -519,16 +519,102 @@ def test_sketch_is_the_value_under_sixty_four_two_valued_maps():
             assert u.sketch == sum(two_valued(u, k) << k for k in range(64)), str(u)
 
 
-def test_sketch_refutes_without_memoising_and_never_proves():
+@pytest.fixture
+def memo_spy(monkeypatch):
+    """Each step of Whitman's recursion as (s, t, its result, what the memo
+    held for (s, t) when the step returned), with the canonical forms of
+    earlier tests out of sight, so canonicalising does its leq work again."""
+    steps, step = [], freeterm._leq
+
+    def spy(s, t):
+        res = step(s, t)
+        steps.append((s, t, res, freeterm._LEQ.get((s, t), "absent")))
+        return res
+
+    monkeypatch.setattr(freeterm, "_leq", spy)
+    monkeypatch.setattr(freeterm, "_CANON", {})
+    return steps
+
+
+def test_sketch_refutes_without_memoising_and_never_proves(memo_spy):
+    """Within a call, a pair the sketch refutes is never memoised and every
+    pair Whitman's recursion decides is; the call leaves the memo empty."""
     refuted = 0
     for s, t in whitman_pairs():
         for a, b in ((s, t), (t, s)):
-            if a.sketch & ~b.sketch:
-                refuted += 1
-                assert not leq(a, b) and (a, b) not in freeterm._LEQ
+            refuted += bool(a.sketch & ~b.sketch)
+            assert leq(a, b) == whitman_leq_oracle(a, b)
+            assert freeterm._LEQ == {}
     assert refuted > 0
+    for a, b, res, memo in memo_spy:
+        if a is b or a.sketch & ~b.sketch:
+            assert memo == "absent" and res is (a is b)
+        else:
+            assert memo is res
     # distributive in the two-element lattice, so no sketch can refute it:
     # Whitman's recursion decides it
     lhs, rhs = join(x, meet(y, z)), meet(join(x, y), join(x, z))
     assert not rhs.sketch & ~lhs.sketch
-    assert not leq(rhs, lhs) and freeterm._LEQ[rhs, lhs] is False
+    memo_spy.clear()
+    assert not leq(rhs, lhs)
+    assert memo_spy[-1] == (rhs, lhs, False, False) and freeterm._LEQ == {}
+
+
+def test_whitman_memo_lives_for_one_public_call(memo_spy, monkeypatch):
+    """Each public entry point fills the memo and leaves it empty, also when
+    it raises: on running out of budget, and on a term too deep for the
+    recursion.  Nested calls share it: find_free_embedding verifies its
+    witness inside its own call, and the memo outlives that call."""
+    a, b, c = gen("memo_a"), gen("memo_b"), gen("memo_c")
+    lhs, rhs = join(a, meet(b, c)), meet(join(a, b), join(a, c))
+    deep = a
+    for _ in range(1000):
+        deep = meet(a, join(b, deep))
+    assert deep.depth == 2000
+    n5 = catalog.get("N5")
+    witness = find_free_embedding(n5)
+    entries = [
+        (lambda: find_free_embedding(catalog.get("stacked_n5"), budget=50), SearchBudgetExceeded),
+        (lambda: canonicalize(join(meet(rhs, lhs), deep)), RecursionError),
+        (lambda: leq(rhs, lhs), None),
+        (lambda: term_equal(lhs, rhs), None),
+        (lambda: canonicalize(join(rhs, meet(lhs, c))), None),
+        (lambda: verify_free_embedding(n5, witness), None),
+        (lambda: find_free_embedding(n5), None),
+    ]
+    for call, error in entries:
+        memo_spy.clear()
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
+        assert any(memo != "absent" for *_, memo in memo_spy)
+        assert freeterm._LEQ == {}
+    # the search's own verification is a nested call: the memo outlives it
+    verify, left = freeterm.verify_free_embedding, []
+
+    def nested(L, terms):
+        res = verify(L, terms)
+        left.append(len(freeterm._LEQ))
+        return res
+
+    monkeypatch.setattr(freeterm, "verify_free_embedding", nested)
+    assert find_free_embedding(n5) == witness
+    assert len(left) == 1 and left[0] > 0 and freeterm._LEQ == {}
+
+
+def test_generator_names_are_identifiers():
+    """gen takes exactly the names that parse_term reads as one identifier,
+    so every generator prints as text that parses back to it, and it never
+    returns the compound term filed under a tuple key."""
+    for name in ("x", "_", "x'", "_y2", "x²", "é", "x٣"):
+        assert parse_term(format_term(gen(name))) is gen(name)
+    for name in ("x-y", "x y", "", "2x", "²x", "'x", "x?", "(x)", "x&y", "x\u3000y",
+                 ("meet", meet(x, y).args)):
+        with pytest.raises(BadParameter):
+            gen(name)
+    # once interned, "x-y" would print as x-y, which no term parses as
+    with pytest.raises(ParseError) as exc:
+        parse_term("x-y")
+    assert (str(exc.value), exc.value.offset) == ("unexpected character '-'", 1)
