@@ -29,7 +29,8 @@ import itertools
 from collections import namedtuple
 
 from . import laws
-from .core import FiniteLattice, _Budget, bounds, cached, is_interval, is_sublattice_set, iter_bits
+from .core import (FiniteLattice, _Budget, bounds, cached, induced, is_interval, is_sublattice_set,
+                   iter_bits)
 from .errors import NotAPartition, NotDistributive
 
 
@@ -219,6 +220,18 @@ def dec(L: FiniteLattice, budget=None):
     or a :class:`core._Budget` it shares with other searches."""
     best, (witness,) = _minimum_partitions(L, budget, keep_ties=False)
     return best, witness
+
+
+def sublattice_dec(L: FiniteLattice, elems, budget=None) -> int:
+    """Dec of the sublattice K = ``elems`` of L.  The one-block partition
+    {K} is distributive iff K is a distributive lattice, as its pair clause
+    is vacuous, so Dec(K) = 1 exactly then.  A K with fewer than five
+    elements is distributive, N5 and M3 being the smallest lattices that
+    are not; a larger K is tested on L's own tables.  Only a
+    non-distributive K is built and searched, spending ``budget``."""
+    if len(elems) < 5 or laws._distributive_on(L, elems):
+        return 1
+    return dec(induced(L, elems), budget)[0]
 
 
 def minimum_distributive_partitions(L: FiniteLattice, budget=None):

@@ -9,7 +9,8 @@ SD-meet iff kappa(j) exists for every join-irreducible j, SD-join dually
 (Freese, Jezek & Nation, *Free Lattices*, Ch. II), modularity iff the
 height h has h(a) + h(b) = h(a ^ b) + h(a v b) for every pair (Birkhoff,
 *Lattice Theory*, Ch. II), and distributivity as modularity plus SD-meet.
-The scans run only when a law fails, to name the witness.  Doubly
+The scans run only when a law fails, to name the witness; W's reads it
+off the marks its verdict builds, in O(n^2) mask operations.  Doubly
 reducible elements are read off the cached covers.
 """
 
@@ -33,11 +34,10 @@ LawProfile = namedtuple("LawProfile", "whitman sd_join sd_meet distributive modu
                                       "doubly_reducible length free_sublattice_finite")
 
 
-def _whitman_holds(L: FiniteLattice) -> bool:
-    """W fails iff some u = a ^ b <= v = c v d has a, b not below v and c, d
-    not above u.  One pass over the pairs marks in ``off_meet[u]`` each v
-    that both arguments of a meet u are not below, and in ``off_join[v]``
-    each u that both arguments of a join v are not above."""
+def _whitman_marks(L: FiniteLattice):
+    """One pass over the pairs marks in ``off_meet[u]`` each v that both
+    arguments of a meet u are not below, and in ``off_join[v]`` each u that
+    both arguments of a join v are not above."""
     n, meet, join, up, down = L.n, L.meet, L.join, L.up, L.down
     full = (1 << n) - 1
     off_meet, off_join = [0] * n, [0] * n
@@ -45,22 +45,42 @@ def _whitman_holds(L: FiniteLattice) -> bool:
         for b in range(a + 1, n):
             off_meet[meet[a][b]] |= full & ~(up[a] | up[b])
             off_join[join[a][b]] |= full & ~(down[a] | down[b])
-    return not any(off_join[v] >> u & 1 for u in range(n) for v in iter_bits(off_meet[u] & up[u]))
+    return off_meet, off_join
 
 
-def _whitman_scan(L: FiniteLattice) -> Check:
-    n, meet, join, leq = L.n, L.meet, L.join, L.leq
+def _whitman_holds(L: FiniteLattice) -> bool:
+    """W fails iff some u = a ^ b <= v = c v d has a, b not below v and c, d
+    not above u: some v above u is marked in ``off_meet[u]`` with u marked
+    in ``off_join[v]`` (:func:`_whitman_marks`)."""
+    off_meet, off_join = _whitman_marks(L)
+    up = L.up
+    return not any(off_join[v] >> u & 1 for u in range(L.n) for v in iter_bits(off_meet[u] & up[u]))
+
+
+def _whitman_witness(L: FiniteLattice) -> Check:
+    """The first (a, b, c, d) in index order with u = a ^ b <= c v d, a and
+    b not below c v d, and c and d not above u, read off the marks of
+    :func:`_whitman_marks`: (a, b) is the first pair a < b with some v above
+    u and not above a or b that has u marked in ``off_join[v]``, and (c, d)
+    the first pair whose join is such a v, with c and d not above u.  The
+    failing condition is symmetric in a, b and in c, d, so the first
+    quadruple of the four nested loops over all indices has a < b, c < d."""
+    n, meet, join, up = L.n, L.meet, L.join, L.up
+    _, off_join = _whitman_marks(L)
+    marked = [0] * n  # marked[u]: the v with u marked in off_join[v]
+    for v in range(n):
+        for u in iter_bits(off_join[v]):
+            marked[u] |= 1 << v
     for a in range(n):
-        for b in range(n):
-            m = meet[a][b]
-            for c in range(n):
-                if leq(m, c):
-                    continue
-                for d in range(n):
-                    if leq(m, d):
-                        continue
-                    j = join[c][d]
-                    if leq(m, j) and not leq(a, j) and not leq(b, j):
+        for b in range(a + 1, n):
+            u = meet[a][b]
+            over = up[u] & ~(up[a] | up[b]) & marked[u]
+            if not over:
+                continue
+            apart = [c for c in range(n) if not up[u] >> c & 1]
+            for i, c in enumerate(apart):
+                for d in apart[i + 1:]:
+                    if over >> join[c][d] & 1:
                         return Check(False, (a, b, c, d))
     return Check(True)
 
@@ -136,7 +156,7 @@ def _modular_scan(L: FiniteLattice) -> Check:
 # Each entry looks its functions up when called, so they can be replaced.
 # A non-distributive lattice holds N5 or M3, and M3 fails SD-meet.
 _LAWS = {
-    "whitman": (lambda L: _whitman_holds(L), lambda L: _whitman_scan(L)),
+    "whitman": (lambda L: _whitman_holds(L), lambda L: _whitman_witness(L)),
     "sd_join": (lambda L: _kappa_holds(L.n, L.upper_covers, L.down, L.meet),
                 lambda L: _sd_check(L.n, L.join, L.meet)),
     "sd_meet": (lambda L: _kappa_holds(L.n, L.lower_covers, L.up, L.join),

@@ -16,10 +16,11 @@ conclusion test, and each witness construction checks the tuple it is
 handed as the search's one placement of it.
 
 Each check spends one node budget on every search it runs, the Dec bound's
-closure scan (:func:`core.sublattices`, so no size cap applies) and Dec
-searches included, and raises SearchBudgetExceeded when it runs out.  The
-degeneracy lemma's convex sublattices are intervals, listed directly by
-:func:`core.intervals` in O(n^2) per element, with no search.
+closure scan (:func:`core.sublattices`, so no size cap applies) and the Dec
+searches of its non-distributive sublattices included, and raises
+SearchBudgetExceeded when it runs out.  The degeneracy lemma's convex
+sublattices are intervals, listed directly by :func:`core.intervals` in
+O(n^2) per element, with no search.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .core import (
     iter_bits,
     sublattices,
 )
-from .decomp import dec, is_distributive_sublattice
+from .decomp import is_distributive_sublattice, sublattice_dec
 from .errors import HypothesisViolated, LatcheckError, UnknownProfile
 
 
@@ -309,11 +310,13 @@ def _loose_sublattices(L, convex, budget):
 def dec_bound_check(L: FiniteLattice, name=None, budget=None, membership=None) -> TheoremReport:
     """For every sublattice K and element a incomparable to all of K, Dec(K)
     is at most the number of join values times the number of meet values of a
-    against K.  The closure scan and every Dec(K) search share one budget."""
+    against K.  Dec(K) is 1 for a distributive K, read off L's tables with
+    no search (:func:`decomp.sublattice_dec`); the closure scan and the
+    Dec(K) search of each non-distributive K share one budget."""
 
     def scan(rep, L, nodes):
         for elems, loose in _loose_sublattices(L, False, nodes):
-            dec_k = dec(induced(L, elems), nodes)[0]
+            dec_k = sublattice_dec(L, elems, nodes)
             for a in loose:
                 rep.hypothesis_instances += 1
                 joins = {L.join[a][b] for b in elems}

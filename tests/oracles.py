@@ -39,7 +39,8 @@ tokeniser replaced, which interns through the library's ``gen``, ``meet``
 and ``join``; and the canonical term pool that the free-lattice witness
 construction replaced, the closure of the generators under the library's
 ``canonicalize`` of binary meets and joins, kept as a source of canonical
-terms for the canonical-form tests.
+terms for the canonical-form tests; and the quadruple scan for Whitman's
+witness that reading it off the verdict's marks replaced.
 """
 
 from __future__ import annotations
@@ -488,6 +489,27 @@ def _subset_is_distributive(L, s):
                 if L.join[a][L.meet[b][c]] != L.meet[L.join[a][b]][L.join[a][c]]:
                     return False
     return True
+
+
+def whitman_scan_oracle(L: FiniteLattice) -> laws.Check:
+    """Whitman's condition by the quadruple scan the mark-reading witness
+    replaced: the first (a, b, c, d) over four nested loops in index order
+    with a ^ b <= c v d, a and b not below c v d, and c and d not above
+    a ^ b."""
+    n, meet, join, leq = L.n, L.meet, L.join, L.leq
+    for a in range(n):
+        for b in range(n):
+            m = meet[a][b]
+            for c in range(n):
+                if leq(m, c):
+                    continue
+                for d in range(n):
+                    if leq(m, d):
+                        continue
+                    j = join[c][d]
+                    if leq(m, j) and not leq(a, j) and not leq(b, j):
+                        return laws.Check(False, (a, b, c, d))
+    return laws.Check(True)
 
 
 def distributive_oracle(L: FiniteLattice) -> bool:

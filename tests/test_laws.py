@@ -23,7 +23,7 @@ from latcheck.laws import (
     whitman,
 )
 
-from oracles import distributive_oracle, doubly_reducible_oracle
+from oracles import distributive_oracle, doubly_reducible_oracle, whitman_scan_oracle
 
 
 def hourglass():
@@ -111,7 +111,8 @@ def test_structural_verdicts_match_scans():
     scans of the two semidistributive laws, the rank verdict the modular
     scan and the distributive verdict the distributive scan, on every
     lattice with n <= 9, the catalog, ninf(2..8), grid(2,2..11) and their
-    duals; each law both holds and fails there."""
+    duals; each law both holds and fails there.  W's witness, read off the
+    marks, is the quadruple the scan finds first."""
     lattices = [L for n in range(1, 10) for L in all_lattices(n)]
     lattices += [catalog.get(name) for name in catalog.FIXED_NAMES]
     lattices += [catalog.ninf(k) for k in range(2, 9)] + [catalog.grid(k) for k in range(2, 12)]
@@ -119,11 +120,12 @@ def test_structural_verdicts_match_scans():
     laws_ = ("whitman", "sd_join", "sd_meet", "modular", "distributive")
     seen = set()
     for L in lattices:
-        scans = (laws._whitman_scan(L), laws._sd_check(L.n, L.join, L.meet),
+        scans = (whitman_scan_oracle(L), laws._sd_check(L.n, L.join, L.meet),
                  laws._sd_check(L.n, L.meet, L.join), laws._modular_scan(L),
                  laws._distributive_on(L, range(L.n)))
         verdicts = tuple(laws.holds(L, law) for law in laws_)
         assert verdicts == tuple(map(bool, scans)), L.labels
+        assert laws._whitman_witness(L) == scans[0], L.labels
         seen |= set(enumerate(verdicts))
     assert len(seen) == 2 * len(laws_)
 
@@ -134,7 +136,7 @@ def test_large_host_decided_without_scans(monkeypatch):
     def scan(*args):
         raise AssertionError("a witness scan ran")
 
-    for name in ("_whitman_scan", "_sd_check", "_modular_scan", "_distributive_on"):
+    for name in ("_whitman_witness", "_sd_check", "_modular_scan", "_distributive_on"):
         monkeypatch.setattr(laws, name, scan)
     L = direct_product(catalog.chain(200), catalog.chain(2))
     assert L.n == 400
@@ -192,9 +194,9 @@ def test_whitman_decided_once_per_lattice(monkeypatch):
             return real(L)
         return wrapper
 
-    scan = laws._whitman_scan
+    scan = laws._whitman_witness
     monkeypatch.setattr(laws, "_whitman_holds", spy(verdicts, laws._whitman_holds))
-    monkeypatch.setattr(laws, "_whitman_scan", spy(scans, scan))
+    monkeypatch.setattr(laws, "_whitman_witness", spy(scans, scan))
     seen = set()
     for L in [*all_lattices(6), catalog.get("L9"), catalog.get("M3"), hourglass()]:
         fresh = FiniteLattice(L.labels, L.up)
@@ -220,7 +222,7 @@ def test_gates_filters_and_profiles_run_no_scan(monkeypatch):
 
     lattices = [L for n in range(1, 8) for L in all_lattices(n)]
     lattices += [catalog.get(name) for name in catalog.FIXED_NAMES]
-    monkeypatch.setattr(laws, "_whitman_scan", scan)
+    monkeypatch.setattr(laws, "_whitman_witness", scan)
     monkeypatch.setattr(laws, "_distributive_on", scan)
     failing = {"whitman": 0, "distributive": 0}
     for L in lattices:

@@ -8,15 +8,15 @@ import json
 
 import pytest
 
-from latcheck import catalog, core, embed, laws, theorems
+from latcheck import catalog, core, embed, laws, theorems, variety
 from latcheck.core import (dual, are_isomorphic, canonical_form, direct_product, induced,
                            iter_bits)
-from latcheck.decomp import dec, minimum_distributive_partitions
+from latcheck.decomp import dec, minimum_distributive_partitions, sublattice_dec
 from latcheck.enumeration import all_lattices
 from latcheck.errors import (HypothesisViolated, LatcheckError, SearchBudgetExceeded,
                              UnknownProfile)
 
-from oracles import (cube_oracle, dec_oracle, l15_lemma_oracle,
+from oracles import (cube_oracle, dec_oracle, distributive_oracle, l15_lemma_oracle,
                      minimum_distributive_partitions_oracle, staircase_oracle,
                      sublattice_masks_oracle, twelve_element_oracle)
 from test_negative_controls import ALWAYS, grid_plus_times_2, interleaved_chains
@@ -230,14 +230,15 @@ def test_hypothesis_searches_spend_one_node_per_candidate():
 def _shared_budget_cases():
     """Per public call, a callable of a budget and each search it runs, as a
     callable of a budget: the cube check's four forms and sizes, the L15
-    lemma's hypothesis and L15 searches, the Dec bound's closure scan and
-    each Dec(K), profile N on N5 x N5, which skips M3 and L1-L5, and the
-    cor62 profile run on ninf(4): its forbidden-pattern gate and three
-    checks."""
-    grid, l15, ninf = catalog.grid(7), catalog.get("L15"), catalog.ninf(2)
+    lemma's hypothesis and L15 searches, the Dec bound on L6 with the
+    membership gate lifted, whose searches are the closure scan and the
+    Dec(K) of each non-distributive K (L6 has one, its N5 copy), profile N
+    on N5 x N5, which skips M3 and L1-L5, and the cor62 profile run on
+    ninf(4): its forbidden-pattern gate and three checks."""
+    grid, l15, l6 = catalog.grid(7), catalog.get("L15"), catalog.get("L6")
     n5 = catalog.get("N5")
     n5_squared = direct_product(n5, n5)
-    loose = theorems._loose_sublattices(ninf, False, core._Budget())
+    loose = [induced(l6, K) for K, _ in theorems._loose_sublattices(l6, False, core._Budget())]
     ninf4, cor62 = catalog.ninf(4), theorems.PROFILE_CHECKS["cor62"]
     return {
         "cube": (lambda b: theorems.cube_theorem_check(grid, budget=b),
@@ -247,9 +248,9 @@ def _shared_budget_cases():
         "l15_lemma": (lambda b: theorems.lemma_l15_check(l15, budget=b),
                       [lambda b: list(embed.iter_matches(theorems._L15_HYPOTHESIS, l15, b)),
                        lambda b: embed.find_embedding(l15, l15, b)]),
-        "dec_bound": (lambda b: theorems.dec_bound_check(ninf, budget=b),
-                      [lambda b: theorems._loose_sublattices(ninf, False, b)]
-                      + [lambda b, K=K: dec(induced(ninf, K), b) for K, _ in loose]),
+        "dec_bound": (lambda b: theorems.dec_bound_check(l6, budget=b, membership=ALWAYS),
+                      [lambda b: theorems._loose_sublattices(l6, False, b)]
+                      + [lambda b, K=K: dec(K, b) for K in loose if not distributive_oracle(K)]),
         "contains_forbidden": (
             lambda b: embed.contains_forbidden(n5_squared, embed.profile("N"), b),
             [lambda b, i=i: embed.find_embedding(catalog.get(f"L{i}"), n5_squared, b)
@@ -279,12 +280,14 @@ def test_searches_of_one_call_share_one_budget(case):
 
 def test_profile_run_spends_one_budget():
     """A budget bounds a whole profile run: the seven N-full checks on the
-    2 x 7 grid spend 2,441 nodes in all, the Dec bound 1,152 of them."""
+    2 x 7 grid spend 1,931 nodes in all, the Dec bound 642 of them, its
+    closure scan alone, as every sublattice K it reads on the grid is
+    distributive."""
     grid = catalog.grid(7)
-    assert len(theorems.run_profile(grid, "N-full", budget=2441)) == 7
+    assert len(theorems.run_profile(grid, "N-full", budget=1931)) == 7
     with pytest.raises(SearchBudgetExceeded) as exc:
-        theorems.run_profile(grid, "N-full", budget=2440)
-    assert exc.value.budget == 2440
+        theorems.run_profile(grid, "N-full", budget=1930)
+    assert exc.value.budget == 1930
 
 
 def test_hypothesis_configurations_match_oracles(monkeypatch):
@@ -460,6 +463,52 @@ def test_dec_searches_match_oracles():
             as_sets = [frozenset(p.blocks) for p in parts]
             assert len(set(as_sets)) == len(as_sets)
             assert set(as_sets) == minimum_distributive_partitions_oracle(L)
+
+
+def test_sublattice_dec_matches_the_search_on_every_loose_sublattice():
+    """On every sublattice K the Dec bound reads (one with an element
+    incomparable to all of it), over the W lattices with n <= 8, L6-L15 and
+    ninf(1..5): Dec(K) read without a search equals the Dec search on
+    induced(L, K), and it is 1 iff the referee finds K distributive.  The
+    Dec bound's report equals one computed with the search, and some K
+    of L6 is not distributive."""
+    hosts = [L for n in range(1, 9) for L in all_lattices(n) if laws.holds(L, "whitman")]
+    hosts += [catalog.get(f"L{i}") for i in range(6, 16)] + [catalog.ninf(k) for k in range(1, 6)]
+    nondistributive = set()
+    for L in hosts:
+        violations = []
+        for K, loose in theorems._loose_sublattices(L, False, core._Budget()):
+            block = induced(L, K)
+            value = sublattice_dec(L, K)
+            assert value == dec(block)[0]
+            assert (value == 1) == distributive_oracle(block)
+            if value > 1:
+                nondistributive.add(L.labels)
+            for a in loose:
+                bound = len({L.join[a][b] for b in K}) * len({L.meet[a][b] for b in K})
+                if value > bound:
+                    violations.append((L.labels[a], tuple(L.labels[e] for e in K), value, bound))
+        rep = theorems.dec_bound_check(L, membership=ALWAYS)
+        assert rep.conclusion_violations == violations
+    assert catalog.get("L6").labels in nondistributive
+
+
+def test_pentagon_variety_members_have_no_nondistributive_loose_sublattice():
+    """An observed fact, not a theorem: no W member of V(N5) with n <= 9 has
+    a non-distributive sublattice K with an element incomparable to all of
+    K, over 3,022 such K, while 44 W non-members have one.  So inside the
+    paper's domain the Dec bound runs no Dec search here."""
+    members, nonmembers, loose_in_members = set(), set(), 0
+    for n in range(1, 10):
+        for L in all_lattices(n):
+            if not laws.holds(L, "whitman"):
+                continue
+            member = bool(variety.in_n5_variety(L))
+            for K, _ in theorems._loose_sublattices(L, False, core._Budget()):
+                loose_in_members += member
+                if len(K) >= 5 and not distributive_oracle(induced(L, K)):
+                    (members if member else nonmembers).add(L)
+    assert (len(members), len(nonmembers), loose_in_members) == (0, 44, 3022)
 
 
 def test_semidistributive_witnesses_pinned():
