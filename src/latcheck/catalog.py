@@ -1,7 +1,9 @@
 """Built-in encodings of the named lattices: the diamond M3 and pentagon N5,
 McKenzie's subdirectly irreducible list L1..L15, the Boolean cube B3, chains,
 2 x k grids, finite truncations of the nested-pentagon lattice, the stacked
-double pentagon, and the twelve-element grid-plus-two-points shape.
+double pentagon, and the twelve-element grid-plus-two-points shape.  A
+name's entry is its cover diagram, which carries the name, and ``get``
+builds it (once for a fixed name).
 
 The L1..L15 cover relations are transcribed from their standard Hasse
 diagrams; the test suite guards every transcription with the known
@@ -12,21 +14,10 @@ pairwise non-isomorphism, so a misread edge fails loudly.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from functools import cache
 
 from .core import SIZE_CAP, CoverDiagram, FiniteLattice, build_lattice
 from .errors import BadParameter, SizeLimit, UnknownName
-
-
-class CatalogEntry(namedtuple("CatalogEntry", "name diagram expected")):
-    __slots__ = ()
-
-    def __new__(cls, name, diagram, expected=None):
-        return super().__new__(cls, name, diagram, {} if expected is None else expected)
-
-    def build(self) -> FiniteLattice:
-        return build_lattice(self.diagram)
 
 
 def _diagram(name, elements, covers):
@@ -36,15 +27,14 @@ def _diagram(name, elements, covers):
 _FIXED = {}
 
 
-def _register(name, elements, covers, **expected):
-    _FIXED[name] = CatalogEntry(name, _diagram(name, elements, covers), dict(expected))
+def _register(name, elements, covers):
+    _FIXED[name] = _diagram(name, elements, covers)
 
 
 _register(
     "M3",
     ["0", "a", "b", "c", "1"],
     [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
-    semidistributive=False, subdirectly_irreducible=True, modular=True,
 )
 
 # pentagon, labelled as usual: x1 top, x2 the long side, x4 < x3 the short side
@@ -52,7 +42,6 @@ _register(
     "N5",
     ["x1", "x2", "x3", "x4", "x5"],
     [("x5", "x2"), ("x5", "x4"), ("x4", "x3"), ("x2", "x1"), ("x3", "x1")],
-    semidistributive=True, subdirectly_irreducible=True, modular=False,
 )
 
 _register(
@@ -60,7 +49,6 @@ _register(
     ["a", "b", "c", "d", "e", "f", "g"],
     [("g", "d"), ("g", "e"), ("g", "f"), ("d", "b"), ("d", "c"),
      ("e", "b"), ("f", "c"), ("b", "a"), ("c", "a")],
-    semidistributive=False, subdirectly_irreducible=True,
 )
 
 _register(
@@ -68,7 +56,6 @@ _register(
     ["a", "b", "c", "d", "e", "f", "g"],
     [("a", "b"), ("a", "c"), ("b", "d"), ("b", "e"), ("c", "d"),
      ("c", "f"), ("d", "g"), ("e", "g"), ("f", "g")],
-    semidistributive=False, subdirectly_irreducible=True,
 )
 
 _register(
@@ -76,7 +63,6 @@ _register(
     ["a", "b", "c", "d", "e", "f", "g"],
     [("g", "d"), ("g", "f"), ("d", "e"), ("d", "c"), ("c", "b"),
      ("f", "b"), ("b", "a"), ("e", "a")],
-    semidistributive=False, subdirectly_irreducible=True,
 )
 
 _register(
@@ -84,7 +70,6 @@ _register(
     ["a", "b", "c", "d", "e", "f"],
     [("f", "c"), ("f", "d"), ("f", "e"), ("c", "b"), ("d", "b"),
      ("b", "a"), ("e", "a")],
-    semidistributive=False, subdirectly_irreducible=True,
 )
 
 _register(
@@ -92,7 +77,6 @@ _register(
     ["a", "b", "c", "d", "e", "f"],
     [("a", "b"), ("a", "e"), ("b", "c"), ("b", "d"), ("c", "f"),
      ("d", "f"), ("e", "f")],
-    semidistributive=False, subdirectly_irreducible=True,
 )
 
 _register(
@@ -100,7 +84,6 @@ _register(
     ["a", "b", "c", "d", "e", "f", "g", "h"],
     [("g", "f"), ("g", "h"), ("f", "e"), ("f", "d"), ("e", "c"),
      ("d", "b"), ("c", "b"), ("b", "a"), ("h", "a")],
-    semidistributive=True, subdirectly_irreducible=True,
 )
 
 _register(
@@ -108,7 +91,6 @@ _register(
     ["a", "b", "c", "d", "e", "f", "g", "h", "i"],
     [("i", "f"), ("i", "h"), ("h", "g"), ("h", "d"), ("g", "e"),
      ("e", "b"), ("e", "c"), ("f", "c"), ("d", "b"), ("b", "a"), ("c", "a")],
-    semidistributive=True, subdirectly_irreducible=True,
 )
 
 _register(
@@ -116,7 +98,6 @@ _register(
     ["a", "b", "c", "d", "e", "f", "g", "h", "i"],
     [("a", "b"), ("a", "c"), ("b", "e"), ("b", "d"), ("c", "e"),
      ("c", "f"), ("e", "g"), ("g", "h"), ("d", "h"), ("f", "i"), ("h", "i")],
-    semidistributive=True, subdirectly_irreducible=True,
 )
 
 _register(
@@ -124,7 +105,6 @@ _register(
     ["a", "b", "c", "d", "e", "f", "g", "h", "i"],
     [("i", "g"), ("i", "h"), ("g", "f"), ("g", "e"), ("f", "d"),
      ("e", "b"), ("e", "c"), ("d", "b"), ("h", "c"), ("b", "a"), ("c", "a")],
-    semidistributive=True, subdirectly_irreducible=True,
 )
 
 _register(
@@ -132,7 +112,6 @@ _register(
     ["a", "b", "c", "d", "e", "f", "g", "h", "i"],
     [("a", "b"), ("a", "c"), ("b", "d"), ("b", "e"), ("c", "e"),
      ("c", "h"), ("d", "f"), ("e", "g"), ("f", "g"), ("g", "i"), ("h", "i")],
-    semidistributive=True, subdirectly_irreducible=True,
 )
 
 _register(
@@ -141,7 +120,6 @@ _register(
     [("j", "f"), ("j", "i"), ("i", "g"), ("i", "h"), ("g", "d"),
      ("g", "e"), ("f", "d"), ("e", "b"), ("e", "c"), ("d", "b"),
      ("h", "c"), ("b", "a"), ("c", "a")],
-    semidistributive=True, subdirectly_irreducible=True,
 )
 
 _register(
@@ -150,7 +128,6 @@ _register(
     [("a", "b"), ("a", "c"), ("b", "d"), ("b", "e"), ("c", "e"),
      ("c", "h"), ("d", "f"), ("d", "g"), ("e", "g"), ("g", "i"),
      ("h", "i"), ("f", "j"), ("i", "j")],
-    semidistributive=True, subdirectly_irreducible=True,
 )
 
 # boolean cube on atoms {e, f, g} with its lower cover of e doubled by m
@@ -160,7 +137,6 @@ _register(
     [("h", "g"), ("h", "m"), ("h", "f"), ("m", "e"), ("g", "d"),
      ("g", "c"), ("f", "b"), ("f", "d"), ("e", "b"), ("e", "c"),
      ("d", "a"), ("c", "a"), ("b", "a")],
-    semidistributive=True, subdirectly_irreducible=True,
 )
 
 _register(
@@ -169,7 +145,6 @@ _register(
     [("h", "g"), ("h", "e"), ("h", "f"), ("e", "b"), ("e", "c"),
      ("g", "d"), ("g", "c"), ("f", "b"), ("f", "d"), ("d", "m"),
      ("m", "a"), ("b", "a"), ("c", "a")],
-    semidistributive=True, subdirectly_irreducible=True,
 )
 
 _register(
@@ -178,7 +153,6 @@ _register(
     [("j", "i"), ("j", "h"), ("i", "g"), ("i", "f"), ("h", "e"),
      ("h", "f"), ("f", "d"), ("e", "b"), ("g", "c"), ("d", "b"),
      ("d", "c"), ("b", "a"), ("c", "a")],
-    semidistributive=True, subdirectly_irreducible=True,
 )
 
 _register(
@@ -188,7 +162,6 @@ _register(
      ("a", "ab"), ("a", "ac"), ("b", "ab"), ("b", "bc"),
      ("c", "ac"), ("c", "bc"),
      ("ab", "abc"), ("ac", "abc"), ("bc", "abc")],
-    semidistributive=True, distributive=True,
 )
 
 _register(
@@ -197,7 +170,6 @@ _register(
     [("x5", "x2"), ("x5", "x4"), ("x4", "x3"), ("x2", "x1"), ("x3", "x1"),
      ("y5", "y2"), ("y5", "y4"), ("y4", "y3"), ("y2", "y1"), ("y3", "y1"),
      ("y1", "x5")],
-    semidistributive=True,
 )
 
 # 2 x 5 grid with c squeezed into the middle rung and s into the right chain
@@ -255,9 +227,9 @@ def ninf_diagram(k: int) -> CoverDiagram:
     return _diagram(f"ninf({k})", labels, covers)
 
 
-def entry(name: str) -> CatalogEntry:
-    """Catalog entry by name; parametrized families accept chain(k),
-    grid(2,k) and ninf(k) spellings."""
+def entry(name: str) -> CoverDiagram:
+    """The cover diagram of a named lattice; parametrized families accept
+    chain(k), grid(2,k) and ninf(k) spellings."""
     if name in _FIXED:
         return _FIXED[name]
     m = _PARAM_RE.match(name.replace(" ", ""))
@@ -274,19 +246,19 @@ def entry(name: str) -> CatalogEntry:
                      "ninf": (2 * k + 3, ninf_diagram)}[family]
     if size > SIZE_CAP:  # checked before the n^2 order and tables are built
         raise SizeLimit(size, SIZE_CAP, f"catalog {family}")
-    return CatalogEntry(name, diagram(k))
+    return diagram(k)
 
 
 @cache
 def _built(name: str) -> FiniteLattice:
-    return _FIXED[name].build()
+    return build_lattice(_FIXED[name])
 
 
 def get(name: str) -> FiniteLattice:
     """The named lattice.  Each fixed name is built once and the same object
     is returned thereafter, so its memoised tables and covers are shared;
-    parametrized names and ``CatalogEntry.build`` build afresh."""
-    return _built(name) if name in _FIXED else entry(name).build()
+    parametrized names and ``build_lattice(entry(name))`` build afresh."""
+    return _built(name) if name in _FIXED else build_lattice(entry(name))
 
 
 def chain(k: int) -> FiniteLattice:

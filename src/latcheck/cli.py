@@ -9,12 +9,14 @@ writes nothing; main alone writes the report and derives the exit code:
 0 when violations is empty, 1 when it is not, 2 input or usage error, 3
 search budget exceeded.  Identical inputs give byte-identical reports; the
 timing field stays null unless --timing is passed, and then counts the wall
-time from dispatch, the command's own imports included.
+time from the start of main, the command's own module imports included.
 
 Each command imports only the modules it runs, inside its cmd_* function,
 and the parser holds only the root and the command argv names (every
 command only for root help or an unknown command), so a call pays
-start-up for what it uses and nothing else.  No latcheck
+start-up for what it uses and nothing else.  The parsers of find-forbidden
+and verify-theorems import embed and theorems, whose names their options'
+choices list, and those commands run them anyway.  No latcheck
 module imports the standard library's data-class generator (PEP 557),
 which would load ``inspect`` and ``ast`` and run ``exec`` per record class
 at start-up; the records are named tuples and plain classes.
@@ -23,7 +25,6 @@ at start-up; the records are named tuples and plain classes.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import sys
@@ -384,26 +385,6 @@ def cmd_freelat(args):
 # -- argument parsing ---------------------------------------------------------
 
 
-class _Choices:
-    """The valid values of an option, read from `module.attr` (put in order
-    by `order`) only when argparse tests or lists them, so that building the
-    parser imports no module.  Options using it need an explicit metavar,
-    since argparse would otherwise list the choices in the usage line."""
-
-    def __init__(self, module, attr, order=tuple):
-        self.module, self.attr, self.order = module, attr, order
-
-    def _values(self):
-        module = importlib.import_module(f"{__package__}.{self.module}")
-        return self.order(getattr(module, self.attr))
-
-    def __contains__(self, value):
-        return value in self._values()
-
-    def __iter__(self):
-        return iter(self._values())
-
-
 def _add_common(parser, suppress=False):
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--pretty", action="store_true",
@@ -426,16 +407,20 @@ def _dec_args(c):
 
 
 def _find_forbidden_args(c):
+    from . import embed
+
     c.add_argument("file")
-    c.add_argument("--profile", required=True, choices=_Choices("embed", "PROFILES", sorted),
+    c.add_argument("--profile", required=True, choices=sorted(embed.PROFILES),
                    metavar="PROFILE", help="one of %(choices)s")
 
 
 def _verify_theorems_args(c):
+    from . import theorems
+
     c.add_argument("--size", type=int, default=6)
-    c.add_argument("--theorem", choices=_Choices("theorems", "ALL_CHECK_IDS"), default=None,
+    c.add_argument("--theorem", choices=theorems.ALL_CHECK_IDS, default=None,
                    metavar="THEOREM", help="one of %(choices)s")
-    c.add_argument("--profile", choices=_Choices("theorems", "PROFILE_CHECKS", sorted),
+    c.add_argument("--profile", choices=sorted(theorems.PROFILE_CHECKS),
                    default="N-full", metavar="PROFILE", help="one of %(choices)s")
 
 
@@ -519,12 +504,12 @@ def build_parser(argv=None):
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()  # before the parser imports a command's module
     parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
-    started = time.perf_counter()
     try:
         # a bad budget is an input error on every command, searching or not
         if args.budget is not None:

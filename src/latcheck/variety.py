@@ -31,17 +31,18 @@ covers, whose classes are the quotient's join-irreducibles, ordered as in
 L.  An SI lattice with one join-irreducible is 2, and one with three, two of
 them comparable, is N5, so the membership verdict and the offending factor's
 size are read off the kept sets with no quotient; the factor list, the
-certificate, is built only when it is read.
+certificate, is built only when it is read, by the same rule: one quotient
+each for 2 and N5, and a quotient and canonical form for every other kept
+set.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_
 
-from . import catalog
 from .core import FiniteLattice, atoms, cached, canonical_form, iter_bits
 from .errors import SizeLimit
 
@@ -220,32 +221,22 @@ def _member_class(L: FiniteLattice, kept) -> str | None:
     return None
 
 
-@cache
-def _small_si_forms() -> dict:
-    """Canonical forms of the subdirectly irreducible lattices with fewer
-    than six elements, by name."""
-    return {name: canonical_form(catalog.get(name)) for name in ("chain(2)", "N5", "M3")}
-
-
 def si_factors(L: FiniteLattice) -> list:
     """Quotients by all meet-irreducible congruences, one per isomorphism
-    class, in canonical-form order.  The class of a quotient is read off its
-    kept set where that settles it: one element gives 2, three with a
-    comparable pair N5, and three pairwise incomparable with five blocks
-    M3.  Only the first congruence of each of those classes is turned into
-    a quotient, and only the other quotients are canonicalised."""
-    small = _small_si_forms()
+    class, in canonical-form order.  A kept set that names 2 or N5 settles
+    its class, so only the first congruence of each of those two classes is
+    turned into a quotient, canonicalised only to place it in the order;
+    every other quotient, M3 included, is canonicalised to find its
+    class."""
     kept_of = {_congruence(L, ~kept): kept for kept in _kept_sets(L)}
-    seen = {}
+    named, seen = set(), {}
     for c in sorted(kept_of, key=_congruence_order):
-        kept = kept_of[c]
-        name = _member_class(L, kept) or (
-            "M3" if kept.bit_count() == 3 and c.block_count == 5 else None)
-        if name is None:
+        name = _member_class(L, kept_of[c])
+        if name not in named:
+            if name is not None:
+                named.add(name)
             q = quotient(L, c)
             seen.setdefault(canonical_form(q), q)
-        elif small[name] not in seen:
-            seen[small[name]] = quotient(L, c)
     return [seen[k] for k in sorted(seen)]
 
 

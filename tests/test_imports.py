@@ -164,6 +164,40 @@ def test_enumerate_without_filters_loads_no_predicate_module():
                          "latcheck.variety"}
 
 
+# runs in a fresh interpreter: prints, on stderr, the modules that importing
+# latcheck.variety added to sys.modules
+VARIETY_PROBE = """
+import json, sys
+before = set(sys.modules)
+import latcheck.variety
+print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
+"""
+
+
+def test_variety_loads_no_catalog():
+    loaded = loaded_modules(probe=VARIETY_PROBE)
+    assert "latcheck.variety" in loaded and "latcheck.catalog" not in loaded
+
+
+def test_traced_names_resolve_to_module_attributes():
+    """perfbench's tracer wraps each name in ``TRACED`` and hooks each in
+    ``HOOKS`` by ``getattr`` on its latcheck module, so a deleted or renamed
+    one would make every traced run raise AttributeError.  The file is read,
+    not imported."""
+    path = os.path.join(os.path.dirname(SRC), "perfbench", "tracing.py")
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    tables = {node.targets[0].id: node.value for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    names = [(layer, fn) for layer, fns in ast.literal_eval(tables["TRACED"]).items()
+             for fn in fns]
+    names += [tuple(ast.literal_eval(key).split(".")) for key in tables["HOOKS"].keys]
+    assert len(names) > 30 and ("variety", "all_congruences") in names
+    missing = [f"{module}.{attr}" for module, attr in names
+               if not hasattr(importlib.import_module(f"latcheck.{module}"), attr)]
+    assert not missing
+
+
 def test_exports_resolve_to_module_attributes():
     assert len(EXPORTS) == 55
     assert sorted(latcheck.__all__) == sorted(EXPORTS)

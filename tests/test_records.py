@@ -4,7 +4,6 @@ values, equality, hashing and repr, whatever class machinery builds them."""
 import pytest
 
 from latcheck import catalog, decomp, laws, theorems, variety
-from latcheck.catalog import CatalogEntry
 from latcheck.core import CoverDiagram, EmbeddingWitness, build_lattice
 from latcheck.decomp import DistributivePartition, GJDecomposition, PartitionCheck
 from latcheck.embed import ForbiddenProfile
@@ -63,18 +62,10 @@ def test_value_records_compare_and_hash_by_fields():
     prof = ForbiddenProfile("x", ("M3",))
     assert prof == ForbiddenProfile("x", ("M3",)) and prof.lattices()[0][0] == "M3"
     p = laws.law_profile(n5)
-    assert p == laws.law_profile(build_lattice(catalog.entry("N5").diagram))
+    assert p == laws.law_profile(build_lattice(catalog.entry("N5")))
     assert (p.whitman, p.sd_join, p.modular, p.length) == (True, True, False, 4)
     with pytest.raises(AttributeError):
         p.whitman = False
-
-
-def test_catalog_entry_expected_defaults_to_a_fresh_dict():
-    d = CoverDiagram(["0"], [])
-    a, b = CatalogEntry("one", d), CatalogEntry("one", d)
-    assert a.expected == {} and a.expected is not b.expected
-    assert a == b and a.build().n == 1
-    assert CatalogEntry("one", d, {"modular": True}).expected == {"modular": True}
 
 
 def test_variety_decision_ignores_the_lattice():

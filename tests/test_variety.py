@@ -235,8 +235,17 @@ def test_join_irreducible_route_matches_closure_referee(source):
         assert is_subdirectly_irreducible(L) == is_subdirectly_irreducible_oracle(L)
 
 
+def _referee_products():
+    """Products whose M3 factors si_factors names only by quotient and
+    canonical form, beside N5 and 2 factors that it names off the kept sets."""
+    n5, m3 = catalog.get("N5"), catalog.get("M3")
+    return [direct_product(m3, m3), direct_product(m3, catalog.chain(3)),
+            direct_product(direct_product(n5, m3), catalog.chain(2))]
+
+
 def _with_duals(source):
     lattices = ([catalog.get(name) for name in REFEREE_CATALOG] if source == "catalog"
+                else _referee_products() if source == "products"
                 else all_lattices(source))
     return [*lattices, *map(dual, lattices)]
 
@@ -252,7 +261,7 @@ def test_principal_congruence_matches_union_find_referee(source):
                     (L.labels, a, b)
 
 
-@pytest.mark.parametrize("source", [*range(1, 9), "catalog"])
+@pytest.mark.parametrize("source", [*range(1, 9), "catalog", "products"])
 def test_membership_matches_quotient_referee(source):
     """The decision, its factors' labels in order, the offending factor's
     labels, the offending size the gate reads and the N-full skip reason,
