@@ -8,13 +8,14 @@ carries a 64-bit sketch, its values under 64 fixed maps of the generators
 into the two-element lattice; as those maps extend to homomorphisms, a bit
 set in s's sketch and clear in t's proves s is not below t, and `leq`
 refutes such pairs without recursing.  The pairs Whitman's recursion
-decides are memoised for one outermost public call (`leq`, `term_equal`,
-`canonicalize`, `verify_free_embedding` or `find_free_embedding`): nested
-calls share the memo, and the outermost one leaves it empty, also when it
-raises.  Interned terms and canonical forms are kept for the process, so
-canonical terms compare by identity across calls.  `canonicalize` alone
-says what a canonical term is (Freese, Jezek & Nation's characterisation,
-tested pairwise), and every witness term is canonicalised by it.  The word
+decides are memoised for one public call (`leq`, `term_equal`,
+`canonicalize`, `verify_free_embedding` or `find_free_embedding`), which
+leaves the memo empty, also when it raises; none of them calls another.
+Interned terms and canonical forms are kept for the process, so canonical
+terms compare by identity across calls.  `canonicalize` alone says what a
+canonical term is (Freese, Jezek & Nation's characterisation, tested
+pairwise), interning one term per round, and every witness term is
+canonicalised by it.  The word
 problem needs no finite lattice, so `core` and `laws` are imported only by
 the witness construction.
 """
@@ -35,7 +36,7 @@ class FreeTerm:
     """Generator, or join/meet of at least two subterms.  Instances are
     interned: structurally equal terms are the same object."""
 
-    __slots__ = ("kind", "name", "args", "size", "depth", "sketch", "_enc")
+    __slots__ = ("kind", "name", "args", "sketch", "_enc")
 
     def __repr__(self):
         return f"FreeTerm({format_term(self)!r})"
@@ -80,10 +81,8 @@ def _make(kind, name, args):
         t.name = name
         t.args = args
         if kind == "gen":
-            t.size, t.depth, t.sketch = 1, 0, _gen_sketch(name)
+            t.sketch = _gen_sketch(name)
         else:
-            t.size = sum(a.size for a in args)
-            t.depth = 1 + max(a.depth for a in args)
             # bit k is the value under the k-th two-valued map: meet is AND,
             # join is OR
             sketch = args[0].sketch
@@ -137,23 +136,17 @@ def term_key(t: FreeTerm):
 
 # the pairs Whitman's recursion decided in the open public call
 _LEQ = {}
-_in_call = False
 
 
 def _one_call(body):
-    """``body`` as a public entry point: the outermost such call owns the
-    Whitman memo and leaves it empty when it returns or raises; nested calls
-    share it."""
+    """``body`` as a public entry point, which owns the Whitman memo and
+    leaves it empty when it returns or raises.  No entry point calls
+    another, or the inner call would empty the outer one's memo."""
     @functools.wraps(body)
     def entry(*args, **kwargs):
-        global _in_call
-        if _in_call:
-            return body(*args, **kwargs)
-        _in_call = True
         try:
             return body(*args, **kwargs)
         finally:
-            _in_call = False
             _LEQ.clear()
     return entry
 
@@ -213,21 +206,20 @@ def _canonicalize(t):
     below = _leq if kind == "join" else (lambda a, b: _leq(b, a))
     args = [_canonicalize(a) for a in t.args]
     while True:
-        flat = []
-        for a in args:
-            for b in (a.args if a.kind == kind else (a,)):
-                if b not in flat:
-                    flat.append(b)
+        # the distinct arguments by identity, in first-seen order
+        flat = dict.fromkeys(b for a in args for b in (a.args if a.kind == kind else (a,)))
         # distinct canonical terms are never equal, so "below" is strict
         args = [a for a in flat if not any(b is not a and below(a, b) for b in flat)]
         if len(args) == 1:
             res = args[0]
             break
+        # Whitman's order ignores argument order: the sorted whole decides
+        args.sort(key=term_key)
         whole = _make(kind, None, tuple(args))
         sub = next(((i, s) for i, a in enumerate(args) if a.kind == inner
                     for s in a.args if below(s, whole)), None)
         if sub is None:
-            res = _make(kind, None, tuple(sorted(args, key=term_key)))
+            res = whole
             break
         args[sub[0]] = sub[1]
     _CANON[t] = res
@@ -263,12 +255,7 @@ def evaluate(t: FreeTerm, L: FiniteLattice, assignment: dict) -> int:
     return acc
 
 
-@_one_call
-def verify_free_embedding(L: FiniteLattice, terms) -> bool:
-    """True iff element -> term is order-preserving and order-reflecting and
-    sends the meet/join tables to term-level meets and joins.  The order
-    check already gives g(a ^ b) <= g(a) ^ g(b) and g(a) v g(b) <= g(a v b),
-    so only the other direction of each equality is tested."""
+def _verify_free_embedding(L, terms):
     ts = [terms[a] for a in range(L.n)]
     for a in range(L.n):
         for b in range(L.n):
@@ -281,6 +268,15 @@ def verify_free_embedding(L: FiniteLattice, terms) -> bool:
             if not _leq(ts[L.join[a][b]], join(ts[a], ts[b])):
                 return False
     return True
+
+
+@_one_call
+def verify_free_embedding(L: FiniteLattice, terms) -> bool:
+    """True iff element -> term is order-preserving and order-reflecting and
+    sends the meet/join tables to term-level meets and joins.  The order
+    check already gives g(a ^ b) <= g(a) ^ g(b) and g(a) v g(b) <= g(a v b),
+    so only the other direction of each equality is tested."""
+    return _verify_free_embedding(L, terms)
 
 
 # -- free-lattice witnesses ----------------------------------------------------
@@ -371,7 +367,7 @@ def find_free_embedding(L: FiniteLattice, budget=None):
 
     g = settle(g_pass, lower, n + 1)
     witness = g and dict(enumerate(g))
-    return witness if witness and verify_free_embedding(L, witness) else None
+    return witness if witness and _verify_free_embedding(L, witness) else None
 
 
 # -- surface syntax -----------------------------------------------------------

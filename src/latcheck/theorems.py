@@ -50,10 +50,10 @@ class TheoremReport:
     compare by their fields and are not hashable, as they change."""
 
     __slots__ = ("theorem", "lattice", "hypothesis_instances", "conclusion_violations",
-                 "vacuous", "skipped", "skip_reason", "details")
+                 "vacuous", "skipped", "skip_reason")
 
     def __init__(self, theorem, lattice, hypothesis_instances=0, conclusion_violations=None,
-                 vacuous=False, skipped=False, skip_reason=None, details=None):
+                 vacuous=False, skipped=False, skip_reason=None):
         self.theorem = theorem
         self.lattice = lattice
         self.hypothesis_instances = hypothesis_instances
@@ -61,7 +61,6 @@ class TheoremReport:
         self.vacuous = vacuous
         self.skipped = skipped
         self.skip_reason = skip_reason
-        self.details = {} if details is None else details
 
     def _fields(self):
         return [(f, getattr(self, f)) for f in self.__slots__]

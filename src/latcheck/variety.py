@@ -33,7 +33,8 @@ them comparable, is N5, so the membership verdict and the offending factor's
 size are read off the kept sets with no quotient; the factor list, the
 certificate, is built only when it is read, by the same rule: one quotient
 each for 2 and N5, and a quotient and canonical form for every other kept
-set.
+set.  The offending factor is the first that the rule does not name with
+all of its own join-irreducibles kept.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_
 
-from .core import FiniteLattice, atoms, cached, canonical_form, iter_bits
+from .core import FiniteLattice, cached, canonical_form, iter_bits
 from .errors import SizeLimit
 
 CONGRUENCE_CAP = 16
@@ -274,10 +275,11 @@ class VarietyDecision:
 
     @cached_property
     def offending(self) -> FiniteLattice | None:
-        # the SI members are 2 and N5; of the SI lattices with five
-        # elements, N5 has two atoms and M3 three
+        # a factor is SI, so the verdict's rule names it off all of its
+        # join-irreducibles kept
         return None if self.member else next(
-            q for q in self.factors if q.n > 2 and not (q.n == 5 and len(atoms(q)) == 2))
+            q for q in self.factors if _member_class(q, sum(
+                1 << p for p in range(q.n) if len(q.lower_covers(p)) == 1)) is None)
 
 
 @cached

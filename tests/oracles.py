@@ -39,7 +39,8 @@ tokeniser replaced, which interns through the library's ``gen``, ``meet``
 and ``join``; and the canonical term pool that the free-lattice witness
 construction replaced, the closure of the generators under the library's
 ``canonicalize`` of binary meets and joins, kept as a source of canonical
-terms for the canonical-form tests; and the quadruple scan for Whitman's
+terms for the canonical-form tests, with the term size and depth that
+terms no longer carry; and the quadruple scan for Whitman's
 witness that reading it off the verdict's marks replaced.
 """
 
@@ -698,6 +699,37 @@ def whitman_leq_oracle(s, t) -> bool:
             or t.kind == "join" and any(whitman_leq_oracle(s, tj) for tj in t.args))
 
 
+def _fold_term(t, leaf, combine):
+    """``leaf`` at each generator, ``combine`` of the arguments' values at
+    each join and meet, in a loop, so depth is unbounded; a shared subterm
+    is valued once."""
+    values = {}
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u in values:
+            stack.pop()
+        elif u.kind == "gen":
+            values[u] = leaf
+        else:
+            pending = [a for a in u.args if a not in values]
+            if pending:
+                stack.extend(pending)
+            else:
+                values[u] = combine([values[a] for a in u.args])
+    return values[t]
+
+
+def term_size(t) -> int:
+    """The number of generator occurrences in ``t``."""
+    return _fold_term(t, 1, sum)
+
+
+def term_depth(t) -> int:
+    """The nesting depth of ``t``: 0 for a generator."""
+    return _fold_term(t, 0, lambda depths: 1 + max(depths))
+
+
 def canonical_terms(gen_names, max_size, max_depth, budget):
     """All canonical terms over the given generators with at most max_size
     generator occurrences and the given depth, sorted small-first: the
@@ -711,7 +743,7 @@ def canonical_terms(gen_names, max_size, max_depth, budget):
     seen = set(pool)
     for i, a in enumerate(pool):  # the pool grows as it is scanned
         # a size first reached while a is scanned holds only terms after a
-        for size in sorted(s for s in by_size if s <= max_size - a.size):
+        for size in sorted(s for s in by_size if s <= max_size - term_size(a)):
             for j in by_size[size]:
                 if j > i:
                     break
@@ -722,11 +754,12 @@ def canonical_terms(gen_names, max_size, max_depth, budget):
                     continue
                 for op in (meet, join):
                     t = canonicalize(op(a, b))
-                    if t.size <= max_size and t.depth <= max_depth and t not in seen:
+                    size_t = term_size(t)
+                    if size_t <= max_size and term_depth(t) <= max_depth and t not in seen:
                         seen.add(t)
-                        by_size.setdefault(t.size, []).append(len(pool))
+                        by_size.setdefault(size_t, []).append(len(pool))
                         pool.append(t)
-    pool.sort(key=lambda t: (t.size, term_key(t)))
+    pool.sort(key=lambda t: (term_size(t), term_key(t)))
     return pool
 
 

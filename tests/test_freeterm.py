@@ -1,6 +1,7 @@
 """Free-lattice terms: the word-problem decision, canonical forms,
 evaluation, embedding verification and the witness construction."""
 
+import ast
 import hashlib
 import json
 import random
@@ -27,7 +28,14 @@ from latcheck.freeterm import (
     verify_free_embedding,
 )
 
-from oracles import canonical_terms, is_canonical_oracle, parse_term_oracle, whitman_leq_oracle
+from oracles import (
+    canonical_terms,
+    is_canonical_oracle,
+    parse_term_oracle,
+    term_depth,
+    term_size,
+    whitman_leq_oracle,
+)
 
 x, y, z = gen("x"), gen("y"), gen("z")
 
@@ -336,7 +344,7 @@ def test_parse_deep_parentheses():
     for _ in range(700):
         deep = f"x & (y | ({deep}))"
     t = parse_term(deep)
-    assert t.depth == 1400 and t.size == 1401
+    assert term_depth(t) == 1400 and term_size(t) == 1401
     with pytest.raises(ParseError) as exc:
         parse_term("(" * 3000 + "x")
     assert (str(exc.value), exc.value.offset) == ("missing closing parenthesis", 2999)
@@ -387,7 +395,8 @@ def test_parse_matches_the_character_loop_parser_on_generated_terms():
     for _ in range(300):
         text = term_text(rng, rng.randint(8, 128))
         t = parse_term(text)
-        assert t is parse_term_oracle(text) and t.size == text.count("&") + text.count("|") + 1
+        assert t is parse_term_oracle(text)
+        assert term_size(t) == text.count("&") + text.count("|") + 1
         assert parse_term(format_term(t)) is t
         # one character replaced: an error far from the start, or another term
         i = rng.randrange(len(text))
@@ -398,7 +407,7 @@ def test_parse_matches_the_character_loop_parser_on_generated_terms():
 def test_canonical_pool_is_canonical_and_sorted():
     pool = canonical_terms(["x", "y"], 4, 4, _Budget())
     assert all(canonicalize(t) is t for t in pool)
-    sizes = [t.size for t in pool]
+    sizes = [term_size(t) for t in pool]
     assert sizes == sorted(sizes)
     assert len(set(pool)) == len(pool)
 
@@ -479,8 +488,8 @@ def test_canonical_pools_pinned(names, max_size, max_depth, count, pin):
     assert len(pool) == count
     for t in pool:
         assert_canonical(t, t)
-        assert t.size <= max_size and t.depth <= max_depth
-    assert pool == sorted(pool, key=lambda t: (t.size, term_key(t)))
+        assert term_size(t) <= max_size and term_depth(t) <= max_depth
+    assert pool == sorted(pool, key=lambda t: (term_size(t), term_key(t)))
     text = "\n".join(format_term(t) for t in pool)
     # recorded before the pool became the closure under binary meet and join
     assert hashlib.sha256(text.encode()).hexdigest() == pin
@@ -563,14 +572,14 @@ def test_sketch_refutes_without_memoising_and_never_proves(memo_spy):
 def test_whitman_memo_lives_for_one_public_call(memo_spy, monkeypatch):
     """Each public entry point fills the memo and leaves it empty, also when
     it raises: on running out of budget, and on a term too deep for the
-    recursion.  Nested calls share it: find_free_embedding verifies its
-    witness inside its own call, and the memo outlives that call."""
+    recursion.  find_free_embedding verifies its witness through the
+    private body of verify_free_embedding, so the memo outlives that."""
     a, b, c = gen("memo_a"), gen("memo_b"), gen("memo_c")
     lhs, rhs = join(a, meet(b, c)), meet(join(a, b), join(a, c))
     deep = a
     for _ in range(1000):
         deep = meet(a, join(b, deep))
-    assert deep.depth == 2000
+    assert term_depth(deep) == 2000
     n5 = catalog.get("N5")
     witness = find_free_embedding(n5)
     entries = [
@@ -591,17 +600,53 @@ def test_whitman_memo_lives_for_one_public_call(memo_spy, monkeypatch):
                 call()
         assert any(memo != "absent" for *_, memo in memo_spy)
         assert freeterm._LEQ == {}
-    # the search's own verification is a nested call: the memo outlives it
-    verify, left = freeterm.verify_free_embedding, []
+    # the search's own verification runs inside its call: the memo outlives it
+    verify, left = freeterm._verify_free_embedding, []
 
-    def nested(L, terms):
+    def spy(L, terms):
         res = verify(L, terms)
         left.append(len(freeterm._LEQ))
         return res
 
-    monkeypatch.setattr(freeterm, "verify_free_embedding", nested)
+    monkeypatch.setattr(freeterm, "_verify_free_embedding", spy)
     assert find_free_embedding(n5) == witness
     assert len(left) == 1 and left[0] > 0 and freeterm._LEQ == {}
+
+
+def test_no_entry_point_reaches_another():
+    """Each public entry point empties the Whitman memo when it returns, so
+    one run inside another would empty the outer call's memo.  The module
+    is read with ast: no entry point names another, directly or through
+    the module's other functions, nested functions and lambdas included."""
+    with open(freeterm.__file__) as f:
+        tree = ast.parse(f.read())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    entries = {name for name, node in defs.items()
+               if any(isinstance(d, ast.Name) and d.id == "_one_call" for d in node.decorator_list)}
+    assert entries == {"leq", "term_equal", "canonicalize", "verify_free_embedding",
+                       "find_free_embedding"}
+    named = {name: {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and n.id in defs}
+             for name, node in defs.items()}
+    for entry in entries:
+        reached, todo = set(), list(named[entry])
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo.extend(named[name])
+        assert not reached & entries, entry
+
+
+def test_canonicalize_interns_one_term_per_round():
+    """The sorted whole decides the inner-kind rule and is the result, so
+    flattening out of order leaves no unsorted term interned."""
+    cp, cq, cr = gen("intern_cp"), gen("intern_cq"), gen("intern_cr")
+    t = parse_term("(intern_cr | intern_cq) | intern_cp")
+    before = set(freeterm._INTERN)
+    assert canonicalize(t) is join(cp, cq, cr)
+    assert set(freeterm._INTERN) - before == {("join", (cp, cq, cr)), ("join", (cq, cr))}
+    assert ("join", (cq, cr, cp)) not in freeterm._INTERN
 
 
 def test_generator_names_are_identifiers():

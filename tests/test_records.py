@@ -82,24 +82,21 @@ def test_variety_decision_ignores_the_lattice():
 def test_theorem_report_to_dict_is_an_ordered_deep_copy():
     rep = TheoremReport("cube", "B3")
     assert (rep.hypothesis_instances, rep.conclusion_violations, rep.vacuous, rep.skipped,
-            rep.skip_reason, rep.details) == (0, [], False, False, None, {})
+            rep.skip_reason) == (0, [], False, False, None)
     assert rep.conclusion_violations is not TheoremReport("cube", "B3").conclusion_violations
     rep.conclusion_violations.append(("a", ["b", "c"]))
-    rep.details["k"] = [1]
     d = rep.to_dict()
     assert list(d) == ["theorem", "lattice", "hypothesis_instances", "conclusion_violations",
-                       "vacuous", "skipped", "skip_reason", "details"]
+                       "vacuous", "skipped", "skip_reason"]
     d["conclusion_violations"][0][1].append("d")
     d["conclusion_violations"].append("e")
-    d["details"]["k"].append(2)
-    d["details"]["j"] = 0
-    assert rep.conclusion_violations == [("a", ["b", "c"])] and rep.details == {"k": [1]}
-    assert rep == TheoremReport("cube", "B3", 0, [("a", ["b", "c"])], details={"k": [1]})
+    assert rep.conclusion_violations == [("a", ["b", "c"])]
+    assert rep == TheoremReport("cube", "B3", 0, [("a", ["b", "c"])])
     assert rep != TheoremReport("cube", "B3")
     with pytest.raises(TypeError):
         hash(rep)
     assert repr(TheoremReport("x", "y")) == (
         "TheoremReport(theorem='x', lattice='y', hypothesis_instances=0, "
-        "conclusion_violations=[], vacuous=False, skipped=False, skip_reason=None, details={})")
+        "conclusion_violations=[], vacuous=False, skipped=False, skip_reason=None)")
     real = theorems.cube_theorem_check(catalog.get("M3"), name="M3")
     assert real.skipped and not real.holds and real.to_dict()["skip_reason"] == real.skip_reason

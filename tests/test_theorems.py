@@ -425,7 +425,7 @@ def test_report_serialization():
 # sha256 over the JSON of every report below, and over the semidistributive
 # witnesses of every lattice with n <= 8; recorded from an earlier
 # implementation, so a change to any report or witness must update them
-REPORTS_SHA256 = "143b04a815e6a93687a4653a62105ea8903682436e21f67bd77b0c057cc1f9f8"
+REPORTS_SHA256 = "8f9e27619732da6def96d8bdcc5cecffb04871b59a95f9b2462143a1623fd7dc"
 SD_WITNESSES_SHA256 = "f6331ddfa42865da82693773d4d063457b14acb2e4d85703313a5e3d3628ca5a"
 PINNED_NAMES = ("N5", "M3", "B3", "stacked_n5") + catalog.MCKENZIE_NAMES
 

@@ -298,8 +298,8 @@ def test_one_quotient_per_two_block_factor(monkeypatch):
 
 def test_one_quotient_per_five_block_factor(monkeypatch):
     """N5 x N5 x N5 has three meet-irreducible congruences with five blocks
-    and six with two; each five-block class is told apart from M3 on the
-    congruence, so one quotient is built per class."""
+    and six with two; the five-block ones are N5's, named off their kept
+    sets, so one quotient is built per class."""
     calls = []
     real = variety.quotient
     monkeypatch.setattr(variety, "quotient", lambda L, c: calls.append(c) or real(L, c))
@@ -313,9 +313,10 @@ def test_one_quotient_per_five_block_factor(monkeypatch):
 
 
 def test_five_block_factors_told_apart():
-    """N5 x M3 has both an N5 and an M3 factor, each five blocks; the
-    congruence test keeps them apart, and the factors, their order and the
-    offending one match the quotient referee."""
+    """N5 x M3 has both an N5 and an M3 factor, each five blocks; the N5
+    class is named off its kept set and M3 is found by its quotient's
+    canonical form, and the factors, their order and the offending one
+    match the quotient referee."""
     n5, m3 = catalog.get("N5"), catalog.get("M3")
     for L in (direct_product(n5, m3), direct_product(m3, catalog.chain(2))):
         d = in_n5_variety(L)
